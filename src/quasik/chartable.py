@@ -23,13 +23,12 @@ from .errors import (
     VirtualCharacterError,
 )
 from .groups import (
+    DEFAULT_ORDER_CAP,
     GroupTable,
     Homomorphism,
     class_index_map,
     conjugacy_classes,
 )
-
-DEFAULT_ORDER_CAP = 48
 
 
 class CharacterTable:
@@ -156,13 +155,16 @@ class RepDecomposition:
 
 
 def character_table(G: GroupTable, max_order: int = DEFAULT_ORDER_CAP) -> CharacterTable:
-    """The exact irreducible character table of G (cached per group)."""
-    if G._char_table is not None:
-        return G._char_table
+    """The exact irreducible character table of G (memoized on G).
+
+    The order cap is checked on every call, memoized or not.
+    """
     if G.order > max_order:
         raise SizeLimitError(
             f"character table capped at order {max_order}, group has {G.order}"
         )
+    if "char_table" in G._memo:
+        return G._memo["char_table"]
     rows = _modular_character_rows(G)
     rows.sort(key=lambda row: (
         row[class_index_map(G)[G.identity]].rational_value(),
@@ -170,7 +172,7 @@ def character_table(G: GroupTable, max_order: int = DEFAULT_ORDER_CAP) -> Charac
     ))
     table = CharacterTable(G, rows)
     _verify_table(table)
-    G._char_table = table
+    G._memo["char_table"] = table
     return table
 
 

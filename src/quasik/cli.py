@@ -10,12 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
 from .chartable import character_table
 from .errors import QuasiError, SelectorError
 from .groups import (
+    DEFAULT_CLOSURE_CAP,
+    DEFAULT_ORDER_CAP,
+    DEFAULT_TUPLE_CAP,
     GroupTable,
     build_group,
     conjugacy_classes,
@@ -54,8 +57,8 @@ class CliConfig:
     construction: str = "plain"
     fmt: str = "text"
     threads: int = 1
-    max_order: int = 48
-    tuple_cap: int = field(default=4096)
+    max_order: int = DEFAULT_ORDER_CAP
+    tuple_cap: int = DEFAULT_TUPLE_CAP
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="plain=(V)_sigma, q=plain+q^-1 twist, fixed=plain+fixed part, real")
         p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility")
-        p.add_argument("--max-order", dest="max_order", type=int, default=48,
-                       help="size cap for subgroup/table computations")
+        p.add_argument("--max-order", dest="max_order", type=int,
+                       default=DEFAULT_ORDER_CAP, help="size cap for subgroup/table computations")
 
     common(sub.add_parser("classes", help="conjugacy classes"))
     common(sub.add_parser("chartab", help="irreducible character table"))
@@ -113,7 +116,7 @@ def parse_args(argv: Sequence[str]) -> CliConfig:
         threads=ns.threads,
         max_order=ns.max_order,
     )
-    cfg.tuple_cap = max(4096, cfg.max_order**2)
+    cfg.tuple_cap = max(DEFAULT_TUPLE_CAP, cfg.max_order**2)
     if cfg.n < 1:
         raise SelectorError("-n must be at least 1")
     if cfg.threads < 1:
@@ -155,7 +158,7 @@ def run(cfg: CliConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = No
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        G = build_group(cfg.group_spec, max_order=max(cfg.tuple_cap, 10000))
+        G = build_group(cfg.group_spec, max_order=max(cfg.tuple_cap, DEFAULT_CLOSURE_CAP))
         handler = _HANDLERS[cfg.command]
         handler(cfg, G, out)
         return 0

@@ -170,10 +170,6 @@ class Cyc:
         return Cyc._make(n, coeffs)
 
     @staticmethod
-    def rational(value: Rational) -> "Cyc":
-        return Cyc(value)
-
-    @staticmethod
     @lru_cache(maxsize=None)
     def zeta(n: int, k: int = 1) -> "Cyc":
         """The root of unity e^(2*pi*i*k/n)."""
@@ -409,9 +405,3 @@ def as_root_of_unity(c: Cyc, l: int) -> Optional[int]:
         if c == powers[m % l]:
             return m
     return None
-
-
-def zeta_of_fraction(r: Fraction) -> Cyc:
-    """The root of unity e^(2*pi*i*r) for a rational turn count r."""
-    r = Fraction(r) % 1
-    return Cyc.zeta(r.denominator, r.numerator) if r else Cyc(1)

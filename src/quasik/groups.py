@@ -3,15 +3,17 @@ subgroup lattices and commuting-tuple orbits.
 
 Elements are indices 0..order-1 with a full multiplication table.  Indexing
 is deterministic (permutation groups are sorted by permutation tuple), so
-every downstream report is reproducible byte for byte.  All values are
-immutable after construction and every operation is a pure function.
+every downstream report is reproducible byte for byte.  A group's table
+and labels are immutable after construction.  Derived data (conjugacy
+classes, the character table, subgroup tables and direct products) is
+memoized in a dict owned by the group it is computed from, and is freed
+with that group.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -91,9 +93,7 @@ class GroupTable:
         self.name = name or f"group{n}"
         self.perms = tuple(perms) if perms is not None else None
         self._label_index = {s: i for i, s in enumerate(self.labels)}
-        self._classes: Optional[tuple[ConjugacyClass, ...]] = None
-        self._class_of: Optional[tuple[int, ...]] = None
-        self._char_table = None
+        self._memo: dict = {}
 
     # -- element operations ------------------------------------------------
 
@@ -357,20 +357,32 @@ def load_group_file(path: Path | str, max_order: int = DEFAULT_CLOSURE_CAP) -> G
     Format B: 'table <n>' then n rows of n space-separated indices.
     """
     path = Path(path)
-    lines = [ln.strip() for ln in path.read_text().splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GroupInputError(f"{path}: cannot read group file ({exc})") from None
+    numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
+    numbered = [(i, ln) for i, ln in numbered if ln and not ln.startswith("#")]
+    if not numbered:
         raise GroupInputError(f"{path}: empty group file")
-    head = lines[0].split()
+
+    def integers(i: int, words: Sequence[str]) -> list[int]:
+        try:
+            return [int(w) for w in words]
+        except ValueError:
+            text = " ".join(words)
+            raise GroupInputError(f"{path}:{i}: expected integers, got {text!r}") from None
+
+    head_line, head = numbered[0][0], numbered[0][1].split()
     if head[0] == "perm" and len(head) == 2:
-        degree = int(head[1])
-        gens = [parse_permutation(ln, degree) for ln in lines[1:]]
+        (degree,) = integers(head_line, head[1:])
+        gens = [parse_permutation(ln, degree) for _, ln in numbered[1:]]
         return group_from_generators(gens, degree=degree, name=path.stem, max_order=max_order)
     if head[0] == "table" and len(head) == 2:
-        n = int(head[1])
-        if len(lines) != n + 1:
+        (n,) = integers(head_line, head[1:])
+        if len(numbered) != n + 1:
             raise GroupInputError(f"{path}: expected {n} table rows")
-        table = [[int(x) for x in ln.split()] for ln in lines[1:]]
+        table = [integers(i, ln.split()) for i, ln in numbered[1:]]
         return GroupTable(table, name=path.stem, validate=True)
     raise GroupInputError(f"{path}: first line must be 'perm <degree>' or 'table <n>'")
 
@@ -390,8 +402,8 @@ class ConjugacyClass:
 
 def conjugacy_classes(G: GroupTable) -> tuple[ConjugacyClass, ...]:
     """Conjugacy classes, sorted by their least element (the representative)."""
-    if G._classes is not None:
-        return G._classes
+    if "classes" in G._memo:
+        return G._memo["classes"]
     seen = [False] * G.order
     classes = []
     for a in range(G.order):
@@ -402,20 +414,19 @@ def conjugacy_classes(G: GroupTable) -> tuple[ConjugacyClass, ...]:
             seen[x] = True
         classes.append(ConjugacyClass(rep=members[0], members=tuple(members)))
     result = tuple(classes)
-    G._classes = result
     class_of = [0] * G.order
     for ci, cls in enumerate(result):
         for x in cls.members:
             class_of[x] = ci
-    G._class_of = tuple(class_of)
+    G._memo["class_of"] = tuple(class_of)
+    G._memo["classes"] = result
     return result
 
 
 def class_index_map(G: GroupTable) -> tuple[int, ...]:
     """Element index -> index of its conjugacy class."""
     conjugacy_classes(G)
-    assert G._class_of is not None
-    return G._class_of
+    return G._memo["class_of"]
 
 
 # -- subgroups -----------------------------------------------------------------
@@ -430,12 +441,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains(self, x: int) -> bool:
-        return x in self._element_set()
-
-    def _element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
 
     @property
     def is_trivial(self) -> bool:
@@ -469,10 +474,6 @@ def subgroup_from_generators(G: GroupTable, gens: Iterable[int]) -> Subgroup:
 
 def trivial_subgroup(G: GroupTable) -> Subgroup:
     return Subgroup(parent=G, elements=(G.identity,), generators=())
-
-
-def full_subgroup(G: GroupTable) -> Subgroup:
-    return subgroup_from_generators(G, range(G.order))
 
 
 def _witness_generators(G: GroupTable, elements: tuple[int, ...]) -> tuple[int, ...]:
@@ -529,7 +530,7 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_ORDER_CAP) -> tuple[Subgroup, ..
 
 def contains_conjugate(G: GroupTable, gamma: Subgroup, H: Subgroup) -> bool:
     """True iff some conjugate b^-1 * gamma * b lies inside H."""
-    hset = H._element_set()
+    hset = set(H.elements)
     gens = gamma.generators if gamma.generators else gamma.elements
     for b in range(G.order):
         binv = G.inverse(b)
@@ -610,22 +611,24 @@ def generated_subgroup_of_tuple(G: GroupTable, sigma: CommTuple) -> Subgroup:
 # -- subgroup tables and homomorphisms -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _subgroup_table_cached(G: GroupTable, elements: tuple[int, ...]) -> tuple[GroupTable, tuple[int, ...]]:
-    index = {x: i for i, x in enumerate(elements)}
-    table = [[index[G.mul(a, b)] for b in elements] for a in elements]
-    labels = [G.label(x) for x in elements]
-    sub = GroupTable(table, labels=labels, name=f"{G.name}<{len(elements)}>")
-    return sub, elements
-
-
 def subgroup_table(sub: Subgroup) -> tuple[GroupTable, tuple[int, ...]]:
     """Re-index a subgroup as a standalone GroupTable.
 
     Returns (table, to_parent) where to_parent maps the new indices back to
-    parent element indices.  Labels are inherited from the parent.
+    parent element indices.  Labels are inherited from the parent.  A proper
+    subgroup's table is memoized on the parent; the whole group is returned
+    as itself, with the identity map, so it shares the parent's own memo.
     """
-    return _subgroup_table_cached(sub.parent, sub.elements)
+    G, elements = sub.parent, sub.elements
+    if len(elements) == G.order:
+        return G, tuple(range(G.order))
+    key = ("subgroup", elements)
+    if key not in G._memo:
+        index = {x: i for i, x in enumerate(elements)}
+        table = [[index[G.mul(a, b)] for b in elements] for a in elements]
+        labels = [G.label(x) for x in elements]
+        G._memo[key] = GroupTable(table, labels=labels, name=f"{G.name}<{len(elements)}>")
+    return G._memo[key], elements
 
 
 @dataclass(frozen=True)
@@ -674,25 +677,23 @@ def hom_from_images(
     return Homomorphism(source=source, target=target, images=imgs)
 
 
-def identity_hom(G: GroupTable) -> Homomorphism:
-    return Homomorphism(source=G, target=G, images=tuple(range(G.order)))
-
-
 def inclusion_hom(sub: Subgroup) -> tuple[Homomorphism, GroupTable]:
     """The inclusion of a subgroup (re-indexed as its own table) into the parent."""
     table, to_parent = subgroup_table(sub)
     return Homomorphism(source=table, target=sub.parent, images=to_parent), table
 
 
-@lru_cache(maxsize=None)
 def direct_product(G: GroupTable, H: GroupTable, max_order: int = DEFAULT_TUPLE_CAP) -> GroupTable:
     """Direct product with indices packed as a*|H| + b and labels '(la,lb)'.
 
-    Cached per factor pair, so repeated products share one instance (and its
-    memoized class/table data).
+    Memoized on G per second factor, so repeated products share one instance
+    (and its memoized class/table data).
     """
     if G.order * H.order > max_order:
         raise SizeLimitError(f"product order {G.order * H.order} exceeds cap {max_order}")
+    key = ("product", H)
+    if key in G._memo:
+        return G._memo[key]
     n_h = H.order
     table = []
     for a1 in range(G.order):
@@ -703,4 +704,5 @@ def direct_product(G: GroupTable, H: GroupTable, max_order: int = DEFAULT_TUPLE_
                     row.append(G.mul(a1, a2) * n_h + H.mul(b1, b2))
             table.append(row)
     labels = [f"({G.label(a)},{H.label(b)})" for a in range(G.order) for b in range(n_h)]
-    return GroupTable(table, labels=labels, name=f"{G.name}x{H.name}")
+    G._memo[key] = GroupTable(table, labels=labels, name=f"{G.name}x{H.name}")
+    return G._memo[key]

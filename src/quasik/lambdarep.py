@@ -33,6 +33,7 @@ from .chartable import (
 from .cyclotomic import Cyc, as_root_of_unity
 from .errors import NotRealizableError, QuasiError, SizeLimitError
 from .groups import (
+    DEFAULT_ORDER_CAP,
     CommTuple,
     GroupTable,
     Homomorphism,
@@ -51,7 +52,7 @@ KERNEL_ENUM_CAP = 1 << 20
 class LambdaDesc:
     """Precomputed data for one group Lambda_G(sigma)."""
 
-    def __init__(self, group: GroupTable, sigma: CommTuple, max_order: int = 48):
+    def __init__(self, group: GroupTable, sigma: CommTuple, max_order: int = DEFAULT_ORDER_CAP):
         self.group = group
         self.sigma = sigma
         self.orders = sigma.orders
@@ -86,7 +87,9 @@ class LambdaDesc:
         return f"LambdaDesc({self.group.name}; sigma=({names}))"
 
 
-def lambda_desc(G: GroupTable, sigma: CommTuple | Sequence[int], max_order: int = 48) -> LambdaDesc:
+def lambda_desc(
+    G: GroupTable, sigma: CommTuple | Sequence[int], max_order: int = DEFAULT_ORDER_CAP
+) -> LambdaDesc:
     """Build the centralizer, its character table, and the twist data for sigma."""
     if not isinstance(sigma, CommTuple):
         sigma = make_comm_tuple(G, sigma)

@@ -16,6 +16,8 @@ from typing import Optional
 
 from .errors import QuasiError
 from .groups import (
+    DEFAULT_ORDER_CAP,
+    DEFAULT_TUPLE_CAP,
     CommTuple,
     GroupTable,
     Subgroup,
@@ -25,9 +27,6 @@ from .groups import (
     generated_subgroup_of_tuple,
 )
 from .lambdarep import lambda_basis, lambda_desc
-
-DEFAULT_TUPLE_CAP = 4096
-DEFAULT_ORDER_CAP = 48
 
 
 @dataclass(frozen=True)

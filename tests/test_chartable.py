@@ -21,6 +21,7 @@ from quasik import (
     fs_indicator,
     hom_from_images,
     inner_product,
+    lambda_desc,
     restrict_character,
     subgroup_from_generators,
     symmetric_group,
@@ -92,6 +93,18 @@ def test_orthogonality_exact():
 def test_size_cap():
     with pytest.raises(SizeLimitError):
         character_table(cyclic_group(5), max_order=4)
+
+
+def test_size_cap_applies_to_memoized_tables():
+    s4 = symmetric_group(4)
+    character_table(s4)
+    with pytest.raises(SizeLimitError):
+        character_table(s4, max_order=10)
+    # sigma = (e) has C(sigma) = G, whose memoized table must not skip the cap
+    s3 = symmetric_group(3)
+    character_table(s3)
+    with pytest.raises(SizeLimitError):
+        lambda_desc(s3, (s3.identity,), max_order=4)
 
 
 def test_inner_products(s3):

@@ -169,6 +169,24 @@ def test_subprocess_runs_are_byte_identical(tmp_path):
     assert first.stdout.startswith(b"{")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"table x\n", b"perm x\n(1 2)\n", b"table 2\n0 1\n1 a\n", b"table 1\n\xff\n"],
+    ids=["table-size", "perm-degree", "table-row", "not-utf8"],
+)
+def test_malformed_group_file_is_domain_error(tmp_path, content):
+    import subprocess
+    import sys
+
+    path = tmp_path / "bad.grp"
+    path.write_bytes(content)
+    proc = subprocess.run([sys.executable, "-m", "quasik.cli", "classes", "--group", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}")
+
+
 def test_byte_identical_output():
     runs = [
         _run(["quasi", "--group", "dihedral:4", "-n", "2", "--format", "json"])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from conftest import (
     brute_commuting_pair_count,
@@ -16,16 +19,20 @@ from quasik import (
     SizeLimitError,
     build_group,
     centralizer,
+    character_table,
     commuting_tuples,
     conjugacy_classes,
     contains_conjugate,
     cyclic_group,
+    direct_product,
     group_from_generators,
     hom_from_images,
+    lambda_desc,
     load_group_file,
     make_comm_tuple,
     quaternion_group,
     subgroup_from_generators,
+    subgroup_table,
     subgroups,
     symmetric_group,
     trivial_subgroup,
@@ -241,3 +248,19 @@ def test_labels_are_deterministic():
     b = symmetric_group(3)
     assert a.labels == b.labels
     assert [c.rep for c in conjugacy_classes(a)] == [c.rep for c in conjugacy_classes(b)]
+
+
+def test_group_memo_is_freed_with_the_group():
+    G = symmetric_group(3)
+    whole, to_parent = subgroup_table(centralizer(G, (G.identity,)))
+    assert whole is G and to_parent == tuple(range(G.order))
+    assert lambda_desc(G, (G.identity,)).table is character_table(G)
+    z2 = cyclic_group(2)
+    assert direct_product(G, z2) is direct_product(G, z2)
+    cent = centralizer(G, (G.index_of("(12)"),))
+    sub, _ = subgroup_table(cent)
+    assert sub.order == 2 and subgroup_table(cent)[0] is sub
+    ref = weakref.ref(G)
+    del G, whole, cent, sub
+    gc.collect()
+    assert ref() is None
