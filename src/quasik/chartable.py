@@ -3,9 +3,15 @@
 The table is computed by the classical modular method: simultaneous
 eigenvectors of the class-sum matrices over a prime field F_p with
 p = 1 (mod exponent), lifted to exact cyclotomic values by counting
-eigenvalue multiplicities through a discrete Fourier inversion.  Every
-finished table is verified against row and column orthogonality and the
-degree sum before it is returned.
+eigenvalue multiplicities through a discrete Fourier inversion (Dixon 1967).
+
+The lift's integers are kept: for each irreducible and class the table
+stores the multiplicity c of each eigenvalue zeta_e^x, e = exp(G), as a
+sparse vector ((x, c), ...).  Every finished table is verified in
+Z[zeta_e] on these vectors, with integer arithmetic only, against row and
+column orthogonality and the degree sum before it is returned, and
+central scalars are read off them: an element acts as a scalar exactly
+when its vector has a single entry.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
-from .cyclotomic import Cyc, as_root_of_unity
+from .cyclotomic import Cyc, cyclotomic_polynomial, totient
 from .errors import (
     NonScalarError,
     QuasiError,
@@ -31,20 +37,32 @@ from .groups import (
 )
 
 
+EigVector = tuple[tuple[int, int], ...]  # ((x, multiplicity of zeta_e^x), ...)
+
+
 class CharacterTable:
     """Irreducible characters of a finite group, one row per irreducible.
 
     Rows are sorted by (degree, value vector) with the trivial character
     first, so the layout is deterministic.  Columns follow the conjugacy
-    class order (sorted by least member).
+    class order (sorted by least member).  eig[irrep][class] holds the
+    eigenvalue multiplicities ((x, c), ...) of that entry, sorted by x: the
+    value is the sum of c * zeta_e^x with e = exponent.
     """
 
-    def __init__(self, group: GroupTable, rows: Sequence[tuple[Cyc, ...]]):
+    def __init__(
+        self,
+        group: GroupTable,
+        rows: Sequence[tuple[Cyc, ...]],
+        eig: Sequence[tuple[EigVector, ...]],
+    ):
         self.group = group
         self.classes = conjugacy_classes(group)
         self.class_of = class_index_map(group)
         self.id_class = self.class_of[group.identity]
+        self.exponent = group.exponent()
         self.rows = tuple(rows)
+        self.eig = tuple(eig)
         self.degrees = tuple(int(r[self.id_class].rational_value()) for r in self.rows)
         self.labels = tuple(f"chi{i}" for i in range(len(self.rows)))
         self.n_classes = len(self.classes)
@@ -60,9 +78,8 @@ class CharacterTable:
         return ClassFunction(self, self.rows[irrep])
 
     def trivial_index(self) -> int:
-        one = Cyc(1)
-        for i, row in enumerate(self.rows):
-            if all(v == one for v in row):
+        for i, vecs in enumerate(self.eig):
+            if all(v == ((0, 1),) for v in vecs):
                 return i
         raise QuasiError("table has no trivial character")  # unreachable
 
@@ -74,11 +91,27 @@ class CharacterTable:
     def conjugate_row(self, irrep: int) -> int:
         """Index of the complex-conjugate irreducible."""
         if self._conj_rows is None:
-            lookup = {row: i for i, row in enumerate(self.rows)}
+            e = self.exponent
+            lookup = {vecs: i for i, vecs in enumerate(self.eig)}
             self._conj_rows = tuple(
-                lookup[tuple(v.conj() for v in row)] for row in self.rows
+                lookup[tuple(tuple(sorted(((-x) % e, c) for x, c in v)) for v in vecs)]
+                for vecs in self.eig
             )
         return self._conj_rows[irrep]
+
+    def scalar_exponent(self, irrep: int, element: int, l: int) -> Optional[int]:
+        """m with element acting on irrep as the scalar zeta_l^m, 0 < m <= l.
+
+        None when element does not act as a scalar, or acts by a root of
+        unity whose order does not divide l.
+        """
+        vec = self.eig[irrep][self.class_of[element]]
+        if len(vec) != 1:
+            return None
+        m, rem = divmod(vec[0][0] * l, self.exponent)
+        if rem:
+            return None
+        return m or l
 
     def __repr__(self) -> str:
         return f"CharacterTable({self.group.name}, {len(self.rows)} irreducibles)"
@@ -165,12 +198,13 @@ def character_table(G: GroupTable, max_order: int = DEFAULT_ORDER_CAP) -> Charac
         )
     if "char_table" in G._memo:
         return G._memo["char_table"]
-    rows = _modular_character_rows(G)
-    rows.sort(key=lambda row: (
-        row[class_index_map(G)[G.identity]].rational_value(),
-        tuple(v.sort_key() for v in row),
+    lifted = _modular_character_rows(G)
+    id_class = class_index_map(G)[G.identity]
+    lifted.sort(key=lambda pair: (
+        pair[0][id_class].rational_value(),
+        tuple(v.sort_key() for v in pair[0]),
     ))
-    table = CharacterTable(G, rows)
+    table = CharacterTable(G, [row for row, _ in lifted], [vecs for _, vecs in lifted])
     _verify_table(table)
     G._memo["char_table"] = table
     return table
@@ -243,7 +277,8 @@ def _nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def _modular_character_rows(G: GroupTable) -> list[tuple[Cyc, ...]]:
+def _modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tuple[EigVector, ...]]]:
+    """Each irreducible as (values, eigenvalue vectors at conductor exp(G))."""
     classes = conjugacy_classes(G)
     class_of = class_index_map(G)
     k = len(classes)
@@ -301,7 +336,14 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[Cyc, ...]]:
     inv_class = [class_of[G.inverse(r)] for r in reps]
     w = _primitive_root(p)
 
-    rows: list[tuple[Cyc, ...]] = []
+    values: dict[EigVector, Cyc] = {}  # one Cyc per distinct vector
+
+    def value_of(vec: EigVector) -> Cyc:
+        if vec not in values:
+            values[vec] = sum((Cyc.zeta(exponent, x) * c for x, c in vec), Cyc(0))
+        return values[vec]
+
+    rows = []
     for space in spaces:
         v = space[0]
         scale = pow(v[id_class], -1, p)
@@ -317,53 +359,68 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[Cyc, ...]]:
             c = class_of[elem]
             return (d * omega[c] * pow(sizes[c], -1, p)) % p
 
-        row = []
+        vecs = []
         for t in range(k):
             g = reps[t]
             m = G.order_of(g)
-            z_m = pow(w, (p - 1) // m, p)
-            z_inv = pow(z_m, -1, p)
+            z_inv = pow(w, -((p - 1) // m), p)
+            z_inv_pows = [pow(z_inv, u, p) for u in range(m)]
             m_inv = pow(m, -1, p)
-            value = Cyc(0)
-            total = 0
+            vec = []
             powers_chi = [chi_mod(G.power(g, u)) for u in range(m)]
             for j in range(m):
-                acc = 0
-                for u in range(m):
-                    acc = (acc + powers_chi[u] * pow(z_inv, j * u, p)) % p
+                acc = sum(powers_chi[u] * z_inv_pows[j * u % m] for u in range(m))
                 c_j = (acc * m_inv) % p
                 if c_j:
-                    total += c_j
-                    value = value + Cyc.zeta(m, j) * c_j
-            if total != d:
+                    vec.append((j * (exponent // m), c_j))  # zeta_m^j = zeta_e^(j e/m)
+            if sum(c for _, c in vec) != d:
                 raise QuasiError("eigenvalue multiplicities do not sum to the degree")
-            row.append(value)
-        rows.append(tuple(row))
+            vecs.append(tuple(vec))
+        rows.append((tuple(value_of(v) for v in vecs), tuple(vecs)))
     return rows
 
 
+def _sum_equals(terms, e: int, value: int) -> bool:
+    """Whether the sum of w * a * conj(b) over terms (w, a, b) of eigenvalue
+    vectors equals the integer value in Z[zeta_e].
+
+    Products are collected by exponent in a dense integer list, which is
+    reduced once modulo the e-th cyclotomic polynomial; that polynomial is
+    monic, so the reduction stays integral and leaves the canonical form.
+    """
+    dense = [0] * e
+    for w, a, b in terms:
+        for x, c in a:
+            for y, d in b:
+                dense[(x - y) % e] += w * c * d
+    phi = totient(e)
+    poly = cyclotomic_polynomial(e)
+    for i in range(e - 1, phi - 1, -1):
+        c = dense[i]
+        if c:
+            for j in range(phi):
+                dense[i - phi + j] -= c * poly[j]
+    return dense[0] == value and not any(dense[1:phi])
+
+
 def _verify_table(table: CharacterTable) -> None:
+    """Degree sum, and row and column orthogonality over Z[zeta_e]."""
     G = table.group
     k = table.n_classes
+    e = table.exponent
+    eig = table.eig
     if sum(d * d for d in table.degrees) != G.order:
         raise QuasiError("degree check failed")
     for i in range(k):
         for j in range(i, k):
-            acc = Cyc(0)
-            for c in range(k):
-                acc = acc + table.rows[i][c] * table.rows[j][c].conj() * table.classes[c].size
-            expected = Cyc(G.order) if i == j else Cyc(0)
-            if acc != expected:
+            terms = ((cls.size, eig[i][c], eig[j][c]) for c, cls in enumerate(table.classes))
+            if not _sum_equals(terms, e, G.order if i == j else 0):
                 raise QuasiError("row orthogonality failed")
     for c1 in range(k):
         for c2 in range(c1, k):
-            acc = Cyc(0)
-            for i in range(k):
-                acc = acc + table.rows[i][c1] * table.rows[i][c2].conj()
-            expected = (
-                Cyc(G.order) * Fraction(1, table.classes[c1].size) if c1 == c2 else Cyc(0)
-            )
-            if acc != expected:
+            terms = ((1, vecs[c1], vecs[c2]) for vecs in eig)
+            expected = G.order // table.classes[c1].size if c1 == c2 else 0
+            if not _sum_equals(terms, e, expected):
                 raise QuasiError("column orthogonality failed")
 
 
@@ -410,15 +467,12 @@ def central_scalar(table: CharacterTable, irrep: int, z: int, l: Optional[int] =
     """
     if l is None:
         l = table.group.order_of(z)
-    deg = table.degrees[irrep]
-    val = table.value_at_element(irrep, z)
-    if val.abs_squared() != deg * deg:
-        raise NonScalarError(
-            f"{table.group.label(z)} does not act as a scalar on {table.labels[irrep]}"
-        )
-    scalar = val * Fraction(1, deg)
-    m = as_root_of_unity(scalar, l)
+    m = table.scalar_exponent(irrep, z, l)
     if m is None:
+        if len(table.eig[irrep][table.class_of[z]]) != 1:
+            raise NonScalarError(
+                f"{table.group.label(z)} does not act as a scalar on {table.labels[irrep]}"
+            )
         raise NonScalarError("scalar is not a root of unity of the stated order")
     return m, l
 

@@ -144,11 +144,6 @@ class GroupTable:
     def exponent(self) -> int:
         return lcm(*self.elem_orders) if self.order > 1 else 1
 
-    def center(self) -> tuple[int, ...]:
-        return tuple(
-            a for a in range(self.order) if all(self.commutes(a, b) for b in range(self.order))
-        )
-
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
 
@@ -214,6 +209,14 @@ def cycle_label(perm: Sequence[int]) -> str:
     return "".join(parts) if parts else "()"
 
 
+def _check_degree(degree: int, max_order: int) -> None:
+    # a permutation group of degree d stores each element as a d-tuple, and a
+    # builtin with parameter k has at least k elements (cyclic:k is a k x k
+    # table), so the element cap bounds both before anything is allocated
+    if degree > max_order:
+        raise SizeLimitError(f"degree {degree} exceeds the size cap of {max_order}")
+
+
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # (p*q)(x) = p(q(x))
     return tuple(p[q[x]] for x in range(len(p)))
@@ -228,11 +231,12 @@ def group_from_generators(
     """Closure of a set of permutations under composition.
 
     Generators are 0-based permutation tuples on a common point set; the
-    closure is capped at max_order elements.
+    closure is capped at max_order elements, and so is the degree.
     """
     gens = [tuple(g) for g in generators]
     if degree is None:
         degree = max((len(g) for g in gens), default=1)
+    _check_degree(degree, max_order)
     padded = []
     for g in gens:
         if sorted(g) != list(range(len(g))):
@@ -337,6 +341,7 @@ def build_group(spec: str, max_order: int = DEFAULT_CLOSURE_CAP) -> GroupTable:
     m = _BUILTIN_RE.fullmatch(spec)
     if m:
         kind, k = m.group(1), int(m.group(2))
+        _check_degree(k, max_order)
         if kind == "cyclic":
             return cyclic_group(k)
         if kind == "symmetric":
@@ -376,6 +381,7 @@ def load_group_file(path: Path | str, max_order: int = DEFAULT_CLOSURE_CAP) -> G
     head_line, head = numbered[0][0], numbered[0][1].split()
     if head[0] == "perm" and len(head) == 2:
         (degree,) = integers(head_line, head[1:])
+        _check_degree(degree, max_order)
         gens = [parse_permutation(ln, degree) for _, ln in numbered[1:]]
         return group_from_generators(gens, degree=degree, name=path.stem, max_order=max_order)
     if head[0] == "table" and len(head) == 2:

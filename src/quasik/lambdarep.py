@@ -30,7 +30,7 @@ from .chartable import (
     fs_indicator,
     restrict_character,
 )
-from .cyclotomic import Cyc, as_root_of_unity
+from .cyclotomic import Cyc
 from .errors import NotRealizableError, QuasiError, SizeLimitError
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -269,13 +269,8 @@ class KernelDescription:
 
 def _scalar_argument(d: LambdaDesc, lam: int, a: int) -> Optional[Fraction]:
     """Fraction r with the action of a on lam equal to e^(2 pi i r), or None."""
-    table = d.table
-    deg = table.degrees[lam]
-    val = table.value_at_element(lam, a)
-    if val.abs_squared() != deg * deg:
-        return None
-    la = table.group.order_of(a)
-    m = as_root_of_unity(val * Fraction(1, deg), la)
+    la = d.cent_group.order_of(a)
+    m = d.table.scalar_exponent(lam, a, la)
     if m is None:
         return None
     return Fraction(m % la, la)

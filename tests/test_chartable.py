@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import pytest
+from conftest import battery_groups
 
 from quasik import (
     Cyc,
     NonScalarError,
+    QuasiError,
     SizeLimitError,
     VirtualCharacterError,
+    alternating_group,
+    as_root_of_unity,
     build_group,
     central_scalar,
     character_table,
@@ -26,6 +31,7 @@ from quasik import (
     subgroup_from_generators,
     symmetric_group,
 )
+from quasik.chartable import _verify_table
 from quasik.groups import inclusion_hom
 
 
@@ -318,3 +324,108 @@ def test_table_determinism():
     c = character_table(build_group("symmetric:4"))
     assert a.rows == b.rows == c.rows
     assert a.degrees == c.degrees
+
+
+# -- reference oracles: the Cyc-based verification and scalar path -------------
+# The table is verified and its scalars are read on the lift's integer
+# eigenvalue vectors; these are the exact cyclotomic computations they replace.
+
+
+def _oracle_verify_table(table):
+    G = table.group
+    k = table.n_classes
+    if sum(d * d for d in table.degrees) != G.order:
+        raise QuasiError("degree check failed")
+    for i in range(k):
+        for j in range(i, k):
+            acc = Cyc(0)
+            for c in range(k):
+                acc = acc + table.rows[i][c] * table.rows[j][c].conj() * table.classes[c].size
+            expected = Cyc(G.order) if i == j else Cyc(0)
+            if acc != expected:
+                raise QuasiError("row orthogonality failed")
+    for c1 in range(k):
+        for c2 in range(c1, k):
+            acc = Cyc(0)
+            for i in range(k):
+                acc = acc + table.rows[i][c1] * table.rows[i][c2].conj()
+            expected = (
+                Cyc(G.order) * Fraction(1, table.classes[c1].size) if c1 == c2 else Cyc(0)
+            )
+            if acc != expected:
+                raise QuasiError("column orthogonality failed")
+
+
+def _oracle_scalar_exponent(table, irrep, z, l):
+    deg = table.degrees[irrep]
+    val = table.value_at_element(irrep, z)
+    if val.abs_squared() != deg * deg:
+        return None
+    return as_root_of_unity(val * Fraction(1, deg), l)
+
+
+def _oracle_tables():
+    groups = battery_groups() + [alternating_group(5), symmetric_group(5), dihedral_group(12)]
+    return [character_table(G, max_order=120) for G in groups]
+
+
+@pytest.fixture(scope="module")
+def oracle_tables():
+    return _oracle_tables()
+
+
+def test_rows_are_the_cyclotomic_values_of_the_eigenvalue_vectors(oracle_tables):
+    for table in oracle_tables:
+        e = table.exponent
+        assert e == table.group.exponent()
+        _oracle_verify_table(table)
+        for row, vecs, deg in zip(table.rows, table.eig, table.degrees):
+            for value, vec in zip(row, vecs):
+                assert [x for x, _ in vec] == sorted({x for x, _ in vec})
+                assert all(0 <= x < e and c > 0 for x, c in vec)
+                assert sum(c for _, c in vec) == deg
+                assert value == sum((Cyc.zeta(e, x) * c for x, c in vec), Cyc(0))
+
+
+def test_scalar_lookup_matches_the_cyclotomic_oracle(oracle_tables):
+    for table in oracle_tables:
+        G = table.group
+        for lam in range(len(table.rows)):
+            for z in range(G.order):
+                order = G.order_of(z)
+                for l in (order, 1, table.exponent):
+                    want = _oracle_scalar_exponent(table, lam, z, l)
+                    assert table.scalar_exponent(lam, z, l) == want
+                    if want is None:
+                        with pytest.raises(NonScalarError):
+                            central_scalar(table, lam, z, l)
+                    else:
+                        assert central_scalar(table, lam, z, l) == (want, l)
+
+
+def test_conjugate_row_matches_the_cyclotomic_conjugate(oracle_tables):
+    for table in oracle_tables:
+        lookup = {row: i for i, row in enumerate(table.rows)}
+        for lam, row in enumerate(table.rows):
+            assert table.conjugate_row(lam) == lookup[tuple(v.conj() for v in row)]
+
+
+def test_moving_one_unit_of_multiplicity_fails_verification(oracle_tables):
+    for table in oracle_tables:
+        e = table.exponent
+        if e == 1:
+            continue  # the trivial group has no second eigenvalue to move to
+        for lam, vecs in enumerate(table.eig):
+            for c, vec in enumerate(vecs):
+                counts = dict(vec)
+                x = vec[0][0]
+                counts[x] -= 1
+                counts[(x + 1) % e] = counts.get((x + 1) % e, 0) + 1
+                moved = tuple(sorted((y, m) for y, m in counts.items() if m))
+                mutant = copy.copy(table)
+                mutant.eig = tuple(
+                    vs[:c] + (moved,) + vs[c + 1:] if i == lam else vs
+                    for i, vs in enumerate(table.eig)
+                )
+                with pytest.raises(QuasiError):
+                    _verify_table(mutant)

@@ -187,6 +187,39 @@ def test_malformed_group_file_is_domain_error(tmp_path, content):
     assert proc.stderr.startswith(f"error: {path}")
 
 
+@pytest.mark.parametrize(
+    "group",
+    ["perm 3000000\n(1 2)\n", "cyclic:10001"],
+    ids=["perm-degree-file", "cyclic-order"],
+)
+def test_degree_above_the_closure_cap_is_rejected_before_building(tmp_path, group):
+    import subprocess
+    import sys
+
+    if group.startswith("perm"):
+        path = tmp_path / "huge.grp"
+        path.write_text(group)
+        group = str(path)
+    proc = subprocess.run([sys.executable, "-m", "quasik.cli", "classes", "--group", group],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert "exceeds the size cap" in proc.stderr
+
+
+def test_python_dash_m_quasik_runs_the_cli():
+    import subprocess
+    import sys
+
+    args = ["classes", "--group", "cyclic:3"]
+    package = subprocess.run([sys.executable, "-m", "quasik", *args],
+                             capture_output=True, check=True)
+    module = subprocess.run([sys.executable, "-m", "quasik.cli", *args],
+                            capture_output=True, check=True)
+    assert package.stdout == module.stdout
+    assert package.stdout.startswith(b"3 conjugacy classes")
+
+
 def test_byte_identical_output():
     runs = [
         _run(["quasi", "--group", "dihedral:4", "-n", "2", "--format", "json"])

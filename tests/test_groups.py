@@ -64,6 +64,25 @@ def test_closure_size_cap():
         group_from_generators(gens, max_order=30)
 
 
+def test_degree_cap_is_checked_before_building(tmp_path):
+    # a transposition on 21 points has order 2, but its degree is over the cap
+    with pytest.raises(SizeLimitError):
+        group_from_generators([parse_permutation("(1 2)", 21)], max_order=20)
+    path = tmp_path / "wide.grp"
+    path.write_text("perm 21\n(1 2)\n")
+    with pytest.raises(SizeLimitError):
+        load_group_file(path, max_order=20)
+    bad_generator = tmp_path / "wide_bad.grp"
+    bad_generator.write_text("perm 21\n(1 x)\n")
+    with pytest.raises(SizeLimitError):  # the header is checked before any generator
+        load_group_file(bad_generator, max_order=20)
+    for spec in ("cyclic:21", "dihedral:21", "symmetric:21", "alternating:21"):
+        with pytest.raises(SizeLimitError):
+            build_group(spec, max_order=20)
+    assert build_group("cyclic:20", max_order=20).order == 20
+    assert load_group_file(path, max_order=21).order == 2
+
+
 def test_parse_and_label_round_trip():
     for text in ["()", "(12)", "(123)(45)", "(1 2)(3 4)"]:
         perm = parse_permutation(text, 5)
