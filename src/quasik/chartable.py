@@ -12,16 +12,20 @@ Z[zeta_e] on these vectors, with integer arithmetic only, against row and
 column orthogonality and the degree sum before it is returned, and
 central scalars are read off them: an element acts as a scalar exactly
 when its vector has a single entry.
+
+Every character sum here (table entries, orthogonality, inner products,
+Frobenius-Schur indicators) is one call to cyclotomic.conj_product_sum,
+which reduces the whole sum once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
-from .cyclotomic import Cyc, cyclotomic_polynomial, totient
+from .cyclotomic import Cyc, conj_product_sum
 from .errors import (
     NonScalarError,
     QuasiError,
@@ -340,7 +344,7 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tuple[
 
     def value_of(vec: EigVector) -> Cyc:
         if vec not in values:
-            values[vec] = sum((Cyc.zeta(exponent, x) * c for x, c in vec), Cyc(0))
+            values[vec] = conj_product_sum(((1, vec, ((0, 1),)),), exponent)
         return values[vec]
 
     rows = []
@@ -380,29 +384,6 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tuple[
     return rows
 
 
-def _sum_equals(terms, e: int, value: int) -> bool:
-    """Whether the sum of w * a * conj(b) over terms (w, a, b) of eigenvalue
-    vectors equals the integer value in Z[zeta_e].
-
-    Products are collected by exponent in a dense integer list, which is
-    reduced once modulo the e-th cyclotomic polynomial; that polynomial is
-    monic, so the reduction stays integral and leaves the canonical form.
-    """
-    dense = [0] * e
-    for w, a, b in terms:
-        for x, c in a:
-            for y, d in b:
-                dense[(x - y) % e] += w * c * d
-    phi = totient(e)
-    poly = cyclotomic_polynomial(e)
-    for i in range(e - 1, phi - 1, -1):
-        c = dense[i]
-        if c:
-            for j in range(phi):
-                dense[i - phi + j] -= c * poly[j]
-    return dense[0] == value and not any(dense[1:phi])
-
-
 def _verify_table(table: CharacterTable) -> None:
     """Degree sum, and row and column orthogonality over Z[zeta_e]."""
     G = table.group
@@ -414,13 +395,13 @@ def _verify_table(table: CharacterTable) -> None:
     for i in range(k):
         for j in range(i, k):
             terms = ((cls.size, eig[i][c], eig[j][c]) for c, cls in enumerate(table.classes))
-            if not _sum_equals(terms, e, G.order if i == j else 0):
+            if conj_product_sum(terms, e) != (G.order if i == j else 0):
                 raise QuasiError("row orthogonality failed")
     for c1 in range(k):
         for c2 in range(c1, k):
             terms = ((1, vecs[c1], vecs[c2]) for vecs in eig)
             expected = G.order // table.classes[c1].size if c1 == c2 else 0
-            if not _sum_equals(terms, e, expected):
+            if conj_product_sum(terms, e) != expected:
                 raise QuasiError("column orthogonality failed")
 
 
@@ -432,10 +413,12 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyc:
     if chi.table is not psi.table:
         raise QuasiError("class functions live on different tables")
     table = chi.table
-    acc = Cyc(0)
-    for c, cls in enumerate(table.classes):
-        acc = acc + chi.values[c] * psi.values[c].conj() * cls.size
-    return acc * Fraction(1, table.group.order)
+    n = lcm(*(v.conductor for v in chi.values + psi.values))
+    terms = (
+        (cls.size, a._exponents_at(n), b._exponents_at(n))
+        for cls, a, b in zip(table.classes, chi.values, psi.values)
+    )
+    return conj_product_sum(terms, n) * Fraction(1, table.group.order)
 
 
 def decompose(chi: ClassFunction) -> RepDecomposition:
@@ -453,10 +436,9 @@ def decompose(chi: ClassFunction) -> RepDecomposition:
             )
         if q:
             entries.append((i, int(q)))
-    dec = RepDecomposition(table, tuple(entries))
-    if dec.reassemble().values != chi.values:
-        raise VirtualCharacterError("class function is not a sum of irreducibles")
-    return dec
+    # A verified table's rows are an orthonormal basis of the class functions,
+    # so chi is the sum of these multiples of them.
+    return RepDecomposition(table, tuple(entries))
 
 
 def central_scalar(table: CharacterTable, irrep: int, z: int, l: Optional[int] = None) -> tuple[int, int]:
@@ -489,11 +471,12 @@ def restrict_character(chi: ClassFunction, phi: Homomorphism) -> ClassFunction:
 def fs_indicator(table: CharacterTable, irrep: int) -> int:
     """Frobenius-Schur indicator: +1 real, 0 complex, -1 quaternionic."""
     G = table.group
-    acc = Cyc(0)
-    for cls in table.classes:
-        sq = G.mul(cls.rep, cls.rep)
-        acc = acc + table.value_at_element(irrep, sq) * cls.size
-    val = (acc * Fraction(1, G.order)).rational_value()
+    vecs = table.eig[irrep]
+    terms = (
+        (cls.size, vecs[table.class_of[G.mul(cls.rep, cls.rep)]], ((0, 1),))
+        for cls in table.classes
+    )
+    val = (conj_product_sum(terms, table.exponent) * Fraction(1, G.order)).rational_value()
     if val.denominator != 1 or val not in (-1, 0, 1):
         raise QuasiError("Frobenius-Schur indicator out of range")
     return int(val)

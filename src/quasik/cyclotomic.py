@@ -5,16 +5,23 @@ basis zeta_N^0, ..., zeta_N^{phi(N)-1} after reduction modulo the N-th
 cyclotomic polynomial, with the conductor N minimized over all divisors.
 Canonical forms are unique, so equality, hashing and multiset comparisons
 are structural.  No floating point is used anywhere.
+
+Every sum in Z[zeta_n] or Q(zeta_n) goes through one routine,
+conj_product_sum: it collects the terms w * a * conj(b) by exponent in a
+dense list and reduces that list once.  Cyc addition, multiplication and
+Galois action are single calls to it, and so are the table verification and
+the character sums in chartable and lambdarep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Optional, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
+Exponents = tuple[tuple[int, Rational], ...]  # ((x, coefficient of zeta_n^x), ...)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -66,8 +73,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(n: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a dense coefficient list modulo the n-th cyclotomic polynomial."""
+def _reduce(n: int, dense: list[Rational]) -> tuple[Fraction, ...]:
+    """Reduce a dense coefficient list modulo the n-th cyclotomic polynomial.
+
+    The polynomial is monic, so an integer list is reduced in integers; the
+    phi(n) coefficients left are returned as Fractions.
+    """
     phi = totient(n)
     poly = cyclotomic_polynomial(n)
     for i in range(len(dense) - 1, phi - 1, -1):
@@ -78,7 +89,7 @@ def _reduce(n: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
                 dense[i - phi + j] -= c * poly[j]
     if len(dense) < phi:
         dense = dense + [_ZERO] * (phi - len(dense))
-    return tuple(dense[:phi])
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in dense[:phi])
 
 
 @lru_cache(maxsize=None)
@@ -175,9 +186,7 @@ class Cyc:
         """The root of unity e^(2*pi*i*k/n)."""
         if n < 1:
             raise ValueError("conductor must be positive")
-        dense = [_ZERO] * n
-        dense[k % n] = _ONE
-        return Cyc._normalize(n, dense)
+        return conj_product_sum(((1, ((k, 1),), _UNIT),), n)
 
     # -- basic queries ----------------------------------------------------
 
@@ -222,26 +231,19 @@ class Cyc:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _dense_at(self, m: int) -> list[Fraction]:
+    def _exponents_at(self, m: int) -> Exponents:
+        """Sparse form ((x, c), ...) over zeta_m, m a multiple of the conductor."""
         step = m // self._n
-        dense = [_ZERO] * m
-        for k, c in enumerate(self._c):
-            if c:
-                dense[(k * step) % m] += c
-        return dense
+        return tuple((k * step, c) for k, c in enumerate(self._c) if c)
 
     def __add__(self, other) -> "Cyc":
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if self._n == o._n:
-            dense = [a + b for a, b in zip(self._c, o._c)]
-            return Cyc._normalize(self._n, list(dense))
-        m = self._n * o._n // gcd(self._n, o._n)
-        dense = self._dense_at(m)
-        for k, c in enumerate(o._dense_at(m)):
-            dense[k] += c
-        return Cyc._normalize(m, dense)
+        m = lcm(self._n, o._n)
+        return conj_product_sum(
+            ((1, self._exponents_at(m), _UNIT), (1, o._exponents_at(m), _UNIT)), m
+        )
 
     __radd__ = __add__
 
@@ -271,21 +273,9 @@ class Cyc:
             return Cyc._make(self._n, tuple(c * q for c in self._c))
         if self._n == 1:
             return o * self
-        m = self._n * o._n // gcd(self._n, o._n)
-        a = self._dense_at(m)
-        b = o._dense_at(m)
-        out = [_ZERO] * (2 * m)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        # fold exponents >= m back using zeta_m^m = 1 before reduction
-        for i in range(m, 2 * m):
-            if out[i]:
-                out[i - m] += out[i]
-                out[i] = _ZERO
-        return Cyc._normalize(m, out[:m])
+        m = lcm(self._n, o._n)
+        b = tuple((-y, d) for y, d in o._exponents_at(m))  # conj(conj(o)) = o
+        return conj_product_sum(((1, self._exponents_at(m), b),), m)
 
     __rmul__ = __mul__
 
@@ -294,11 +284,8 @@ class Cyc:
         n = self._n
         if gcd(j, n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        dense = [_ZERO] * n
-        for k, c in enumerate(self._c):
-            if c:
-                dense[(k * j) % n] += c
-        return Cyc._normalize(n, dense)
+        a = tuple((k * j, c) for k, c in enumerate(self._c) if c)
+        return conj_product_sum(((1, a, _UNIT),), n)
 
     def conj(self) -> "Cyc":
         """Complex conjugation."""
@@ -374,6 +361,25 @@ class Cyc:
 
     def __repr__(self) -> str:
         return f"Cyc({self.render()})"
+
+
+_UNIT: Exponents = ((0, 1),)  # the value 1
+
+
+def conj_product_sum(terms: Iterable[tuple[Rational, Exponents, Exponents]], n: int) -> Cyc:
+    """The sum of w * a * conj(b) over terms (w, a, b), as a canonical Cyc.
+
+    a and b are sparse exponent vectors ((x, c), ...) standing for the sum of
+    c * zeta_n^x.  Each product w * c * d is added at exponent (x - y) mod n
+    into one dense list that starts from the integer 0, so integer inputs
+    stay integers, and the list is reduced and minimized once at the end.
+    """
+    dense: list[Rational] = [0] * n
+    for w, a, b in terms:
+        for x, c in a:
+            for y, d in b:
+                dense[(x - y) % n] += w * c * d
+    return Cyc._normalize(n, dense)
 
 
 def _coerce(value: object) -> Optional[Cyc]:

@@ -583,21 +583,26 @@ def commuting_tuples(G: GroupTable, n: int, cap: int = DEFAULT_TUPLE_CAP) -> tup
     """Orbits of simultaneous conjugation on pairwise-commuting n-tuples.
 
     The representative of each orbit is its lexicographically least member.
+    Raises SizeLimitError when |G|^n or n itself exceeds cap.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if G.order**n > cap:
-        raise SizeLimitError(f"|G|^n = {G.order ** n} exceeds the tuple scan cap {cap}")
+    # For |G| >= 2, n > cap.bit_length() already gives |G|^n >= 2^n > cap,
+    # so the power is only formed when it is small.
+    if G.order > 1 and (n > cap.bit_length() or G.order**n > cap):
+        raise SizeLimitError(f"|G|^n = {G.order}^{n} exceeds the tuple scan cap {cap}")
+    if n > cap:
+        raise SizeLimitError(f"n = {n} exceeds the tuple scan cap {cap}")
     tuples: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], candidates: Sequence[int]) -> None:
+    # depth-first, children pushed in reverse so tuples come out in lex order
+    stack: list[tuple[tuple[int, ...], list[int]]] = [((), list(range(G.order)))]
+    while stack:
+        prefix, candidates = stack.pop()
         if len(prefix) == n:
             tuples.append(prefix)
-            return
-        for x in candidates:
-            extend(prefix + (x,), [y for y in candidates if G.commutes(x, y)])
-
-    extend((), list(range(G.order)))
+            continue
+        for x in reversed(candidates):
+            stack.append((prefix + (x,), [y for y in candidates if G.commutes(x, y)]))
     seen: set[tuple[int, ...]] = set()
     orbits = []
     for t in tuples:  # already in lexicographic order

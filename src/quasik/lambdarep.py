@@ -30,7 +30,7 @@ from .chartable import (
     fs_indicator,
     restrict_character,
 )
-from .cyclotomic import Cyc
+from .cyclotomic import conj_product_sum
 from .errors import NotRealizableError, QuasiError, SizeLimitError
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -235,10 +235,9 @@ def fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
 def fixed_space_dimension(chi: ClassFunction, d: LambdaDesc) -> int:
     """dim V^sigma via averaging the character over the subgroup the tuple generates."""
     gamma = generated_subgroup_of_tuple(d.group, d.sigma)
-    acc = Cyc(0)
-    for x in gamma.elements:
-        acc = acc + chi.value_at_element(x)
-    val = (acc * Fraction(1, gamma.order)).rational_value()
+    n = lcm(*(v.conductor for v in chi.values))
+    terms = ((1, chi.value_at_element(x)._exponents_at(n), ((0, 1),)) for x in gamma.elements)
+    val = (conj_product_sum(terms, n) * Fraction(1, gamma.order)).rational_value()
     if val.denominator != 1:
         raise QuasiError("fixed-space dimension is not an integer")
     return int(val)

@@ -7,8 +7,17 @@ from fractions import Fraction
 
 import pytest
 from conftest import battery_groups
+from cyc_reference import (
+    ref_add,
+    ref_conj,
+    ref_fixed_space_dimension,
+    ref_fs_indicator,
+    ref_inner_product,
+    ref_mul,
+)
 
 from quasik import (
+    ClassFunction,
     Cyc,
     NonScalarError,
     QuasiError,
@@ -23,6 +32,7 @@ from quasik import (
     cyclic_group,
     decompose,
     dihedral_group,
+    fixed_space_dimension,
     fs_indicator,
     hom_from_images,
     inner_product,
@@ -328,19 +338,22 @@ def test_table_determinism():
 
 # -- reference oracles: the Cyc-based verification and scalar path -------------
 # The table is verified and its scalars are read on the lift's integer
-# eigenvalue vectors; these are the exact cyclotomic computations they replace.
+# eigenvalue vectors; these are the exact cyclotomic computations they replace,
+# done with the dense reference arithmetic of cyc_reference.
 
 
 def _oracle_verify_table(table):
     G = table.group
     k = table.n_classes
+    rows = table.rows
     if sum(d * d for d in table.degrees) != G.order:
         raise QuasiError("degree check failed")
     for i in range(k):
         for j in range(i, k):
             acc = Cyc(0)
             for c in range(k):
-                acc = acc + table.rows[i][c] * table.rows[j][c].conj() * table.classes[c].size
+                term = ref_mul(rows[i][c], ref_conj(rows[j][c]))
+                acc = ref_add(acc, ref_mul(term, Cyc(table.classes[c].size)))
             expected = Cyc(G.order) if i == j else Cyc(0)
             if acc != expected:
                 raise QuasiError("row orthogonality failed")
@@ -348,9 +361,9 @@ def _oracle_verify_table(table):
         for c2 in range(c1, k):
             acc = Cyc(0)
             for i in range(k):
-                acc = acc + table.rows[i][c1] * table.rows[i][c2].conj()
+                acc = ref_add(acc, ref_mul(rows[i][c1], ref_conj(rows[i][c2])))
             expected = (
-                Cyc(G.order) * Fraction(1, table.classes[c1].size) if c1 == c2 else Cyc(0)
+                Cyc(Fraction(G.order, table.classes[c1].size)) if c1 == c2 else Cyc(0)
             )
             if acc != expected:
                 raise QuasiError("column orthogonality failed")
@@ -429,3 +442,44 @@ def test_moving_one_unit_of_multiplicity_fails_verification(oracle_tables):
                 )
                 with pytest.raises(QuasiError):
                     _verify_table(mutant)
+
+
+def test_character_sums_match_the_cyclotomic_chain(oracle_tables):
+    for table in oracle_tables:
+        G = table.group
+        k = len(table.rows)
+        chars = [table.irreducible(i) for i in range(k)] + [table.regular_character()]
+        for lam in range(k):
+            assert fs_indicator(table, lam) == ref_fs_indicator(table, lam)
+            for psi in chars:
+                assert inner_product(chars[lam], psi) == ref_inner_product(chars[lam], psi)
+        # a class function that is no character: i/2 times the conjugate of the last irreducible
+        odd = ClassFunction(table, tuple(
+            v.conj() * Cyc.zeta(4) * Fraction(1, 2) for v in chars[-2].values
+        ))
+        assert inner_product(odd, chars[-2]) == ref_inner_product(odd, chars[-2])
+        for cls in table.classes:
+            d = lambda_desc(G, (cls.rep,), max_order=G.order)
+            for chi in chars:
+                assert fixed_space_dimension(chi, d) == ref_fixed_space_dimension(chi, d)
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "cyclic:4"])
+def test_class_functions_beyond_the_table_conductor(spec):
+    # values outside Q(zeta_e): inner products are taken at the lcm of all
+    # conductors, and such a class function is no character
+    G = build_group(spec)
+    table = character_table(G)
+    if spec == "symmetric:3":
+        values = [Cyc.zeta(7)] * G.order
+    else:
+        values = [Cyc.zeta(8), Cyc.zeta(3), Cyc.zeta(8, 3), Cyc.zeta(3) + Cyc.zeta(8)]
+    chi = class_function_from_element_values(table, values)
+    for i in range(len(table.rows)):
+        psi = table.irreducible(i)
+        got = inner_product(chi, psi)
+        assert got == ref_inner_product(chi, psi)
+        assert inner_product(psi, chi) == ref_inner_product(psi, chi)
+    assert not inner_product(chi, table.irreducible(0)).is_rational
+    with pytest.raises(VirtualCharacterError):
+        decompose(chi)

@@ -6,8 +6,12 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quasik.cli import CliConfig, main, parse_args, run
+from quasik import build_group
+from quasik.cli import CONSTRUCTIONS, CliConfig, main, parse_args, run
+from quasik.errors import SelectorError
 
 
 def _run(argv):
@@ -240,3 +244,71 @@ def test_main_entry(capsys):
     assert "3 conjugacy classes" in captured.out
     assert main(["quasi", "--group", "missingfile.grp"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# -- fuzzing the whole front end in-process ------------------------------------
+
+_SMALL_BUILTINS = (
+    [f"cyclic:{k}" for k in range(1, 25)]
+    + [f"dihedral:{k}" for k in range(3, 13)]
+    + [f"symmetric:{k}" for k in range(1, 5)]
+    + [f"alternating:{k}" for k in range(0, 5)]
+    + ["quaternion8"]
+)
+_MALFORMED_SPECS = [
+    "", "cyclic:", "cyclic:0", "cyclic:x", "cyclic:3:4", "dihedral:2", "symmetric:0",
+    "quaternion", "nonsense:9", "CYCLIC:3", "missing.grp",
+]
+_LABELS = sorted({label for spec in ("cyclic:6", "symmetric:3", "dihedral:4", "quaternion8")
+                  for label in build_group(spec).labels})
+_label = st.one_of(st.sampled_from(_LABELS), st.text(max_size=4))
+_labels = st.lists(_label, min_size=1, max_size=3).map(",".join)
+_rep = st.one_of(
+    st.sampled_from(["regular", "chi0", "chi1", "chi4", "chi30", "chi-1", "chix"]),
+    st.text(max_size=5),
+)
+_n = st.one_of(st.integers(min_value=-2, max_value=4), st.integers(min_value=-2, max_value=10**9))
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(
+        ["classes", "chartab", "gnz", "lambda-basis", "faithful", "sfixed", "quasi"]
+    ))
+    spec = draw(st.one_of(st.sampled_from(_SMALL_BUILTINS), st.sampled_from(_MALFORMED_SPECS)))
+    argv = [command, "--group", spec]
+    if command in ("gnz", "quasi"):
+        argv += ["-n", str(draw(_n))]
+    if command in ("lambda-basis", "faithful", "sfixed"):
+        argv += ["--sigma", draw(_labels)]
+    if command == "faithful":
+        argv += ["--rep", draw(_rep), "--construction", draw(st.sampled_from(CONSTRUCTIONS))]
+    if command == "sfixed":
+        argv += ["--H", draw(_labels)]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_argvs())
+@example(["gnz", "--group", "symmetric:3", "-n", "6000"])
+@example(["gnz", "--group", "cyclic:1", "-n", "2000"])
+@example(["quasi", "--group", "cyclic:1", "-n", "2000"])
+def test_cli_fuzz_answers_or_rejects_in_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        cfg = parse_args(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        assert exc.code == 2
+        return
+    except SelectorError:  # what main() reports as a usage error
+        return
+    code = run(cfg, out=out, err=err)
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == ""

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyc_reference import ref_add, ref_conj, ref_galois, ref_mul
 from quasik import Cyc, as_root_of_unity
-from quasik.cyclotomic import cyclotomic_polynomial, totient
+from quasik.cyclotomic import conj_product_sum, cyclotomic_polynomial, totient
 
 
 def test_zeta4_squared_is_minus_one():
@@ -127,6 +128,39 @@ def test_canonical_form_round_trip(a):
         rebuilt = rebuilt + Cyc.zeta(a.conductor, k) * coeff
     assert rebuilt == a
     assert rebuilt.conductor == a.conductor
+
+
+@st.composite
+def dense_cycs(draw):
+    """Values built straight from a dense coefficient list, without Cyc arithmetic."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 24]))
+    dense = draw(st.lists(
+        st.one_of(st.just(Fraction(0)), _rationals), min_size=n, max_size=n
+    ))
+    return Cyc._normalize(n, dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_cycs(), dense_cycs(), st.integers(min_value=1, max_value=50))
+def test_arithmetic_matches_the_dense_reference(a, b, j):
+    assert a + b == ref_add(a, b)
+    assert a - b == ref_add(a, -b)
+    assert a * b == ref_mul(a, b)
+    assert a.conj() == ref_conj(a)
+    if all(j % p for p in (2, 3, 5, 7) if a.conductor % p == 0):
+        assert a.galois(j) == ref_galois(a, j)
+    for value in (a + b, a * b, a.conj()):
+        assert all(type(c) is Fraction for c in value.coeffs)
+
+
+def test_conj_product_sum_of_integer_vectors():
+    # 3 * zeta_8 * conj(zeta_8^3) + 2 * conj(zeta_8^2) = 5 * zeta_8^6 = -5i
+    terms = [(3, ((1, 1),), ((3, 1),)), (2, ((0, 1),), ((2, 1),))]
+    total = conj_product_sum(terms, 8)
+    assert total == Cyc.zeta(4) * -5
+    assert total.coeffs == (0, -5) and all(type(c) is Fraction for c in total.coeffs)
+    # the 6 sixth roots of unity, each paired with 1, sum to 0
+    assert conj_product_sum(((1, ((x, 1),), ((0, 1),)) for x in range(6)), 6) == 0
 
 
 def test_render():
