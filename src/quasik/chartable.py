@@ -20,10 +20,9 @@ which reduces the whole sum once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import Cyc, conj_product_sum
 from .errors import (
@@ -121,14 +120,30 @@ class CharacterTable:
         return f"CharacterTable({self.group.name}, {len(self.rows)} irreducibles)"
 
 
-@dataclass(frozen=True)
 class ClassFunction:
-    table: CharacterTable
-    values: tuple[Cyc, ...]
+    """One value per conjugacy class of a table; immutable, compared by value."""
 
-    def __post_init__(self):
-        if len(self.values) != self.table.n_classes:
+    __slots__ = ("table", "values")
+
+    def __init__(self, table: CharacterTable, values: tuple[Cyc, ...]):
+        if len(values) != table.n_classes:
             raise QuasiError("class function has the wrong number of values")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.table, self.values))
+
+    def __repr__(self) -> str:
+        return f"ClassFunction(table={self.table!r}, values={self.values!r})"
 
     @property
     def degree(self) -> Cyc:
@@ -165,8 +180,7 @@ def class_function_from_element_values(
     return ClassFunction(table, tuple(out))
 
 
-@dataclass(frozen=True)
-class RepDecomposition:
+class RepDecomposition(NamedTuple):
     table: CharacterTable
     entries: tuple[tuple[int, int], ...]  # (irreducible index, multiplicity)
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from typing import NamedTuple, Optional, Sequence, TextIO
 
 from .chartable import character_table
 from .errors import QuasiError, SelectorError
@@ -46,8 +45,7 @@ COMMANDS = ("classes", "chartab", "gnz", "lambda-basis", "faithful", "sfixed", "
 CONSTRUCTIONS = ("plain", "q", "fixed", "real")
 
 
-@dataclass
-class CliConfig:
+class CliConfig(NamedTuple):
     command: str
     group_spec: str
     n: int = 1
@@ -115,8 +113,8 @@ def parse_args(argv: Sequence[str]) -> CliConfig:
         fmt=ns.fmt,
         threads=ns.threads,
         max_order=ns.max_order,
+        tuple_cap=max(DEFAULT_TUPLE_CAP, ns.max_order**2),
     )
-    cfg.tuple_cap = max(DEFAULT_TUPLE_CAP, cfg.max_order**2)
     if cfg.n < 1:
         raise SelectorError("-n must be at least 1")
     if cfg.threads < 1:

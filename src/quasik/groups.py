@@ -13,10 +13,9 @@ with that group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import lcm
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     GroupInputError,
@@ -396,8 +395,7 @@ def load_group_file(path: Path | str, max_order: int = DEFAULT_CLOSURE_CAP) -> G
 # -- conjugacy ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     rep: int
     members: tuple[int, ...]
 
@@ -438,8 +436,7 @@ def class_index_map(G: GroupTable) -> tuple[int, ...]:
 # -- subgroups -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     parent: GroupTable
     elements: tuple[int, ...]
     generators: tuple[int, ...]
@@ -548,8 +545,7 @@ def contains_conjugate(G: GroupTable, gamma: Subgroup, H: Subgroup) -> bool:
 # -- commuting tuples ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommTuple:
+class CommTuple(NamedTuple):
     entries: tuple[int, ...]
     orders: tuple[int, ...]
 
@@ -562,10 +558,14 @@ def make_comm_tuple(G: GroupTable, entries: Sequence[int]) -> CommTuple:
     entries = tuple(int(x) for x in entries)
     if len(entries) < 1:
         raise NonCommutingTupleError("a commuting tuple needs at least one entry")
-    for i, a in enumerate(entries):
+    for a in entries:
         if not 0 <= a < G.order:
             raise GroupInputError(f"element index {a} out of range")
-        for b in entries[i + 1 :]:
+    # Only distinct entries can fail to commute.  In first-occurrence order
+    # the first failing pair is the one an all-pairs scan would meet first.
+    distinct = tuple(dict.fromkeys(entries))
+    for i, a in enumerate(distinct):
+        for b in distinct[i + 1 :]:
             if not G.commutes(a, b):
                 raise NonCommutingTupleError(
                     f"{G.label(a)} and {G.label(b)} do not commute in {G.name}"
@@ -573,8 +573,7 @@ def make_comm_tuple(G: GroupTable, entries: Sequence[int]) -> CommTuple:
     return CommTuple(entries=entries, orders=tuple(G.order_of(x) for x in entries))
 
 
-@dataclass(frozen=True)
-class TupleOrbit:
+class TupleOrbit(NamedTuple):
     representative: CommTuple
     orbit_size: int
 
@@ -642,8 +641,7 @@ def subgroup_table(sub: Subgroup) -> tuple[GroupTable, tuple[int, ...]]:
     return G._memo[key], elements
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(NamedTuple):
     source: GroupTable
     target: GroupTable
     images: tuple[int, ...]

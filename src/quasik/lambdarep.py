@@ -15,11 +15,10 @@ normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chartable import (
     CharacterTable,
@@ -96,8 +95,7 @@ def lambda_desc(
     return LambdaDesc(G, sigma, max_order=max_order)
 
 
-@dataclass(frozen=True, order=True)
-class TwistedIrrep:
+class TwistedIrrep(NamedTuple):
     """One irreducible of the centralizer carrying a rational weight vector."""
 
     lam: int
@@ -246,8 +244,7 @@ def fixed_space_dimension(chi: ClassFunction, d: LambdaDesc) -> int:
 # -- kernel solver ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelDescription:
+class KernelDescription(NamedTuple):
     """Exact kernel of a LambdaRep action.
 
     finite_points lists the canonical non-identity kernel elements
@@ -437,8 +434,7 @@ def real_v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     return base + dual(base)
 
 
-@dataclass(frozen=True)
-class RealBasisEntry:
+class RealBasisEntry(NamedTuple):
     """One real irreducible of the centralizer with its twisted lift."""
 
     constituents: tuple[int, ...]  # complex irreducibles of the complexification

@@ -10,9 +10,8 @@ the rank and the multiset of q-twist exponents of the basis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import QuasiError
 from .groups import (
@@ -29,20 +28,42 @@ from .groups import (
 from .lambdarep import lambda_basis, lambda_desc
 
 
-@dataclass(frozen=True)
 class QuasiRecord:
-    """One coefficient-ring factor: rank and twist data for a tuple orbit."""
+    """One coefficient-ring factor: rank and twist data for a tuple orbit.
 
-    sigma_labels: tuple[str, ...]
-    orbit_size: int
-    centralizer_order: int
-    rank: int
-    twists: tuple[tuple[Fraction, ...], ...]
-    orbit: Optional[TupleOrbit] = field(default=None, compare=False, repr=False)
+    Immutable.  orbit is left out of equality, hashing and repr, so a record
+    parsed back from JSON equals the computed one.
+    """
+
+    __slots__ = ("sigma_labels", "orbit_size", "centralizer_order", "rank", "twists", "orbit")
+
+    def __init__(self, sigma_labels: tuple[str, ...], orbit_size: int, centralizer_order: int,
+                 rank: int, twists: tuple[tuple[Fraction, ...], ...],
+                 orbit: Optional[TupleOrbit] = None):
+        values = (sigma_labels, orbit_size, centralizer_order, rank, twists, orbit)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.sigma_labels, self.orbit_size, self.centralizer_order, self.rank, self.twists)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"QuasiRecord({fields})"
 
 
-@dataclass(frozen=True)
-class QuasiTable:
+class QuasiTable(NamedTuple):
     group: str
     n: int
     records: tuple[QuasiRecord, ...]
@@ -83,8 +104,7 @@ def quasi_coefficients(
 # -- fixed-point dichotomy -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SFixedVerdict:
+class SFixedVerdict(NamedTuple):
     """Homotopy type of the auxiliary fixed-point space: empty or a point."""
 
     empty: bool
@@ -179,13 +199,12 @@ def render_quasi_text(table: QuasiTable) -> str:
 
 
 def parse_quasi(data: bytes | str) -> QuasiTable:
-    """Parse the JSON serialization back into a QuasiTable."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
-    records = []
-    for rec in doc["records"]:
-        records.append(
+    """Parse the JSON serialization back into a QuasiTable; malformed input raises QuasiError."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        doc = json.loads(data)
+        records = [
             QuasiRecord(
                 sigma_labels=tuple(rec["sigma"]),
                 orbit_size=int(rec["orbit_size"]),
@@ -193,14 +212,17 @@ def parse_quasi(data: bytes | str) -> QuasiTable:
                 rank=int(rec["rank"]),
                 twists=tuple(tuple(Fraction(w) for w in t) for t in rec["twists"]),
             )
+            for rec in doc["records"]
+        ]
+        table = QuasiTable(
+            group=doc["group"],
+            n=int(doc["n"]),
+            records=tuple(records),
+            total_rank=int(doc["total_rank"]),
+            theory=doc.get("E", "K"),
         )
-    table = QuasiTable(
-        group=doc["group"],
-        n=int(doc["n"]),
-        records=tuple(records),
-        total_rank=int(doc["total_rank"]),
-        theory=doc.get("E", "K"),
-    )
+    except (ValueError, TypeError, LookupError, ArithmeticError, RecursionError) as exc:
+        raise QuasiError(f"malformed coefficient table: {exc!r}") from None
     if table.total_rank != sum(r.rank for r in table.records):
         raise QuasiError("total_rank does not match the records")
     return table

@@ -6,6 +6,8 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     brute_commuting_pair_count,
     brute_conjugation_orbits,
@@ -15,6 +17,7 @@ from conftest import (
 
 from quasik import (
     GroupInputError,
+    GroupTable,
     NonCommutingTupleError,
     SizeLimitError,
     build_group,
@@ -174,6 +177,63 @@ def test_commuting_tuples_cap():
 def test_make_comm_tuple_rejects_non_commuting(s3):
     with pytest.raises(NonCommutingTupleError):
         make_comm_tuple(s3, (s3.index_of("(12)"), s3.index_of("(13)")))
+
+
+@pytest.mark.parametrize("entries, bad", [((0, 100), 100), ((1, -1), -1)])
+def test_make_comm_tuple_range_checks_before_commuting(s3, entries, bad):
+    # no index reaches the commutation test unchecked: 100 would raise
+    # IndexError there, and -1 would wrap round to the last element
+    with pytest.raises(GroupInputError, match=rf"^element index {bad} out of range$"):
+        make_comm_tuple(s3, entries)
+
+
+def _all_pairs_comm_check(G, entries):
+    """The reference scan: every pair of positions, in order."""
+    for i, a in enumerate(entries):
+        for b in entries[i + 1 :]:
+            if not G.commutes(a, b):
+                raise NonCommutingTupleError(
+                    f"{G.label(a)} and {G.label(b)} do not commute in {G.name}"
+                )
+
+
+_SMALL_GROUPS = ("symmetric:3", "dihedral:4", "quaternion8", "cyclic:4", "symmetric:4")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SMALL_GROUPS), st.data())
+def test_make_comm_tuple_matches_all_pairs_scan(spec, data):
+    G = build_group(spec)
+    labels = data.draw(st.lists(st.sampled_from(G.labels), min_size=1, max_size=8))
+    entries = tuple(G.index_of(s) for s in labels)
+    try:
+        _all_pairs_comm_check(G, entries)
+        expected = None
+    except NonCommutingTupleError as exc:
+        expected = str(exc)
+    try:
+        sigma = make_comm_tuple(G, entries)
+    except Exception as exc:  # noqa: BLE001 - the type itself is under test
+        assert type(exc) is NonCommutingTupleError
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert sigma.entries == entries
+
+
+def test_make_comm_tuple_tests_distinct_entries_only(monkeypatch):
+    G = cyclic_group(1)
+    real = GroupTable.commutes
+    calls = []
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(GroupTable, "commutes", counting)
+    sigma = make_comm_tuple(G, (G.identity,) * 4096)
+    assert sigma.n == 4096
+    assert len(calls) <= 1
 
 
 def test_subgroups_counts(s3, d4):

@@ -181,3 +181,19 @@ def test_parse_rejects_inconsistent_total():
     broken = doc.replace('"total_rank": 4', '"total_rank": 5')
     with pytest.raises(QuasiError):
         parse_quasi(broken)
+
+
+_ZERO_TWIST = (
+    b'{"group": "C2", "n": 1, "E": "K", "records": [{"sigma": ["e"], "orbit_size": 1,'
+    b' "centralizer_order": 2, "rank": 1, "twists": [["1/0"]]}], "total_rank": 1}'
+)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"[]", b"{}", _ZERO_TWIST, b"\xff"],
+    ids=["empty", "list", "no-keys", "zero-denominator", "not-utf8"],
+)
+def test_parse_rejects_malformed_documents(data):
+    with pytest.raises(QuasiError, match="^malformed coefficient table"):
+        parse_quasi(data)

@@ -1,0 +1,112 @@
+"""The value records: their semantics, and the import graph they leave."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from quasik import (
+    ClassFunction,
+    QuasiError,
+    TwistedIrrep,
+    character_table,
+    commuting_tuples,
+    conjugacy_classes,
+    decompose,
+    inclusion_hom,
+    kernel,
+    lambda_desc,
+    make_comm_tuple,
+    quasi_coefficients,
+    real_basis,
+    s_fixed_predicate,
+    subgroup_from_generators,
+    symmetric_group,
+    v_sigma,
+)
+from quasik.cli import parse_args
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, quasik.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "quasik.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+
+
+def _record_pairs():
+    """(name, a, b, field): two records built apart from equal fields."""
+    G = symmetric_group(3)
+    t = G.index_of("(123)")
+    table = character_table(G)
+    sub = subgroup_from_generators(G, (t,))
+    desc = lambda_desc(G, (t,))
+    rep = v_sigma(table.regular_character(), desc)
+    half = (Fraction(1, 2),)
+    argv = ["quasi", "--group", "symmetric:3", "-n", "2"]
+    return [
+        ("ConjugacyClass", conjugacy_classes(G)[1], conjugacy_classes(symmetric_group(3))[1],
+         "rep"),
+        ("Subgroup", sub, subgroup_from_generators(G, (t, t)), "elements"),
+        ("CommTuple", make_comm_tuple(G, (t,)), make_comm_tuple(G, [t]), "entries"),
+        ("TupleOrbit", commuting_tuples(G, 1)[1], commuting_tuples(G, 1)[1], "orbit_size"),
+        ("Homomorphism", inclusion_hom(sub)[0], inclusion_hom(sub)[0], "images"),
+        ("ClassFunction", table.irreducible(1), table.irreducible(1), "values"),
+        ("RepDecomposition", decompose(table.regular_character()),
+         decompose(table.regular_character()), "entries"),
+        ("TwistedIrrep", TwistedIrrep(1, half), TwistedIrrep(1, half), "weight"),
+        ("KernelDescription", kernel(rep), kernel(rep), "torus_rank"),
+        ("RealBasisEntry", real_basis(desc)[0], real_basis(desc)[0], "indicator"),
+        ("QuasiRecord", quasi_coefficients(G, 1).records[1],
+         quasi_coefficients(symmetric_group(3), 1).records[1], "rank"),
+        ("QuasiTable", quasi_coefficients(G, 1), quasi_coefficients(symmetric_group(3), 1),
+         "total_rank"),
+        ("SFixedVerdict", s_fixed_predicate(G, make_comm_tuple(G, (t,)), sub),
+         s_fixed_predicate(G, make_comm_tuple(G, (t,)), sub), "empty"),
+        ("CliConfig", parse_args(argv), parse_args(argv), "n"),
+    ]
+
+
+def test_records_are_immutable_values():
+    pairs = _record_pairs()
+    assert len({name for name, *_ in pairs}) == 14
+    for name, a, b, field in pairs:
+        assert a is not b, name
+        assert a == b, name
+        assert hash(a) == hash(b), name
+        assert repr(a).startswith(f"{name}(") and f"{field}=" in repr(a), name
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        assert a == b, name
+
+    # orbit rides along outside equality: a parsed record equals the computed one
+    rec = pairs[10][1]
+    assert rec.orbit is not None and "orbit=" not in repr(rec)
+
+    # value records are tuples: index and unpack in field order
+    rep_index, members = conjugacy_classes(symmetric_group(3))[1]
+    assert (rep_index, len(members)) == (1, 3)
+
+
+def test_twisted_irreps_sort_by_lam_then_weight():
+    w = Fraction
+    comps = [TwistedIrrep(2, (w(0),)), TwistedIrrep(1, (w(1, 2),)), TwistedIrrep(1, (w(0),))]
+    assert sorted(comps) == sorted(comps, key=lambda c: (c.lam, c.weight))
+    assert [(c.lam, c.weight) for c in sorted(comps)] == [(1, (0,)), (1, (w(1, 2),)), (2, (0,))]
+
+
+def test_class_function_checks_length_and_has_no_scalar_product():
+    table = character_table(symmetric_group(3))
+    chi = table.irreducible(1)
+    with pytest.raises(QuasiError):
+        ClassFunction(table, chi.values[:-1])
+    with pytest.raises(TypeError):
+        2 * chi  # noqa: B018 - class functions scale with .scale(k), not *
+    with pytest.raises(TypeError):
+        chi * 2  # noqa: B018
+    assert (chi + chi) == chi.scale(2)
