@@ -3,7 +3,7 @@ finite groups: commuting-tuple orbits, character tables over cyclotomic
 fields, twisted representation bases, faithfulness solving, and
 machine-readable coefficient tables."""
 
-from .cyclotomic import Cyc, as_root_of_unity
+from .cyclotomic import Cyc
 from .errors import (
     GroupInputError,
     HomomorphismError,

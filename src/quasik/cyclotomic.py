@@ -1,10 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A value is stored in canonical form: rational coefficients over the power
-basis zeta_N^0, ..., zeta_N^{phi(N)-1} after reduction modulo the N-th
-cyclotomic polynomial, with the conductor N minimized over all divisors.
-Canonical forms are unique, so equality, hashing and multiset comparisons
-are structural.  No floating point is used anywhere.
+A value is stored in canonical form: its coefficients over the power basis
+zeta_N^0, ..., zeta_N^{phi(N)-1} after reduction modulo the N-th cyclotomic
+polynomial, at the least conductor N.  Nothing is ever divided: values
+built from integers have int coefficients, Fractions enter only with a
+Fraction input, and no float can arise.  The least conductor is found by
+descending one prime of N at a time, with a subfield test read off the
+coefficients.  Canonical forms are unique, so equality, hashing and
+multiset comparisons are structural.
 
 Every sum in Z[zeta_n] or Q(zeta_n) goes through one routine,
 conj_product_sum: it collects the terms w * a * conj(b) by exponent in a
@@ -23,21 +26,21 @@ from typing import Iterable, Optional, Sequence, Union
 Rational = Union[int, Fraction]
 Exponents = tuple[tuple[int, Rational], ...]  # ((x, coefficient of zeta_n^x), ...)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of n in increasing order."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+@lru_cache(maxsize=None)
+def _primes(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n in increasing order."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -63,93 +66,75 @@ def _polydiv_exact(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending, monic."""
+    """Coefficients of the n-th cyclotomic polynomial, ascending, monic.
+
+    For n = p * m with p prime, Phi_n(x) is Phi_m(x^p) when p divides m and
+    Phi_m(x^p) / Phi_m(x) otherwise.
+    """
     if n == 1:
         return (-1, 1)
-    poly: Sequence[int] = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    for d in divisors(n):
-        if d < n:
-            poly = _polydiv_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    p = _primes(n)[0]
+    m = n // p
+    inner = cyclotomic_polynomial(m)
+    spread = [0] * ((len(inner) - 1) * p + 1)
+    spread[::p] = inner
+    return tuple(spread) if m % p == 0 else _polydiv_exact(spread, inner)
 
 
-def _reduce(n: int, dense: list[Rational]) -> tuple[Fraction, ...]:
+def _reduce(n: int, dense: list[Rational]) -> tuple[Rational, ...]:
     """Reduce a dense coefficient list modulo the n-th cyclotomic polynomial.
 
-    The polynomial is monic, so an integer list is reduced in integers; the
-    phi(n) coefficients left are returned as Fractions.
+    The polynomial is monic, so nothing is divided and integers stay integers.
     """
     phi = totient(n)
     poly = cyclotomic_polynomial(n)
     for i in range(len(dense) - 1, phi - 1, -1):
         c = dense[i]
         if c:
-            dense[i] = _ZERO
             for j in range(phi):
                 dense[i - phi + j] -= c * poly[j]
-    if len(dense) < phi:
-        dense = dense + [_ZERO] * (phi - len(dense))
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in dense[:phi])
+    return tuple(dense[:phi]) + (0,) * (phi - len(dense))
 
 
-@lru_cache(maxsize=None)
-def _subfield_basis(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical forms at conductor n of zeta_d^j for j < phi(d)."""
-    step = n // d
-    cols = []
-    for j in range(totient(d)):
-        dense = [_ZERO] * n
-        dense[(step * j) % n] = _ONE
-        cols.append(_reduce(n, dense))
-    return tuple(cols)
-
-
-def _solve_in_subfield(
-    n: int, d: int, coeffs: tuple[Fraction, ...]
-) -> Optional[tuple[Fraction, ...]]:
-    """Express coeffs (canonical at n) over the basis of Q(zeta_d), if possible."""
-    cols = _subfield_basis(n, d)
-    rows = totient(n)
-    width = len(cols)
-    # Augmented matrix [cols | coeffs], solved by exact Gaussian elimination.
-    mat = [[cols[j][i] for j in range(width)] + [coeffs[i]] for i in range(rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if mat[i][width]:
+def _descend(n: int, p: int, coeffs: tuple[Rational, ...]) -> Optional[tuple[Rational, ...]]:
+    """Coordinates at n/p of a value canonical at n, or None if it is not in Q(zeta_{n/p})."""
+    m = n // p
+    if m % p == 0:
+        # Phi_n(x) = Phi_m(x^p): Q(zeta_m) is spanned by the basis powers divisible by p.
+        if any(c for k, c in enumerate(coeffs) if k % p):
             return None
-    sol = [_ZERO] * width
-    for i, c in enumerate(pivots):
-        sol[c] = mat[i][width]
-    return tuple(sol)
+        return coeffs[::p]
+    # zeta_n^k = zeta_p^(k*a) * zeta_m^(k*b), so the value is the sum of w_j * zeta_p^j
+    # with w_j in Q(zeta_m), that is the sum of (w_j - w_0) * zeta_p^j for j >= 1.  These
+    # zeta_p^j are a basis over Q(zeta_m) and sum to -1, so the value lies in Q(zeta_m)
+    # iff every w_j - w_0 is the same, and then it is w_0 - w_1.
+    a, b = pow(m, -1, p), pow(p, -1, m)
+    w = [[0] * m for _ in range(p)]
+    for k, c in enumerate(coeffs):
+        if c:
+            w[k * a % p][k * b % m] += c
+    diffs = (_reduce(m, [x - y for x, y in zip(row, w[0])]) for row in w[1:])
+    first = next(diffs)
+    if any(d != first for d in diffs):
+        return None
+    return tuple(-c for c in first)
 
 
-def _minimize(n: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
-    if n == 1:
-        return 1, coeffs
-    if all(c == 0 for c in coeffs[1:]):
-        return 1, (coeffs[0],)
-    for d in divisors(n):
-        if d < 3 or d == n:
-            continue
-        sol = _solve_in_subfield(n, d, coeffs)
-        if sol is not None:
-            return d, sol
+def _minimize(n: int, coeffs: tuple[Rational, ...]) -> tuple[int, tuple[Rational, ...]]:
+    """The least conductor of a value canonical at n, and its coordinates there.
+
+    The fields containing the value are the Q(zeta_d) for the multiples d of
+    its conductor, so it descends one prime of n at a time; a prime that fails
+    once fails at every lower level.
+    """
+    if not any(coeffs[1:]):
+        return 1, coeffs[:1]
+    for p in _primes(n):
+        while n % p == 0:
+            sub = _descend(n, p, coeffs)
+            if sub is None:
+                break
+            n, coeffs = n // p, sub
     return n, coeffs
 
 
@@ -161,21 +146,22 @@ class Cyc:
     def __init__(self, value: Rational = 0):
         if isinstance(value, float):
             raise TypeError("floats are not allowed; use Fraction or int")
-        q = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"Cyc takes an int or a Fraction, not {type(value).__name__}")
         self._n = 1
-        self._c = (q,)
+        self._c = (int(value) if isinstance(value, int) else value,)
 
     # -- construction ----------------------------------------------------
 
     @staticmethod
-    def _make(n: int, coeffs: tuple[Fraction, ...]) -> "Cyc":
+    def _make(n: int, coeffs: tuple[Rational, ...]) -> "Cyc":
         z = object.__new__(Cyc)
         z._n = n
         z._c = coeffs
         return z
 
     @staticmethod
-    def _normalize(n: int, dense: list[Fraction]) -> "Cyc":
+    def _normalize(n: int, dense: list[Rational]) -> "Cyc":
         coeffs = _reduce(n, dense)
         n, coeffs = _minimize(n, coeffs)
         return Cyc._make(n, coeffs)
@@ -195,7 +181,7 @@ class Cyc:
         return self._n
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Rational, ...]:
         return self._c
 
     @property
@@ -209,7 +195,7 @@ class Cyc:
     def rational_value(self) -> Fraction:
         if self._n != 1:
             raise ValueError(f"{self!r} is not rational")
-        return self._c[0]
+        return Fraction(self._c[0])
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -293,37 +279,9 @@ class Cyc:
             return self
         return self.galois(self._n - 1)
 
-    def inv(self) -> "Cyc":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero cyclotomic value")
-        if self._n == 1:
-            return Cyc(Fraction(1) / self._c[0])
-        prod = Cyc(1)
-        for j in range(2, self._n):
-            if gcd(j, self._n) == 1:
-                prod = prod * self.galois(j)
-        norm = self * prod
-        return prod * Cyc(Fraction(1) / norm.rational_value())
-
-    def __truediv__(self, other) -> "Cyc":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero cyclotomic value")
-        if o._n == 1:
-            return self * Cyc(Fraction(1) / o._c[0])
-        return self * o.inv()
-
-    def __rtruediv__(self, other) -> "Cyc":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __pow__(self, k: int) -> "Cyc":
         if k < 0:
-            return self.inv() ** (-k)
+            raise ValueError("only non-negative powers are defined")
         result = Cyc(1)
         base = self
         while k:
@@ -332,11 +290,6 @@ class Cyc:
             base = base * base
             k >>= 1
         return result
-
-    def abs_squared(self) -> "Cyc":
-        """|z|^2 = z * conj(z); always real (conjugation-fixed), and rational
-        whenever z is a rational multiple of a root of unity."""
-        return self * self.conj()
 
     # -- rendering ----------------------------------------------------------
 
@@ -387,27 +340,4 @@ def _coerce(value: object) -> Optional[Cyc]:
         return value
     if isinstance(value, (int, Fraction)):
         return Cyc(value)
-    return None
-
-
-@lru_cache(maxsize=None)
-def _zeta_powers(l: int) -> tuple[Cyc, ...]:
-    z = Cyc.zeta(l)
-    powers = [Cyc(1)]
-    for _ in range(l - 1):
-        powers.append(powers[-1] * z)
-    return tuple(powers)
-
-
-def as_root_of_unity(c: Cyc, l: int) -> Optional[int]:
-    """Return m with c = zeta_l^m and 0 < m <= l, mapping the value 1 to m = l.
-
-    Returns None when c is not an l-th root of unity.
-    """
-    if l < 1:
-        raise ValueError("order must be positive")
-    powers = _zeta_powers(l)
-    for m in range(1, l + 1):
-        if c == powers[m % l]:
-            return m
     return None

@@ -10,6 +10,7 @@ the rank and the multiset of q-twist exponents of the basis.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -198,6 +199,20 @@ def render_quasi_text(table: QuasiTable) -> str:
     return "\n".join(lines)
 
 
+def _json_list(value: object) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
+def _twist_entry(value: object) -> Fraction:
+    # only what serialize_quasi writes: a JSON number would carry a binary
+    # float, and Fraction("1e3000000") takes seconds to expand
+    if not (isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value)):
+        raise ValueError(f"a twist entry is a string p or p/q, got {value!r}")
+    return Fraction(value)
+
+
 def parse_quasi(data: bytes | str) -> QuasiTable:
     """Parse the JSON serialization back into a QuasiTable; malformed input raises QuasiError."""
     try:
@@ -206,11 +221,13 @@ def parse_quasi(data: bytes | str) -> QuasiTable:
         doc = json.loads(data)
         records = [
             QuasiRecord(
-                sigma_labels=tuple(rec["sigma"]),
+                sigma_labels=tuple(_json_list(rec["sigma"])),
                 orbit_size=int(rec["orbit_size"]),
                 centralizer_order=int(rec["centralizer_order"]),
                 rank=int(rec["rank"]),
-                twists=tuple(tuple(Fraction(w) for w in t) for t in rec["twists"]),
+                twists=tuple(
+                    tuple(_twist_entry(w) for w in _json_list(t)) for t in rec["twists"]
+                ),
             )
             for rec in doc["records"]
         ]

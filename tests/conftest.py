@@ -78,22 +78,22 @@ def brute_commuting_pair_count(G):
     )
 
 
-def brute_pair_orbit_count(G):
-    """Number of simultaneous-conjugation orbits of commuting pairs."""
-    pairs = {
-        (a, b)
-        for a in range(G.order)
-        for b in range(G.order)
-        if G.commutes(a, b)
-    }
+def brute_tuple_orbit_count(G, k):
+    """Number of simultaneous-conjugation orbits of pairwise-commuting k-tuples."""
+    tuples = [()]
+    for _ in range(k):
+        tuples = [
+            t + (b,)
+            for t in tuples
+            for b in range(G.order)
+            if all(G.commutes(a, b) for a in t)
+        ]
     seen = set()
     count = 0
-    for p in sorted(pairs):
-        if p in seen:
+    for t in tuples:
+        if t in seen:
             continue
-        seen.update(
-            {(G.conjugate(g, p[0]), G.conjugate(g, p[1])) for g in range(G.order)}
-        )
+        seen.update(tuple(G.conjugate(g, a) for a in t) for g in range(G.order))
         count += 1
     return count
 
@@ -156,7 +156,7 @@ def oracle_kernel_grid(rep: LambdaRep):
 
     Returns (rank_deficient, points, grid_denominator, total_pairs).
     """
-    from quasik import as_root_of_unity
+    from cyc_reference import as_root_of_unity
 
     d = rep.desc
     n = d.n

@@ -5,16 +5,148 @@ went through cyclotomic.conj_product_sum, and the character sums built by
 chaining them one term at a time.  They share only the canonical-form
 constructor Cyc._normalize with the library, so a fault in the summation
 routine shows up as a disagreement.
+
+Also here: the conductor minimization by exact Gaussian elimination over
+every divisor that the prime descent in cyclotomic._minimize replaced, and
+the Cyc operations the library itself no longer needs (inverse, division,
+negative powers, |z|^2 and root-of-unity extraction).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from typing import Optional
 
 from quasik import Cyc, generated_subgroup_of_tuple
+from quasik.cyclotomic import _reduce, totient
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def divisors(n: int) -> tuple[int, ...]:
+    """Positive divisors of n in increasing order."""
+    return tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+@lru_cache(maxsize=None)
+def _subfield_basis(n: int, d: int) -> tuple[tuple, ...]:
+    """Canonical forms at conductor n of zeta_d^j for j < phi(d)."""
+    step = n // d
+    cols = []
+    for j in range(totient(d)):
+        dense = [_ZERO] * n
+        dense[(step * j) % n] = _ONE
+        cols.append(_reduce(n, dense))
+    return tuple(cols)
+
+
+def _solve_in_subfield(n: int, d: int, coeffs: tuple) -> Optional[tuple]:
+    """Express coeffs (canonical at n) over the basis of Q(zeta_d), if possible."""
+    cols = _subfield_basis(n, d)
+    rows = totient(n)
+    width = len(cols)
+    # Augmented matrix [cols | coeffs], solved by exact Gaussian elimination.
+    mat = [[cols[j][i] for j in range(width)] + [coeffs[i]] for i in range(rows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(width):
+        pivot = next((i for i in range(r, rows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = Fraction(1, mat[r][c])  # exact on int and Fraction entries alike
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(rows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if mat[i][width]:
+            return None
+    sol = [_ZERO] * width
+    for i, c in enumerate(pivots):
+        sol[c] = mat[i][width]
+    return tuple(sol)
+
+
+def ref_minimize(n: int, coeffs: tuple) -> tuple[int, tuple]:
+    """Least conductor and coordinates of a value canonical at n, trying every divisor."""
+    if n == 1:
+        return 1, coeffs
+    if all(c == 0 for c in coeffs[1:]):
+        return 1, (coeffs[0],)
+    for d in divisors(n):
+        if d < 3 or d == n:
+            continue
+        sol = _solve_in_subfield(n, d, coeffs)
+        if sol is not None:
+            return d, sol
+    return n, coeffs
+
+
+def ref_inv(a: Cyc) -> Cyc:
+    """Inverse through the Galois norm: a * prod_{j != 1} a^(sigma_j) is rational."""
+    if a.is_zero:
+        raise ZeroDivisionError("inverse of zero cyclotomic value")
+    if a.conductor == 1:
+        return Cyc(Fraction(1, a.rational_value()))
+    prod = Cyc(1)
+    for j in range(2, a.conductor):
+        if gcd(j, a.conductor) == 1:
+            prod = prod * a.galois(j)
+    norm = a * prod
+    return prod * Cyc(Fraction(1, norm.rational_value()))
+
+
+def ref_div(a, b) -> Cyc:
+    """a / b for Cyc, int or Fraction operands."""
+    a, b = a if isinstance(a, Cyc) else Cyc(a), b if isinstance(b, Cyc) else Cyc(b)
+    if b.is_zero:
+        raise ZeroDivisionError("division by zero cyclotomic value")
+    if b.conductor == 1:
+        return a * Cyc(Fraction(1, b.rational_value()))
+    return a * ref_inv(b)
+
+
+def ref_pow(a: Cyc, k: int) -> Cyc:
+    """a ** k for every integer k, negative ones through ref_inv."""
+    return ref_inv(a) ** -k if k < 0 else a ** k
+
+
+def ref_abs_squared(a: Cyc) -> Cyc:
+    """|z|^2 = z * conj(z); always real (conjugation-fixed), and rational
+    whenever z is a rational multiple of a root of unity."""
+    return a * a.conj()
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(l: int) -> tuple[Cyc, ...]:
+    z = Cyc.zeta(l)
+    powers = [Cyc(1)]
+    for _ in range(l - 1):
+        powers.append(powers[-1] * z)
+    return tuple(powers)
+
+
+def as_root_of_unity(c: Cyc, l: int) -> Optional[int]:
+    """Return m with c = zeta_l^m and 0 < m <= l, mapping the value 1 to m = l.
+
+    Returns None when c is not an l-th root of unity.
+    """
+    if l < 1:
+        raise ValueError("order must be positive")
+    powers = _zeta_powers(l)
+    for m in range(1, l + 1):
+        if c == powers[m % l]:
+            return m
+    return None
 
 
 def _dense_at(a: Cyc, m: int) -> list[Fraction]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from conftest import (
     battery_groups,
-    brute_pair_orbit_count,
+    brute_tuple_orbit_count,
     class_count_checksum,
     oracle_kernel_grid,
     random_lambda_reps,
@@ -98,7 +98,7 @@ def test_criterion_3_commuting_tuple_counts():
     s3 = symmetric_group(3)
     assert len(commuting_tuples(s3, 2)) == 8
     for G in (dihedral_group(4), quaternion_group()):
-        oracle = brute_pair_orbit_count(G)  # independent brute force, computed first
+        oracle = brute_tuple_orbit_count(G, 2)  # independent brute force, computed first
         checksum = class_count_checksum(G)
         assert oracle == checksum == 22
         assert len(commuting_tuples(G, 2)) == oracle

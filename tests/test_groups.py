@@ -12,7 +12,7 @@ from conftest import (
     brute_commuting_pair_count,
     brute_conjugation_orbits,
     brute_contains_conjugate,
-    brute_pair_orbit_count,
+    brute_tuple_orbit_count,
 )
 
 from quasik import (
@@ -164,7 +164,7 @@ def test_commuting_tuples_total_count(s3, d4, q8):
     for G in (s3, d4, q8):
         orbits = commuting_tuples(G, 2)
         assert sum(o.orbit_size for o in orbits) == brute_commuting_pair_count(G)
-        assert len(orbits) == brute_pair_orbit_count(G)
+        assert len(orbits) == brute_tuple_orbit_count(G, 2)
         for o in orbits:
             assert G.order % o.orbit_size == 0
 

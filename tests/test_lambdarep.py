@@ -248,6 +248,21 @@ def test_multi_index_twist_needs_coordinates():
     assert not is_faithful(base + fixed_part_rep(reg, d))
 
 
+def test_kernel_points_are_fractions(battery):
+    # every irreducible of every battery group, twisted along each class at n = 1
+    points = 0
+    for G in battery:
+        table = character_table(G)
+        for orbit in commuting_tuples(G, 1):
+            desc = lambda_desc(G, orbit.representative)
+            for chi in range(len(table.rows)):
+                ker = kernel(v_sigma(table.irreducible(chi), desc))
+                for _, t in ker.finite_points:
+                    assert all(type(x) is Fraction for x in t), t
+                    points += 1
+    assert points > 0
+
+
 def test_kernel_solver_matches_oracle_randomized():
     for rep in random_lambda_reps(20, seed=977):
         ker = kernel(rep)

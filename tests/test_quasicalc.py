@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import brute_contains_conjugate, brute_pair_orbit_count, class_count_checksum
+from conftest import brute_contains_conjugate, brute_tuple_orbit_count, class_count_checksum
 
 from quasik import (
     QuasiError,
@@ -53,7 +53,8 @@ def test_z2_twists():
 def test_total_rank_equals_pair_orbit_count(s3, d4, q8):
     for G in (s3, d4, q8, cyclic_group(6)):
         table = quasi_coefficients(G, 1)
-        assert table.total_rank == class_count_checksum(G) == brute_pair_orbit_count(G)
+        assert table.total_rank == class_count_checksum(G) == brute_tuple_orbit_count(G, 2)
+        assert quasi_coefficients(G, 2).total_rank == brute_tuple_orbit_count(G, 3)
 
 
 def test_all_ones_twist_count(s3, d4, q8):
@@ -189,10 +190,19 @@ _ZERO_TWIST = (
 )
 
 
+_FLOAT_TWIST = _ZERO_TWIST.replace(b'"1/0"', b"0.1")
+_STRING_SIGMA = _ZERO_TWIST.replace(b'["e"]', b'"ab"').replace(b'"1/0"', b'"1"')
+# a string row would iterate as the twist ("1", "2")
+_STRING_TWIST_ROW = _ZERO_TWIST.replace(b'[["1/0"]]', b'["12"]')
+_EXPONENT_TWIST = _ZERO_TWIST.replace(b'"1/0"', b'"1e3000000"')
+
+
 @pytest.mark.parametrize(
     "data",
-    [b"", b"[]", b"{}", _ZERO_TWIST, b"\xff"],
-    ids=["empty", "list", "no-keys", "zero-denominator", "not-utf8"],
+    [b"", b"[]", b"{}", _ZERO_TWIST, b"\xff", _FLOAT_TWIST, _STRING_SIGMA, _STRING_TWIST_ROW,
+     _EXPONENT_TWIST],
+    ids=["empty", "list", "no-keys", "zero-denominator", "not-utf8", "float-twist",
+         "string-sigma", "string-twist-row", "exponent-twist"],
 )
 def test_parse_rejects_malformed_documents(data):
     with pytest.raises(QuasiError, match="^malformed coefficient table"):
