@@ -20,6 +20,7 @@ from .groups import (
     ConjugacyClass,
     GroupTable,
     Homomorphism,
+    Limits,
     Subgroup,
     TupleOrbit,
     build_group,

@@ -25,16 +25,11 @@ from math import isqrt, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import Cyc, conj_product_sum
-from .errors import (
-    NonScalarError,
-    QuasiError,
-    SizeLimitError,
-    VirtualCharacterError,
-)
+from .errors import NonScalarError, QuasiError, VirtualCharacterError
 from .groups import (
-    DEFAULT_ORDER_CAP,
     GroupTable,
     Homomorphism,
+    Limits,
     class_index_map,
     conjugacy_classes,
 )
@@ -70,9 +65,6 @@ class CharacterTable:
         self.labels = tuple(f"chi{i}" for i in range(len(self.rows)))
         self.n_classes = len(self.classes)
         self._conj_rows: Optional[tuple[int, ...]] = None
-
-    def value(self, irrep: int, class_index: int) -> Cyc:
-        return self.rows[irrep][class_index]
 
     def value_at_element(self, irrep: int, element: int) -> Cyc:
         return self.rows[irrep][self.class_of[element]]
@@ -205,15 +197,12 @@ class RepDecomposition(NamedTuple):
 # -- table construction -----------------------------------------------------
 
 
-def character_table(G: GroupTable, max_order: int = DEFAULT_ORDER_CAP) -> CharacterTable:
+def character_table(G: GroupTable, limits: Limits = Limits()) -> CharacterTable:
     """The exact irreducible character table of G (memoized on G).
 
     The order cap is checked on every call, memoized or not.
     """
-    if G.order > max_order:
-        raise SizeLimitError(
-            f"character table capped at order {max_order}, group has {G.order}"
-        )
+    limits.check_order(G, "character table")
     if "char_table" in G._memo:
         return G._memo["char_table"]
     lifted = _modular_character_rows(G)

@@ -15,10 +15,8 @@ from typing import NamedTuple, Optional, Sequence, TextIO
 from .chartable import character_table
 from .errors import QuasiError, SelectorError
 from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    DEFAULT_ORDER_CAP,
-    DEFAULT_TUPLE_CAP,
     GroupTable,
+    Limits,
     build_group,
     conjugacy_classes,
     make_comm_tuple,
@@ -55,8 +53,7 @@ class CliConfig(NamedTuple):
     construction: str = "plain"
     fmt: str = "text"
     threads: int = 1
-    max_order: int = DEFAULT_ORDER_CAP
-    tuple_cap: int = DEFAULT_TUPLE_CAP
+    limits: Limits = Limits()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility")
         p.add_argument("--max-order", dest="max_order", type=int,
-                       default=DEFAULT_ORDER_CAP, help="size cap for subgroup/table computations")
+                       default=Limits().order, help="size cap for subgroup/table computations")
 
     common(sub.add_parser("classes", help="conjugacy classes"))
     common(sub.add_parser("chartab", help="irreducible character table"))
@@ -102,6 +99,7 @@ def parse_args(argv: Sequence[str]) -> CliConfig:
     subgroup = tuple(
         s for s in (ns.subgroup.split(",") if getattr(ns, "subgroup", None) else ()) if s
     )
+    m = ns.max_order
     cfg = CliConfig(
         command=ns.command,
         group_spec=ns.group,
@@ -112,13 +110,14 @@ def parse_args(argv: Sequence[str]) -> CliConfig:
         construction=getattr(ns, "construction", "plain"),
         fmt=ns.fmt,
         threads=ns.threads,
-        max_order=ns.max_order,
-        tuple_cap=max(DEFAULT_TUPLE_CAP, ns.max_order**2),
+        limits=Limits(order=m, tuples=max(Limits().tuples, m * m)),
     )
     if cfg.n < 1:
         raise SelectorError("-n must be at least 1")
     if cfg.threads < 1:
         raise SelectorError("--threads must be at least 1")
+    if not 1 <= m <= Limits().closure:
+        raise SelectorError(f"--max-order must be between 1 and {Limits().closure}")
     return cfg
 
 
@@ -135,8 +134,8 @@ def _lookup_elements(G: GroupTable, labels: Sequence[str]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _lookup_rep(G: GroupTable, label: str, max_order: int):
-    table = character_table(G, max_order=max_order)
+def _lookup_rep(G: GroupTable, label: str, limits: Limits):
+    table = character_table(G, limits)
     if label == "regular":
         return table.regular_character()
     if label.startswith("chi"):
@@ -156,7 +155,7 @@ def run(cfg: CliConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = No
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        G = build_group(cfg.group_spec, max_order=max(cfg.tuple_cap, DEFAULT_CLOSURE_CAP))
+        G = build_group(cfg.group_spec, cfg.limits)
         handler = _HANDLERS[cfg.command]
         handler(cfg, G, out)
         return 0
@@ -186,7 +185,7 @@ def _cmd_classes(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
 
 
 def _cmd_chartab(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
-    table = character_table(G, max_order=cfg.max_order)
+    table = character_table(G, cfg.limits)
     reps = [G.label(c.rep) for c in table.classes]
     sizes = [str(c.size) for c in table.classes]
     cells = [[v.render() for v in row] for row in table.rows]
@@ -214,7 +213,7 @@ def _cmd_chartab(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
 
 
 def _cmd_gnz(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
-    orbits = commuting_tuples(G, cfg.n, cap=cfg.tuple_cap)
+    orbits = commuting_tuples(G, cfg.n, cfg.limits)
     lines = [f"{len(orbits)} orbits of commuting {cfg.n}-tuples in {G.name}"]
     doc = {"group": G.name, "n": cfg.n, "orbits": []}
     for orb in orbits:
@@ -226,7 +225,7 @@ def _cmd_gnz(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
 
 def _cmd_lambda_basis(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
     sigma = make_comm_tuple(G, _lookup_elements(G, cfg.sigma))
-    desc = lambda_desc(G, sigma, max_order=cfg.max_order)
+    desc = lambda_desc(G, sigma, cfg.limits)
     basis = lambda_basis(desc)
     lines = [
         f"basis of R(Lambda) over the torus characters; centralizer order "
@@ -244,8 +243,8 @@ def _cmd_lambda_basis(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
 
 def _cmd_faithful(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
     sigma = make_comm_tuple(G, _lookup_elements(G, cfg.sigma))
-    desc = lambda_desc(G, sigma, max_order=cfg.max_order)
-    chi = _lookup_rep(G, cfg.rep or "", cfg.max_order)
+    desc = lambda_desc(G, sigma, cfg.limits)
+    chi = _lookup_rep(G, cfg.rep or "", cfg.limits)
     if cfg.construction == "plain":
         rep = v_sigma(chi, desc)
     elif cfg.construction == "q":
@@ -302,7 +301,7 @@ def _cmd_sfixed(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
 
 
 def _cmd_quasi(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
-    table = quasi_coefficients(G, cfg.n, tuple_cap=cfg.tuple_cap, max_order=cfg.max_order)
+    table = quasi_coefficients(G, cfg.n, cfg.limits)
     if cfg.fmt == "json":
         out.write(serialize_quasi(table, "json").decode("utf-8"))
     else:

@@ -7,7 +7,7 @@ every downstream report is reproducible byte for byte.  A group's table
 and labels are immutable after construction.  Derived data (conjugacy
 classes, the character table, subgroup tables and direct products) is
 memoized in a dict owned by the group it is computed from, and is freed
-with that group.
+with that group.  Every size cap is a field of one Limits value.
 """
 
 from __future__ import annotations
@@ -24,9 +24,49 @@ from .errors import (
     SizeLimitError,
 )
 
-DEFAULT_ORDER_CAP = 48
-DEFAULT_TUPLE_CAP = 4096
-DEFAULT_CLOSURE_CAP = 10000
+
+class Limits(NamedTuple):
+    """The size caps, each checked before the work it bounds.
+
+    order bounds character tables and subgroup lattices; tuples bounds |G|^n
+    and n in the commuting-tuple scan, and the order of a direct product;
+    closure bounds the element count and permutation degree of a built group,
+    so a multiplication table has at most closure**2 cells.
+    """
+
+    order: int = 48
+    tuples: int = 4096
+    closure: int = 10000
+
+    def check_size(self, n: int, what: str = "degree") -> None:
+        # a permutation group of degree d stores each element as a d-tuple, a
+        # builtin with parameter k has at least k elements (cyclic:k is a k x k
+        # table) and a 'table n' file has n, so the closure cap bounds each
+        # before anything is allocated
+        if n > self.closure:
+            raise SizeLimitError(f"{what} {n} exceeds the size cap of {self.closure}")
+
+    def check_closure(self, found: int) -> None:
+        """Called before adding one more element to a closure of found elements."""
+        if found >= self.closure:
+            raise SizeLimitError(f"closure exceeds the size cap of {self.closure} elements")
+
+    def check_order(self, G: GroupTable, what: str) -> None:
+        if G.order > self.order:
+            raise SizeLimitError(f"{what} capped at order {self.order}, group has {G.order}")
+
+    def check_tuples(self, order: int, n: int) -> None:
+        cap = self.tuples
+        # For order >= 2, n > cap.bit_length() already gives order^n >= 2^n > cap,
+        # so the power is only formed when it is small.
+        if order > 1 and (n > cap.bit_length() or order**n > cap):
+            raise SizeLimitError(f"|G|^n = {order}^{n} exceeds the tuple scan cap {cap}")
+        if n > cap:
+            raise SizeLimitError(f"n = {n} exceeds the tuple scan cap {cap}")
+
+    def check_product(self, order: int) -> None:
+        if order > self.tuples:
+            raise SizeLimitError(f"product order {order} exceeds cap {self.tuples}")
 
 
 class GroupTable:
@@ -119,9 +159,6 @@ class GroupTable:
     def commutes(self, a: int, b: int) -> bool:
         return self._mul[a][b] == self._mul[b][a]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def label(self, a: int) -> str:
         return self.labels[a]
 
@@ -208,14 +245,6 @@ def cycle_label(perm: Sequence[int]) -> str:
     return "".join(parts) if parts else "()"
 
 
-def _check_degree(degree: int, max_order: int) -> None:
-    # a permutation group of degree d stores each element as a d-tuple, and a
-    # builtin with parameter k has at least k elements (cyclic:k is a k x k
-    # table), so the element cap bounds both before anything is allocated
-    if degree > max_order:
-        raise SizeLimitError(f"degree {degree} exceeds the size cap of {max_order}")
-
-
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # (p*q)(x) = p(q(x))
     return tuple(p[q[x]] for x in range(len(p)))
@@ -225,17 +254,17 @@ def group_from_generators(
     generators: Iterable[Sequence[int]],
     degree: Optional[int] = None,
     name: str = "",
-    max_order: int = DEFAULT_CLOSURE_CAP,
+    limits: Limits = Limits(),
 ) -> GroupTable:
     """Closure of a set of permutations under composition.
 
     Generators are 0-based permutation tuples on a common point set; the
-    closure is capped at max_order elements, and so is the degree.
+    closure is capped at limits.closure elements, and so is the degree.
     """
     gens = [tuple(g) for g in generators]
     if degree is None:
         degree = max((len(g) for g in gens), default=1)
-    _check_degree(degree, max_order)
+    limits.check_size(degree)
     padded = []
     for g in gens:
         if sorted(g) != list(range(len(g))):
@@ -252,10 +281,7 @@ def group_from_generators(
             for g in padded:
                 q = _compose(p, g)
                 if q not in found:
-                    if len(found) >= max_order:
-                        raise SizeLimitError(
-                            f"closure exceeds the size cap of {max_order} elements"
-                        )
+                    limits.check_closure(len(found))
                     found.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -331,7 +357,7 @@ def quaternion_group() -> GroupTable:
 _BUILTIN_RE = re.compile(r"(cyclic|symmetric|alternating|dihedral):(\d+)$")
 
 
-def build_group(spec: str, max_order: int = DEFAULT_CLOSURE_CAP) -> GroupTable:
+def build_group(spec: str, limits: Limits = Limits()) -> GroupTable:
     """Resolve a builtin name (cyclic:k, dihedral:k, symmetric:k,
     alternating:k, quaternion8) or a group definition file path."""
     spec = spec.strip()
@@ -340,7 +366,7 @@ def build_group(spec: str, max_order: int = DEFAULT_CLOSURE_CAP) -> GroupTable:
     m = _BUILTIN_RE.fullmatch(spec)
     if m:
         kind, k = m.group(1), int(m.group(2))
-        _check_degree(k, max_order)
+        limits.check_size(k)
         if kind == "cyclic":
             return cyclic_group(k)
         if kind == "symmetric":
@@ -350,11 +376,11 @@ def build_group(spec: str, max_order: int = DEFAULT_CLOSURE_CAP) -> GroupTable:
         return dihedral_group(k)
     path = Path(spec)
     if path.exists():
-        return load_group_file(path, max_order=max_order)
+        return load_group_file(path, limits)
     raise GroupInputError(f"unknown group spec {spec!r} (not a builtin, not a file)")
 
 
-def load_group_file(path: Path | str, max_order: int = DEFAULT_CLOSURE_CAP) -> GroupTable:
+def load_group_file(path: Path | str, limits: Limits = Limits()) -> GroupTable:
     """Load a group from a definition file.
 
     Format A: 'perm <degree>' then one generator per line in cycle notation.
@@ -380,11 +406,12 @@ def load_group_file(path: Path | str, max_order: int = DEFAULT_CLOSURE_CAP) -> G
     head_line, head = numbered[0][0], numbered[0][1].split()
     if head[0] == "perm" and len(head) == 2:
         (degree,) = integers(head_line, head[1:])
-        _check_degree(degree, max_order)
+        limits.check_size(degree)
         gens = [parse_permutation(ln, degree) for _, ln in numbered[1:]]
-        return group_from_generators(gens, degree=degree, name=path.stem, max_order=max_order)
+        return group_from_generators(gens, degree=degree, name=path.stem, limits=limits)
     if head[0] == "table" and len(head) == 2:
         (n,) = integers(head_line, head[1:])
+        limits.check_size(n, "table order")
         if len(numbered) != n + 1:
             raise GroupInputError(f"{path}: expected {n} table rows")
         table = [integers(i, ln.split()) for i, ln in numbered[1:]]
@@ -479,18 +506,8 @@ def trivial_subgroup(G: GroupTable) -> Subgroup:
     return Subgroup(parent=G, elements=(G.identity,), generators=())
 
 
-def _witness_generators(G: GroupTable, elements: tuple[int, ...]) -> tuple[int, ...]:
-    gens: list[int] = []
-    have: tuple[int, ...] = (G.identity,)
-    for x in elements:
-        if x not in have:
-            gens.append(x)
-            have = _closure(G, gens)
-    return tuple(gens)
-
-
 def centralizer(G: GroupTable, entries: Sequence[int] | "CommTuple") -> Subgroup:
-    """The joint centralizer of a tuple of elements."""
+    """The joint centralizer of a tuple of elements; its generators are all of them."""
     if isinstance(entries, CommTuple):
         entries = entries.entries
     elems = tuple(
@@ -500,13 +517,12 @@ def centralizer(G: GroupTable, entries: Sequence[int] | "CommTuple") -> Subgroup
             if all(G.commutes(a, s) for s in entries)
         )
     )
-    return Subgroup(parent=G, elements=elems, generators=_witness_generators(G, elems))
+    return Subgroup(parent=G, elements=elems, generators=elems)
 
 
-def subgroups(G: GroupTable, cap: int = DEFAULT_ORDER_CAP) -> tuple[Subgroup, ...]:
+def subgroups(G: GroupTable, limits: Limits = Limits()) -> tuple[Subgroup, ...]:
     """All subgroups, sorted by (order, element tuple)."""
-    if G.order > cap:
-        raise SizeLimitError(f"subgroup lattice capped at order {cap}, group has {G.order}")
+    limits.check_order(G, "subgroup lattice")
     triv = (G.identity,)
     found: dict[tuple[int, ...], tuple[int, ...]] = {triv: ()}
     frontier = [triv]
@@ -578,20 +594,15 @@ class TupleOrbit(NamedTuple):
     orbit_size: int
 
 
-def commuting_tuples(G: GroupTable, n: int, cap: int = DEFAULT_TUPLE_CAP) -> tuple[TupleOrbit, ...]:
+def commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tuple[TupleOrbit, ...]:
     """Orbits of simultaneous conjugation on pairwise-commuting n-tuples.
 
     The representative of each orbit is its lexicographically least member.
-    Raises SizeLimitError when |G|^n or n itself exceeds cap.
+    Raises SizeLimitError when |G|^n or n itself exceeds limits.tuples.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    # For |G| >= 2, n > cap.bit_length() already gives |G|^n >= 2^n > cap,
-    # so the power is only formed when it is small.
-    if G.order > 1 and (n > cap.bit_length() or G.order**n > cap):
-        raise SizeLimitError(f"|G|^n = {G.order}^{n} exceeds the tuple scan cap {cap}")
-    if n > cap:
-        raise SizeLimitError(f"n = {n} exceeds the tuple scan cap {cap}")
+    limits.check_tuples(G.order, n)
     tuples: list[tuple[int, ...]] = []
     # depth-first, children pushed in reverse so tuples come out in lex order
     stack: list[tuple[tuple[int, ...], list[int]]] = [((), list(range(G.order)))]
@@ -692,14 +703,13 @@ def inclusion_hom(sub: Subgroup) -> tuple[Homomorphism, GroupTable]:
     return Homomorphism(source=table, target=sub.parent, images=to_parent), table
 
 
-def direct_product(G: GroupTable, H: GroupTable, max_order: int = DEFAULT_TUPLE_CAP) -> GroupTable:
+def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     """Direct product with indices packed as a*|H| + b and labels '(la,lb)'.
 
-    Memoized on G per second factor, so repeated products share one instance
-    (and its memoized class/table data).
+    Its order is capped at Limits().tuples.  Memoized on G per second factor,
+    so repeated products share one instance (and its memoized class/table data).
     """
-    if G.order * H.order > max_order:
-        raise SizeLimitError(f"product order {G.order * H.order} exceeds cap {max_order}")
+    Limits().check_product(G.order * H.order)
     key = ("product", H)
     if key in G._memo:
         return G._memo[key]

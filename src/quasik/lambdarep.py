@@ -32,10 +32,10 @@ from .chartable import (
 from .cyclotomic import conj_product_sum
 from .errors import NotRealizableError, QuasiError, SizeLimitError
 from .groups import (
-    DEFAULT_ORDER_CAP,
     CommTuple,
     GroupTable,
     Homomorphism,
+    Limits,
     Subgroup,
     centralizer,
     direct_product,
@@ -51,7 +51,7 @@ KERNEL_ENUM_CAP = 1 << 20
 class LambdaDesc:
     """Precomputed data for one group Lambda_G(sigma)."""
 
-    def __init__(self, group: GroupTable, sigma: CommTuple, max_order: int = DEFAULT_ORDER_CAP):
+    def __init__(self, group: GroupTable, sigma: CommTuple, limits: Limits = Limits()):
         self.group = group
         self.sigma = sigma
         self.orders = sigma.orders
@@ -65,7 +65,7 @@ class LambdaDesc:
         for s in self.sigma_in_cent:
             if any(not self.cent_group.commutes(s, x) for x in range(self.cent_group.order)):
                 raise QuasiError("tuple entry is not central in its centralizer")
-        self.table: CharacterTable = character_table(self.cent_group, max_order=max_order)
+        self.table: CharacterTable = character_table(self.cent_group, limits)
         # scalar exponents: scalars[lam][i] = m with lambda(sigma_i) = zeta_{l_i}^m
         self.scalars = tuple(
             tuple(
@@ -87,12 +87,12 @@ class LambdaDesc:
 
 
 def lambda_desc(
-    G: GroupTable, sigma: CommTuple | Sequence[int], max_order: int = DEFAULT_ORDER_CAP
+    G: GroupTable, sigma: CommTuple | Sequence[int], limits: Limits = Limits()
 ) -> LambdaDesc:
     """Build the centralizer, its character table, and the twist data for sigma."""
     if not isinstance(sigma, CommTuple):
         sigma = make_comm_tuple(G, sigma)
-    return LambdaDesc(G, sigma, max_order=max_order)
+    return LambdaDesc(G, sigma, limits)
 
 
 class TwistedIrrep(NamedTuple):

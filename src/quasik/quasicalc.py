@@ -16,10 +16,9 @@ from typing import NamedTuple, Optional
 
 from .errors import QuasiError
 from .groups import (
-    DEFAULT_ORDER_CAP,
-    DEFAULT_TUPLE_CAP,
     CommTuple,
     GroupTable,
+    Limits,
     Subgroup,
     TupleOrbit,
     commuting_tuples,
@@ -72,19 +71,14 @@ class QuasiTable(NamedTuple):
     theory: str = "K"
 
 
-def quasi_coefficients(
-    G: GroupTable,
-    n: int,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
-    max_order: int = DEFAULT_ORDER_CAP,
-) -> QuasiTable:
+def quasi_coefficients(G: GroupTable, n: int, limits: Limits = Limits()) -> QuasiTable:
     """One record per orbit of commuting n-tuples, with the free-module rank
     and basis twists of the corresponding representation ring."""
     records = []
     total = 0
-    for orbit in commuting_tuples(G, n, cap=tuple_cap):
+    for orbit in commuting_tuples(G, n, limits):
         sigma = orbit.representative
-        desc = lambda_desc(G, sigma, max_order=max_order)
+        desc = lambda_desc(G, sigma, limits)
         basis = lambda_basis(desc)
         twists = tuple(b.weight for b in basis)
         rank = len(basis)
@@ -199,9 +193,10 @@ def render_quasi_text(table: QuasiTable) -> str:
     return "\n".join(lines)
 
 
-def _json_list(value: object) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
+def _json(value: object, kind: type):
+    # the exact type: int() would truncate 1.9, and a JSON true is a Python int
+    if type(value) is not kind:
+        raise TypeError(f"expected a {kind.__name__}, got {value!r}")
     return value
 
 
@@ -221,22 +216,22 @@ def parse_quasi(data: bytes | str) -> QuasiTable:
         doc = json.loads(data)
         records = [
             QuasiRecord(
-                sigma_labels=tuple(_json_list(rec["sigma"])),
-                orbit_size=int(rec["orbit_size"]),
-                centralizer_order=int(rec["centralizer_order"]),
-                rank=int(rec["rank"]),
+                sigma_labels=tuple(_json(s, str) for s in _json(rec["sigma"], list)),
+                orbit_size=_json(rec["orbit_size"], int),
+                centralizer_order=_json(rec["centralizer_order"], int),
+                rank=_json(rec["rank"], int),
                 twists=tuple(
-                    tuple(_twist_entry(w) for w in _json_list(t)) for t in rec["twists"]
+                    tuple(_twist_entry(w) for w in _json(t, list)) for t in rec["twists"]
                 ),
             )
             for rec in doc["records"]
         ]
         table = QuasiTable(
-            group=doc["group"],
-            n=int(doc["n"]),
+            group=_json(doc["group"], str),
+            n=_json(doc["n"], int),
             records=tuple(records),
-            total_rank=int(doc["total_rank"]),
-            theory=doc.get("E", "K"),
+            total_rank=_json(doc["total_rank"], int),
+            theory=_json(doc.get("E", "K"), str),
         )
     except (ValueError, TypeError, LookupError, ArithmeticError, RecursionError) as exc:
         raise QuasiError(f"malformed coefficient table: {exc!r}") from None

@@ -21,6 +21,7 @@ from cyc_reference import (
 from quasik import (
     ClassFunction,
     Cyc,
+    Limits,
     NonScalarError,
     QuasiError,
     SizeLimitError,
@@ -109,19 +110,19 @@ def test_orthogonality_exact():
 
 def test_size_cap():
     with pytest.raises(SizeLimitError):
-        character_table(cyclic_group(5), max_order=4)
+        character_table(cyclic_group(5), Limits(order=4))
 
 
 def test_size_cap_applies_to_memoized_tables():
     s4 = symmetric_group(4)
     character_table(s4)
     with pytest.raises(SizeLimitError):
-        character_table(s4, max_order=10)
+        character_table(s4, Limits(order=10))
     # sigma = (e) has C(sigma) = G, whose memoized table must not skip the cap
     s3 = symmetric_group(3)
     character_table(s3)
     with pytest.raises(SizeLimitError):
-        lambda_desc(s3, (s3.identity,), max_order=4)
+        lambda_desc(s3, (s3.identity,), Limits(order=4))
 
 
 def test_inner_products(s3):
@@ -380,7 +381,7 @@ def _oracle_scalar_exponent(table, irrep, z, l):
 
 def _oracle_tables():
     groups = battery_groups() + [alternating_group(5), symmetric_group(5), dihedral_group(12)]
-    return [character_table(G, max_order=120) for G in groups]
+    return [character_table(G, Limits(order=120)) for G in groups]
 
 
 @pytest.fixture(scope="module")
@@ -460,7 +461,7 @@ def test_character_sums_match_the_cyclotomic_chain(oracle_tables):
         ))
         assert inner_product(odd, chars[-2]) == ref_inner_product(odd, chars[-2])
         for cls in table.classes:
-            d = lambda_desc(G, (cls.rep,), max_order=G.order)
+            d = lambda_desc(G, (cls.rep,), Limits(order=G.order))
             for chi in chars:
                 assert fixed_space_dimension(chi, d) == ref_fixed_space_dimension(chi, d)
 

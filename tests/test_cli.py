@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasik import build_group
+from quasik import Limits, build_group
 from quasik.cli import CONSTRUCTIONS, CliConfig, main, parse_args, run
 from quasik.errors import SelectorError
 
@@ -27,7 +27,7 @@ def _run(argv):
 def test_parse_args_examples():
     cfg = parse_args(["quasi", "--group", "symmetric:3", "-n", "1", "--format", "json"])
     assert cfg == CliConfig(
-        command="quasi", group_spec="symmetric:3", n=1, fmt="json", tuple_cap=4096
+        command="quasi", group_spec="symmetric:3", n=1, fmt="json", limits=Limits(tuples=4096)
     )
     cfg = parse_args(["chartab", "--group", "quaternion8"])
     assert cfg.command == "chartab" and cfg.group_spec == "quaternion8"
@@ -37,6 +37,40 @@ def test_parse_args_examples():
         ["sfixed", "--group", "symmetric:3", "--sigma", "(12)", "--H", "(123)"]
     )
     assert cfg.sigma == ("(12)",) and cfg.subgroup == ("(123)",)
+
+
+@pytest.mark.parametrize("m", [1, 48, 101, 1000, 10000])
+def test_max_order_sets_the_order_and_tuple_caps_only(m):
+    cfg = parse_args(["classes", "--group", "cyclic:3", "--max-order", str(m)])
+    assert cfg.limits == Limits(order=m, tuples=max(4096, m * m), closure=10000)
+
+
+@pytest.mark.parametrize("m", ["0", "-1", "10001", "20000", "1000000000"])
+def test_max_order_out_of_range_is_usage_error(capsys, m):
+    assert main(["classes", "--group", "cyclic:3", "--max-order", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --max-order must be between 1 and 10000\n"
+
+
+@pytest.mark.parametrize("group", ["symmetric:8", "perm 8\n(1 2)\n(1 2 3 4 5 6 7 8)\n"],
+                         ids=["builtin", "perm-file"])
+def test_a_large_max_order_keeps_the_closure_cap(tmp_path, group):
+    # S8 has 40320 elements; a closure cap that grew as max-order^2 would
+    # build its 1.6e9-cell table instead of stopping at 10000 elements
+    import subprocess
+    import sys
+
+    if group.startswith("perm"):
+        path = tmp_path / "s8.grp"
+        path.write_text(group)
+        group = str(path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasik.cli", "classes", "--group", group, "--max-order", "1000"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: closure exceeds the size cap of 10000 elements\n"
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -306,6 +340,56 @@ def test_cli_fuzz_answers_or_rejects_in_one_line(argv):
         return
     code = run(cfg, out=out, err=err)
     assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == ""
+
+
+# -- fuzzing group files in-process ----------------------------------------------
+
+_SIZES = st.one_of(
+    st.integers(min_value=-3, max_value=8),
+    st.sampled_from([63, 64, 65, 10**6, 10**30]),
+    st.integers(),
+)
+_CYCLE = st.lists(st.integers(min_value=0, max_value=12), max_size=5).map(
+    lambda pts: "(" + " ".join(map(str, pts)) + ")"
+)
+_CYCLES = st.lists(_CYCLE, max_size=3).map("".join)
+_ROW = st.lists(st.integers(min_value=-1, max_value=8), max_size=9).map(
+    lambda xs: " ".join(map(str, xs))
+)
+
+
+@st.composite
+def group_files(draw):
+    kind = draw(st.sampled_from(["perm", "table", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    size = draw(_SIZES)
+    body = draw(st.lists(st.one_of(_CYCLES if kind == "perm" else _ROW, st.text(max_size=8)),
+                         max_size=9))
+    return "\n".join([f"{kind} {size}", *body]).encode()
+
+
+@settings(max_examples=150, deadline=2000)
+@given(group_files(), st.sampled_from(["classes", "chartab"]))
+@example(b"table 65\n", "classes")
+@example(b"perm 65\n(1 2)\n", "classes")
+@example(b"table 0\n", "classes")
+@example(b"perm -3\n()\n", "classes")
+@example(b"perm 7\n(1 2)\n(1 2 3 4 5 6 7)\n", "classes")  # symmetric:7 passes 64 elements
+@example(b"table 3\n0 1 2\n1 2 0\n2 0 1\n", "chartab")
+def test_group_file_fuzz_answers_or_rejects_in_one_line(tmp_path_factory, content, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz.grp"
+    path.write_bytes(content)
+    cfg = CliConfig(command=command, group_spec=str(path), limits=Limits(closure=64))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(cfg, out=out, err=err)
+    assert code in (0, 1, 2)
     if code == 1:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1

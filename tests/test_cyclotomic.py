@@ -296,3 +296,16 @@ def test_no_true_division_in_src():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 hits.append(f"{path.name}:{node.lineno}")
     assert not hits
+
+
+def test_no_cap_parameters_in_src():
+    # every size cap travels in one quasik.Limits value
+    hits = []
+    for path in sorted(Path(quasik.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.arg in ("max_order", "cap", "tuple_cap"):
+                        hits.append(f"{path.name}:{node.lineno}:{arg.arg}")
+    assert not hits

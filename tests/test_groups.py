@@ -18,6 +18,7 @@ from conftest import (
 from quasik import (
     GroupInputError,
     GroupTable,
+    Limits,
     NonCommutingTupleError,
     SizeLimitError,
     build_group,
@@ -64,26 +65,39 @@ def test_group_from_generators_rejects_non_bijection():
 def test_closure_size_cap():
     gens = [parse_permutation("(1 2)", 5), parse_permutation("(1 2 3 4 5)", 5)]
     with pytest.raises(SizeLimitError):
-        group_from_generators(gens, max_order=30)
+        group_from_generators(gens, limits=Limits(closure=30))
 
 
 def test_degree_cap_is_checked_before_building(tmp_path):
     # a transposition on 21 points has order 2, but its degree is over the cap
     with pytest.raises(SizeLimitError):
-        group_from_generators([parse_permutation("(1 2)", 21)], max_order=20)
+        group_from_generators([parse_permutation("(1 2)", 21)], limits=Limits(closure=20))
     path = tmp_path / "wide.grp"
     path.write_text("perm 21\n(1 2)\n")
     with pytest.raises(SizeLimitError):
-        load_group_file(path, max_order=20)
+        load_group_file(path, Limits(closure=20))
     bad_generator = tmp_path / "wide_bad.grp"
     bad_generator.write_text("perm 21\n(1 x)\n")
     with pytest.raises(SizeLimitError):  # the header is checked before any generator
-        load_group_file(bad_generator, max_order=20)
+        load_group_file(bad_generator, Limits(closure=20))
     for spec in ("cyclic:21", "dihedral:21", "symmetric:21", "alternating:21"):
         with pytest.raises(SizeLimitError):
-            build_group(spec, max_order=20)
-    assert build_group("cyclic:20", max_order=20).order == 20
-    assert load_group_file(path, max_order=21).order == 2
+            build_group(spec, Limits(closure=20))
+    assert build_group("cyclic:20", Limits(closure=20)).order == 20
+    assert load_group_file(path, Limits(closure=21)).order == 2
+
+
+def test_table_header_is_checked_before_any_row(tmp_path):
+    # 10001 elements would make a table of 10001**2 cells; the malformed row
+    # shows that no row is read before the header's size is checked
+    path = tmp_path / "big.grp"
+    path.write_text("table 10001\n0 x\n")
+    with pytest.raises(SizeLimitError, match="^table order 10001 exceeds the size cap of 10000$"):
+        load_group_file(path)
+    path.write_text("table 3\n0 1 2\n1 2 0\n2 0 1\n")
+    assert load_group_file(path, Limits(closure=3)).order == 3
+    with pytest.raises(SizeLimitError):
+        load_group_file(path, Limits(closure=2))
 
 
 def test_parse_and_label_round_trip():
@@ -171,7 +185,7 @@ def test_commuting_tuples_total_count(s3, d4, q8):
 
 def test_commuting_tuples_cap():
     with pytest.raises(SizeLimitError):
-        commuting_tuples(symmetric_group(4), 3, cap=4096)
+        commuting_tuples(symmetric_group(4), 3, Limits(tuples=4096))
 
 
 def test_make_comm_tuple_rejects_non_commuting(s3):
@@ -257,7 +271,7 @@ def test_subgroups_are_subgroups(s3):
 
 def test_subgroups_cap():
     with pytest.raises(SizeLimitError):
-        subgroups(symmetric_group(4), cap=10)
+        subgroups(symmetric_group(4), Limits(order=10))
 
 
 def test_contains_conjugate_examples(s3):

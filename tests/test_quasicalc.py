@@ -195,15 +195,34 @@ _STRING_SIGMA = _ZERO_TWIST.replace(b'["e"]', b'"ab"').replace(b'"1/0"', b'"1"')
 # a string row would iterate as the twist ("1", "2")
 _STRING_TWIST_ROW = _ZERO_TWIST.replace(b'[["1/0"]]', b'["12"]')
 _EXPONENT_TWIST = _ZERO_TWIST.replace(b'"1/0"', b'"1e3000000"')
+_VALID = _ZERO_TWIST.replace(b'"1/0"', b'"1"')
+# labels, group and E are strings; counts are integers, never truncated floats or bools
+_INT_LABELS = _VALID.replace(b'["e"]', b"[1, 2]").replace(b'"C2"', b"5")
+_INT_GROUP = _VALID.replace(b'"C2"', b"5")
+_INT_THEORY = _VALID.replace(b'"E": "K"', b'"E": 0')
+_FLOAT_N = _VALID.replace(b'"n": 1', b'"n": 1.9')
+_FLOAT_ORBIT_SIZE = _VALID.replace(b'"orbit_size": 1', b'"orbit_size": 1.0')
+_FLOAT_CENTRALIZER = _VALID.replace(b'"centralizer_order": 2', b'"centralizer_order": 2.5')
+_BOOL_RANK = _VALID.replace(b'"rank": 1', b'"rank": true')
+_STRING_TOTAL = _VALID.replace(b'"total_rank": 1', b'"total_rank": "1"')
 
 
 @pytest.mark.parametrize(
     "data",
     [b"", b"[]", b"{}", _ZERO_TWIST, b"\xff", _FLOAT_TWIST, _STRING_SIGMA, _STRING_TWIST_ROW,
-     _EXPONENT_TWIST],
+     _EXPONENT_TWIST, _INT_LABELS, _INT_GROUP, _INT_THEORY, _FLOAT_N, _FLOAT_ORBIT_SIZE,
+     _FLOAT_CENTRALIZER, _BOOL_RANK, _STRING_TOTAL],
     ids=["empty", "list", "no-keys", "zero-denominator", "not-utf8", "float-twist",
-         "string-sigma", "string-twist-row", "exponent-twist"],
+         "string-sigma", "string-twist-row", "exponent-twist", "int-labels", "int-group",
+         "int-theory", "float-n", "float-orbit-size", "float-centralizer-order", "bool-rank",
+         "string-total-rank"],
 )
 def test_parse_rejects_malformed_documents(data):
     with pytest.raises(QuasiError, match="^malformed coefficient table"):
         parse_quasi(data)
+
+
+def test_parse_accepts_the_valid_base_document():
+    # each malformed document above differs from this one in a single field
+    table = parse_quasi(_VALID)
+    assert table.records[0].sigma_labels == ("e",) and table.total_rank == 1
