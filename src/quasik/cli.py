@@ -32,12 +32,7 @@ from .lambdarep import (
     real_v_sigma,
     v_sigma,
 )
-from .quasicalc import (
-    quasi_coefficients,
-    render_quasi_text,
-    s_fixed_predicate,
-    serialize_quasi,
-)
+from .quasicalc import quasi_coefficients, s_fixed_predicate, serialize_quasi
 
 COMMANDS = ("classes", "chartab", "gnz", "lambda-basis", "faithful", "sfixed", "quasi")
 CONSTRUCTIONS = ("plain", "q", "fixed", "real")
@@ -302,10 +297,7 @@ def _cmd_sfixed(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
 
 def _cmd_quasi(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
     table = quasi_coefficients(G, cfg.n, cfg.limits)
-    if cfg.fmt == "json":
-        out.write(serialize_quasi(table, "json").decode("utf-8"))
-    else:
-        out.write(render_quasi_text(table) + "\n")
+    out.write(serialize_quasi(table, cfg.fmt).decode("utf-8"))
 
 
 _HANDLERS = {

@@ -303,7 +303,7 @@ def cyclic_group(k: int) -> GroupTable:
     return GroupTable(table, labels=labels, name=f"cyclic:{k}")
 
 
-def symmetric_group(k: int) -> GroupTable:
+def symmetric_group(k: int, limits: Limits = Limits()) -> GroupTable:
     if k < 1:
         raise GroupInputError("symmetric degree must be positive")
     gens = []
@@ -311,23 +311,21 @@ def symmetric_group(k: int) -> GroupTable:
         gens.append(parse_permutation("(1 2)", k))
     if k >= 3:
         gens.append(tuple(list(range(1, k)) + [0]))  # the k-cycle (1 2 ... k)
-    return group_from_generators(gens, degree=k, name=f"symmetric:{k}")
+    return group_from_generators(gens, degree=k, name=f"symmetric:{k}", limits=limits)
 
 
-def alternating_group(k: int) -> GroupTable:
-    if k < 3:
-        return group_from_generators([], degree=max(k, 1), name=f"alternating:{k}")
+def alternating_group(k: int, limits: Limits = Limits()) -> GroupTable:
     gens = [parse_permutation(f"(1 2 {m})", k) for m in range(3, k + 1)]
-    return group_from_generators(gens, degree=k, name=f"alternating:{k}")
+    return group_from_generators(gens, degree=max(k, 1), name=f"alternating:{k}", limits=limits)
 
 
-def dihedral_group(k: int) -> GroupTable:
+def dihedral_group(k: int, limits: Limits = Limits()) -> GroupTable:
     """Symmetries of the regular k-gon, order 2k, as permutations of vertices."""
     if k < 3:
         raise GroupInputError("dihedral takes k >= 3 (use cyclic:2 for order 2)")
     rot = tuple(list(range(1, k)) + [0])
     refl = tuple(k - 1 - i for i in range(k))
-    return group_from_generators([rot, refl], degree=k, name=f"dihedral:{k}")
+    return group_from_generators([rot, refl], degree=k, name=f"dihedral:{k}", limits=limits)
 
 
 def quaternion_group() -> GroupTable:
@@ -370,10 +368,10 @@ def build_group(spec: str, limits: Limits = Limits()) -> GroupTable:
         if kind == "cyclic":
             return cyclic_group(k)
         if kind == "symmetric":
-            return symmetric_group(k)
+            return symmetric_group(k, limits)
         if kind == "alternating":
-            return alternating_group(k)
-        return dihedral_group(k)
+            return alternating_group(k, limits)
+        return dihedral_group(k, limits)
     path = Path(spec)
     if path.exists():
         return load_group_file(path, limits)
@@ -406,6 +404,8 @@ def load_group_file(path: Path | str, limits: Limits = Limits()) -> GroupTable:
     head_line, head = numbered[0][0], numbered[0][1].split()
     if head[0] == "perm" and len(head) == 2:
         (degree,) = integers(head_line, head[1:])
+        if degree < 1:
+            raise GroupInputError(f"{path}:{head_line}: permutation degree must be positive")
         limits.check_size(degree)
         gens = [parse_permutation(ln, degree) for _, ln in numbered[1:]]
         return group_from_generators(gens, degree=degree, name=path.stem, limits=limits)

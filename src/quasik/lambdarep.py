@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from math import lcm, prod
+from typing import Iterable, NamedTuple, Sequence
 
 from .chartable import (
     CharacterTable,
@@ -263,22 +263,15 @@ class KernelDescription(NamedTuple):
         return self.torus_rank == 0 and not self.finite_points and not self.full_group
 
 
-def _scalar_argument(d: LambdaDesc, lam: int, a: int) -> Optional[Fraction]:
-    """Fraction r with the action of a on lam equal to e^(2 pi i r), or None."""
-    la = d.cent_group.order_of(a)
-    m = d.table.scalar_exponent(lam, a, la)
-    if m is None:
-        return None
-    return Fraction(m % la, la)
-
-
 def kernel(rep: LambdaRep) -> KernelDescription:
     """Exact kernel of the action, by integer linear algebra.
 
     An element [a, t] acts on a component (lam, w) by rho_lam(a) * e^(2 pi i w.t),
     so it is in the kernel iff a acts as a scalar on every component and the
-    congruences w_j . t = -arg_j(a) (mod 1) hold simultaneously.  Solutions are
-    reduced to the canonical fundamental domain t in [0,1)^n.
+    congruences w_j . t = -arg_j(a) (mod 1) hold simultaneously.  Scaled by the
+    common denominator den they are integer congruences mod den, solved through
+    the Smith form U A V = S; with L the lcm of its diagonal, the candidates
+    L*t are integers, so only the reported points t in [0,1)^n are Fractions.
     """
     d = rep.desc
     n = d.n
@@ -301,31 +294,32 @@ def kernel(rep: LambdaRep) -> KernelDescription:
     if torus_rank > 0:
         # rank deficiency already decides non-faithfulness; points are not finite
         return KernelDescription(torus_rank=torus_rank, finite_points=())
-    combos = 1
-    for s in diag:
-        combos *= s
-    if combos * C.order > KERNEL_ENUM_CAP:
+    if prod(diag) * C.order > KERNEL_ENUM_CAP:
         raise SizeLimitError("kernel solution enumeration exceeds the cap")
+    L = lcm(*diag)
+    period = L * den
     for a in range(C.order):
-        args: list[Fraction] = []
+        # a acts on lam by zeta_l^m; l = order(a) divides exp(C), hence den
+        l = C.order_of(a)
+        b = []
         for c in comps:
-            arg = _scalar_argument(d, c.lam, a)
-            if arg is None:
+            m = d.table.scalar_exponent(c.lam, a, l)
+            if m is None:
                 break
-            args.append(arg)
-        if len(args) != len(comps):
+            b.append(-(m % l) * (den // l))
+        if len(b) != len(comps):
             continue
-        b = [int(-arg * den) for arg in args]
         c_vec = mat_vec(U, b)
         if any(c_vec[i] % den for i in range(rank, len(comps))):
             continue
+        # L * y_i over the residues y_i = (c_i + den k) / s_i mod den
         choices = [
-            [Fraction(c_vec[i] + den * k, diag[i]) for k in range(diag[i])] for i in range(n)
+            [(c_vec[i] + den * k) * (L // diag[i]) for k in range(diag[i])] for i in range(n)
         ]
         for y in product(*choices):
-            t = [sum(Fraction(V[i][j]) * y[j] for j in range(n)) % den for i in range(n)]
-            if all(coord < 1 for coord in t):
-                points.append((a, tuple(t)))
+            T = [x % period for x in mat_vec(V, y)]
+            if all(x < L for x in T):
+                points.append((a, tuple(Fraction(x, L) for x in T)))
     e = C.identity
     finite = tuple(sorted(p for p in points if p != (e, zero)))
     return KernelDescription(torus_rank=0, finite_points=finite)

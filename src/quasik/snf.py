@@ -97,12 +97,3 @@ def smith_normal_form(
             add_row(offender, s, 1)
 
     return a, U, V
-
-
-def invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    s, _, _ = smith_normal_form(matrix)
-    out = []
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i]:
-            out.append(s[i][i])
-    return out

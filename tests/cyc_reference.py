@@ -9,18 +9,23 @@ routine shows up as a disagreement.
 Also here: the conductor minimization by exact Gaussian elimination over
 every divisor that the prime descent in cyclotomic._minimize replaced, and
 the Cyc operations the library itself no longer needs (inverse, division,
-negative powers, |z|^2 and root-of-unity extraction).
+negative powers, |z|^2 and root-of-unity extraction), and the kernel solver
+that enumerated Fraction candidates before lambdarep.kernel ran in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import product
+from math import gcd, lcm
 from typing import Optional
 
 from quasik import Cyc, generated_subgroup_of_tuple
 from quasik.cyclotomic import _reduce, totient
+from quasik.errors import SizeLimitError
+from quasik.lambdarep import KERNEL_ENUM_CAP, KernelDescription, LambdaDesc, LambdaRep
+from quasik.snf import mat_vec, smith_normal_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -239,3 +244,71 @@ def ref_fixed_space_dimension(chi, d) -> int:
     val = ref_mul(acc, Cyc(Fraction(1, gamma.order))).rational_value()
     assert val.denominator == 1
     return int(val)
+
+
+def _scalar_argument(d: LambdaDesc, lam: int, a: int) -> Optional[Fraction]:
+    """Fraction r with the action of a on lam equal to e^(2 pi i r), or None."""
+    la = d.cent_group.order_of(a)
+    m = d.table.scalar_exponent(lam, a, la)
+    if m is None:
+        return None
+    return Fraction(m % la, la)
+
+
+def ref_kernel(rep: LambdaRep) -> KernelDescription:
+    """Exact kernel of the action, by integer linear algebra.
+
+    An element [a, t] acts on a component (lam, w) by rho_lam(a) * e^(2 pi i w.t),
+    so it is in the kernel iff a acts as a scalar on every component and the
+    congruences w_j . t = -arg_j(a) (mod 1) hold simultaneously.  Solutions are
+    reduced to the canonical fundamental domain t in [0,1)^n.
+    """
+    d = rep.desc
+    n = d.n
+    C = d.cent_group
+    trivial_row = d.table.trivial_index()
+    zero = (Fraction(0),) * n
+    comps = [c for c, _ in rep.components]
+    if not comps or all(c.lam == trivial_row and c.weight == zero for c in comps):
+        return KernelDescription(torus_rank=n, finite_points=(), full_group=True)
+
+    weights = [c.weight for c in comps]
+    den = lcm(*(w.denominator for row in weights for w in row), C.exponent())
+    A = [[int(w * den) for w in row] for row in weights]
+    S, U, V = smith_normal_form(A)
+    diag = [S[i][i] for i in range(min(len(S), n))]
+    rank = sum(1 for s in diag if s)
+    torus_rank = n - rank
+
+    points: list[tuple[int, tuple[Fraction, ...]]] = []
+    if torus_rank > 0:
+        # rank deficiency already decides non-faithfulness; points are not finite
+        return KernelDescription(torus_rank=torus_rank, finite_points=())
+    combos = 1
+    for s in diag:
+        combos *= s
+    if combos * C.order > KERNEL_ENUM_CAP:
+        raise SizeLimitError("kernel solution enumeration exceeds the cap")
+    for a in range(C.order):
+        args: list[Fraction] = []
+        for c in comps:
+            arg = _scalar_argument(d, c.lam, a)
+            if arg is None:
+                break
+            args.append(arg)
+        if len(args) != len(comps):
+            continue
+        b = [int(-arg * den) for arg in args]
+        c_vec = mat_vec(U, b)
+        if any(c_vec[i] % den for i in range(rank, len(comps))):
+            continue
+        choices = [
+            [Fraction(c_vec[i] + den * k, diag[i]) for k in range(diag[i])] for i in range(n)
+        ]
+        for y in product(*choices):
+            t = [sum(Fraction(V[i][j]) * y[j] for j in range(n)) % den for i in range(n)]
+            if all(coord < 1 for coord in t):
+                points.append((a, tuple(t)))
+    e = C.identity
+    finite = tuple(sorted(p for p in points if p != (e, zero)))
+    return KernelDescription(torus_rank=0, finite_points=finite)

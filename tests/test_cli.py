@@ -147,6 +147,23 @@ def test_faithful_command_witness():
     assert doc["faithful"] is True and doc["kernel_points"] == []
 
 
+def test_faithful_kernel_points_at_the_smith_denominator():
+    # at den = 4 the Smith diagonal is [1, 12]: the points have denominator 3
+    code, out, _ = _run(
+        ["faithful", "--group", "cyclic:4", "--sigma", "e,g1", "--rep", "chi3",
+         "--construction", "q"]
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "(chi3, q^(0, -3/4)) x 1",
+        "(chi3, q^(1, 1/4)) x 1",
+        "torus_rank: 0",
+        "kernel point: (g1; t = (2/3, 1/3))",
+        "kernel point: (g2; t = (1/3, 2/3))",
+        "not faithful",
+    ]
+
+
 def test_faithful_regular_real():
     code, out, _ = _run(
         ["faithful", "--group", "quaternion8", "--sigma", "-1", "--rep", "regular",
@@ -209,8 +226,9 @@ def test_subprocess_runs_are_byte_identical(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [b"table x\n", b"perm x\n(1 2)\n", b"table 2\n0 1\n1 a\n", b"table 1\n\xff\n"],
-    ids=["table-size", "perm-degree", "table-row", "not-utf8"],
+    [b"table x\n", b"perm x\n(1 2)\n", b"table 2\n0 1\n1 a\n", b"table 1\n\xff\n",
+     b"perm -3\n", b"perm 0\n"],
+    ids=["table-size", "perm-degree", "table-row", "not-utf8", "perm-negative", "perm-zero"],
 )
 def test_malformed_group_file_is_domain_error(tmp_path, content):
     import subprocess

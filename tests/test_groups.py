@@ -87,6 +87,23 @@ def test_degree_cap_is_checked_before_building(tmp_path):
     assert load_group_file(path, Limits(closure=21)).order == 2
 
 
+def test_builtins_close_under_the_callers_limits():
+    # the degree passes the cap; the closure of the generators does not
+    for spec in ("symmetric:5", "alternating:6"):
+        with pytest.raises(SizeLimitError, match="closure exceeds the size cap of 30"):
+            build_group(spec, Limits(closure=30))
+    assert build_group("symmetric:5", Limits(closure=120)).order == 120
+
+
+def test_perm_degree_below_one_is_rejected(tmp_path):
+    for degree in (-3, 0):
+        path = tmp_path / "neg.grp"
+        path.write_text(f"perm {degree}\n")
+        with pytest.raises(GroupInputError) as exc:
+            load_group_file(path)
+        assert str(exc.value).startswith(f"{path}:1: permutation degree")
+
+
 def test_table_header_is_checked_before_any_row(tmp_path):
     # 10001 elements would make a table of 10001**2 cells; the malformed row
     # shows that no row is read before the header's size is checked

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 from conftest import oracle_kernel_grid, random_lambda_reps
+from cyc_reference import ref_kernel
 
 from quasik import (
     Cyc,
     LambdaRep,
     NotRealizableError,
     QuasiError,
+    SizeLimitError,
     TwistedIrrep,
     character_table,
     class_function_from_element_values,
@@ -31,6 +33,7 @@ from quasik import (
     real_basis,
     real_v_sigma,
     restrict_lambda,
+    smith_normal_form,
     v_sigma,
 )
 
@@ -219,6 +222,30 @@ def test_kernel_trivial_action():
     assert ker2.full_group and ker2.torus_rank == 1
 
 
+def test_kernel_scales_by_the_smith_lcm():
+    # cyclic:4 at sigma = (e, g1): the q construction on chi3 has weights
+    # (0, -3/4) and (1, 1/4), so den = 4 but the Smith diagonal is [1, 12]
+    z4 = cyclic_group(4)
+    t4 = character_table(z4)
+    d = lambda_desc(z4, (0, 1))
+    base = v_sigma(t4.irreducible(t4.labels.index("chi3")), d)
+    rep = base + q_twist(base, -1)
+    S, _, _ = smith_normal_form([[int(w * 4) for w in c.weight] for c, _ in rep.components])
+    assert [S[0][0], S[1][1]] == [1, 12]
+    ker = kernel(rep)
+    assert ker == ref_kernel(rep)
+    assert [d.cent_group.label(a) for a, _ in ker.finite_points] == ["g1", "g2"]
+    assert ker.finite_points == ((1, (2 * THIRD, THIRD)), (2, (THIRD, 2 * THIRD)))
+
+
+def test_kernel_enumeration_cap():
+    z2 = cyclic_group(2)
+    reg = character_table(z2).regular_character()
+    rep = q_twist(v_sigma(reg, lambda_desc(z2, (0,))), 2**20)
+    with pytest.raises(SizeLimitError, match="^kernel solution enumeration exceeds the cap$"):
+        kernel(rep)
+
+
 def test_faithfulness_constructions_sample(s3, d4, q8):
     for G in (s3, d4, q8, cyclic_group(6)):
         table = character_table(G)
@@ -226,9 +253,10 @@ def test_faithfulness_constructions_sample(s3, d4, q8):
         for orbit in commuting_tuples(G, 1):
             d = lambda_desc(G, orbit.representative)
             base = v_sigma(reg, d)
-            assert is_faithful(base + q_twist(base, -1))
-            assert is_faithful(base + fixed_part_rep(reg, d))
-            assert is_faithful(real_v_sigma(reg, d))
+            for rep in (base + q_twist(base, -1), base + fixed_part_rep(reg, d),
+                        real_v_sigma(reg, d)):
+                assert kernel(rep) == ref_kernel(rep)
+                assert is_faithful(rep)
 
 
 def test_multi_index_twist_needs_coordinates():
@@ -266,6 +294,7 @@ def test_kernel_points_are_fractions(battery):
 def test_kernel_solver_matches_oracle_randomized():
     for rep in random_lambda_reps(20, seed=977):
         ker = kernel(rep)
+        assert ker == ref_kernel(rep)
         rank_deficient, points, _, total = oracle_kernel_grid(rep)
         if ker.full_group:
             assert len(points) == total - 1  # everything but the identity pair

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from quasik.snf import invariant_factors, smith_normal_form
+from quasik.snf import smith_normal_form
 
 
 def _matmul(a, b):
@@ -66,11 +66,10 @@ def test_rectangular():
     assert _check([[1, 2, 3], [4, 5, 6]]) == [1, 3]
 
 
-def test_invariant_factors_random():
+def test_smith_normal_form_random():
     rng = random.Random(7)
     for _ in range(60):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        diag = _check(a)
-        assert invariant_factors(a) == [d for d in diag if d]
+        _check(a)
