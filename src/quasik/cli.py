@@ -34,7 +34,6 @@ from .lambdarep import (
 )
 from .quasicalc import quasi_coefficients, s_fixed_predicate, serialize_quasi
 
-COMMANDS = ("classes", "chartab", "gnz", "lambda-basis", "faithful", "sfixed", "quasi")
 CONSTRUCTIONS = ("plain", "q", "fixed", "real")
 
 

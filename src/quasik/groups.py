@@ -5,9 +5,10 @@ Elements are indices 0..order-1 with a full multiplication table.  Indexing
 is deterministic (permutation groups are sorted by permutation tuple), so
 every downstream report is reproducible byte for byte.  A group's table
 and labels are immutable after construction.  Derived data (conjugacy
-classes, the character table, subgroup tables and direct products) is
-memoized in a dict owned by the group it is computed from, and is freed
-with that group.  Every size cap is a field of one Limits value.
+classes, centralizers, the character table, subgroup tables and direct
+products) is memoized in a dict owned by the group it is computed from,
+and is freed with that group.  Every size cap is a field of one Limits
+value.
 """
 
 from __future__ import annotations
@@ -411,6 +412,8 @@ def load_group_file(path: Path | str, limits: Limits = Limits()) -> GroupTable:
         return group_from_generators(gens, degree=degree, name=path.stem, limits=limits)
     if head[0] == "table" and len(head) == 2:
         (n,) = integers(head_line, head[1:])
+        if n < 1:
+            raise GroupInputError(f"{path}:{head_line}: table order must be positive")
         limits.check_size(n, "table order")
         if len(numbered) != n + 1:
             raise GroupInputError(f"{path}: expected {n} table rows")
@@ -507,16 +510,16 @@ def trivial_subgroup(G: GroupTable) -> Subgroup:
 
 
 def centralizer(G: GroupTable, entries: Sequence[int] | "CommTuple") -> Subgroup:
-    """The joint centralizer of a tuple of elements; its generators are all of them."""
+    """The joint centralizer of a tuple, memoized on G; its generators are all its elements."""
     if isinstance(entries, CommTuple):
         entries = entries.entries
-    elems = tuple(
-        sorted(
-            a
-            for a in range(G.order)
-            if all(G.commutes(a, s) for s in entries)
+    key = ("centralizer", frozenset(entries))
+    if key not in G._memo:
+        mul = G._mul
+        G._memo[key] = tuple(
+            a for a in range(G.order) if all(mul[a][s] == mul[s][a] for s in key[1])
         )
-    )
+    elems = G._memo[key]
     return Subgroup(parent=G, elements=elems, generators=elems)
 
 
@@ -598,29 +601,30 @@ def commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tuple[
     """Orbits of simultaneous conjugation on pairwise-commuting n-tuples.
 
     The representative of each orbit is its lexicographically least member.
+    The orbits with first entry conjugate to s are those of C(s) on commuting
+    (n-1)-tuples in C(s), so the classes of nested centralizers, each sorted by
+    least element in the parent's order, give the representatives in lex
+    order, and the orbit of sigma has |G| / |C(sigma)| members.
     Raises SizeLimitError when |G|^n or n itself exceeds limits.tuples.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     limits.check_tuples(G.order, n)
-    tuples: list[tuple[int, ...]] = []
-    # depth-first, children pushed in reverse so tuples come out in lex order
-    stack: list[tuple[tuple[int, ...], list[int]]] = [((), list(range(G.order)))]
-    while stack:
-        prefix, candidates = stack.pop()
-        if len(prefix) == n:
-            tuples.append(prefix)
-            continue
-        for x in reversed(candidates):
-            stack.append((prefix + (x,), [y for y in candidates if G.commutes(x, y)]))
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for t in tuples:  # already in lexicographic order
-        if t in seen:
-            continue
-        orbit = {tuple(G.conjugate(g, x) for x in t) for g in range(G.order)}
-        seen.update(orbit)
-        orbits.append(TupleOrbit(representative=make_comm_tuple(G, t), orbit_size=len(orbit)))
+    orbits: list[TupleOrbit] = []
+
+    def descend(H: GroupTable, to_G: Sequence[int], prefix: tuple[int, ...]) -> None:
+        # H is C(prefix) as its own table, to_G maps its indices into G.  H is
+        # trivial only when G is; filling in the identity keeps depth 0 for any n.
+        if len(prefix) == n or H.order == 1:
+            entries = prefix + (G.identity,) * (n - len(prefix))
+            sigma = CommTuple(entries=entries, orders=tuple(G.order_of(x) for x in entries))
+            orbits.append(TupleOrbit(representative=sigma, orbit_size=G.order // H.order))
+            return
+        for cls in conjugacy_classes(H):
+            C, to_H = subgroup_table(centralizer(H, (cls.rep,)))
+            descend(C, tuple(to_G[x] for x in to_H), prefix + (to_G[cls.rep],))
+
+    descend(G, range(G.order), ())
     return tuple(orbits)
 
 

@@ -62,9 +62,6 @@ class LambdaDesc:
         self.to_parent = to_parent
         self.from_parent = {p: i for i, p in enumerate(to_parent)}
         self.sigma_in_cent = tuple(self.from_parent[s] for s in sigma.entries)
-        for s in self.sigma_in_cent:
-            if any(not self.cent_group.commutes(s, x) for x in range(self.cent_group.order)):
-                raise QuasiError("tuple entry is not central in its centralizer")
         self.table: CharacterTable = character_table(self.cent_group, limits)
         # scalar exponents: scalars[lam][i] = m with lambda(sigma_i) = zeta_{l_i}^m
         self.scalars = tuple(

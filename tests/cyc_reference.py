@@ -9,8 +9,10 @@ routine shows up as a disagreement.
 Also here: the conductor minimization by exact Gaussian elimination over
 every divisor that the prime descent in cyclotomic._minimize replaced, and
 the Cyc operations the library itself no longer needs (inverse, division,
-negative powers, |z|^2 and root-of-unity extraction), and the kernel solver
-that enumerated Fraction candidates before lambdarep.kernel ran in integers.
+negative powers, |z|^2 and root-of-unity extraction), the kernel solver
+that enumerated Fraction candidates before lambdarep.kernel ran in integers,
+and the commuting-tuple scan that groups.commuting_tuples ran before it
+descended through centralizers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional
 from quasik import Cyc, generated_subgroup_of_tuple
 from quasik.cyclotomic import _reduce, totient
 from quasik.errors import SizeLimitError
+from quasik.groups import GroupTable, Limits, TupleOrbit, make_comm_tuple
 from quasik.lambdarep import KERNEL_ENUM_CAP, KernelDescription, LambdaDesc, LambdaRep
 from quasik.snf import mat_vec, smith_normal_form
 
@@ -312,3 +315,36 @@ def ref_kernel(rep: LambdaRep) -> KernelDescription:
     e = C.identity
     finite = tuple(sorted(p for p in points if p != (e, zero)))
     return KernelDescription(torus_rank=0, finite_points=finite)
+
+
+# The scan that groups.commuting_tuples ran before the centralizer descent:
+# it lists every commuting n-tuple depth first and conjugates each new
+# representative by all of G.
+def ref_commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tuple[TupleOrbit, ...]:
+    """Orbits of simultaneous conjugation on pairwise-commuting n-tuples.
+
+    The representative of each orbit is its lexicographically least member.
+    Raises SizeLimitError when |G|^n or n itself exceeds limits.tuples.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    limits.check_tuples(G.order, n)
+    tuples: list[tuple[int, ...]] = []
+    # depth-first, children pushed in reverse so tuples come out in lex order
+    stack: list[tuple[tuple[int, ...], list[int]]] = [((), list(range(G.order)))]
+    while stack:
+        prefix, candidates = stack.pop()
+        if len(prefix) == n:
+            tuples.append(prefix)
+            continue
+        for x in reversed(candidates):
+            stack.append((prefix + (x,), [y for y in candidates if G.commutes(x, y)]))
+    seen: set[tuple[int, ...]] = set()
+    orbits = []
+    for t in tuples:  # already in lexicographic order
+        if t in seen:
+            continue
+        orbit = {tuple(G.conjugate(g, x) for x in t) for g in range(G.order)}
+        seen.update(orbit)
+        orbits.append(TupleOrbit(representative=make_comm_tuple(G, t), orbit_size=len(orbit)))
+    return tuple(orbits)

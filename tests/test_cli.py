@@ -227,8 +227,9 @@ def test_subprocess_runs_are_byte_identical(tmp_path):
 @pytest.mark.parametrize(
     "content",
     [b"table x\n", b"perm x\n(1 2)\n", b"table 2\n0 1\n1 a\n", b"table 1\n\xff\n",
-     b"perm -3\n", b"perm 0\n"],
-    ids=["table-size", "perm-degree", "table-row", "not-utf8", "perm-negative", "perm-zero"],
+     b"perm -3\n", b"perm 0\n", b"table 0\n", b"table -2\n"],
+    ids=["table-size", "perm-degree", "table-row", "not-utf8", "perm-negative", "perm-zero",
+         "table-zero", "table-negative"],
 )
 def test_malformed_group_file_is_domain_error(tmp_path, content):
     import subprocess
@@ -261,6 +262,20 @@ def test_degree_above_the_closure_cap_is_rejected_before_building(tmp_path, grou
     assert proc.returncode == 1 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
     assert "exceeds the size cap" in proc.stderr
+
+
+def test_gnz_on_the_trivial_group_is_linear_in_n():
+    # the one orbit of the trivial group is found in time linear in n
+    import subprocess
+    import sys
+
+    argv = ["gnz", "--group", "cyclic:1", "-n", "200000", "--max-order", "500"]
+    proc = subprocess.run([sys.executable, "-m", "quasik.cli", *argv],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "1 orbits of commuting 200000-tuples in cyclic:1"
+    assert lines[1:] == ["  (" + ",".join(["e"] * 200000) + ") x 1"]
 
 
 def test_python_dash_m_quasik_runs_the_cli():

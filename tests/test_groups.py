@@ -8,7 +8,9 @@ import weakref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cyc_reference import ref_commuting_tuples
 from conftest import (
+    battery_groups,
     brute_commuting_pair_count,
     brute_conjugation_orbits,
     brute_contains_conjugate,
@@ -28,6 +30,7 @@ from quasik import (
     conjugacy_classes,
     contains_conjugate,
     cyclic_group,
+    dihedral_group,
     direct_product,
     group_from_generators,
     hom_from_images,
@@ -198,6 +201,32 @@ def test_commuting_tuples_total_count(s3, d4, q8):
         assert len(orbits) == brute_tuple_orbit_count(G, 2)
         for o in orbits:
             assert G.order % o.orbit_size == 0
+
+
+def _relabelled_s3() -> GroupTable:
+    """S3 with its elements renumbered so that the identity is index 3."""
+    s3 = symmetric_group(3)
+    new = (3, 0, 5, 1, 4, 2)  # old index -> new index
+    table = [[0] * 6 for _ in range(6)]
+    labels = [""] * 6
+    for a in range(6):
+        labels[new[a]] = s3.label(a)
+        for b in range(6):
+            table[new[a]][new[b]] = new[s3.mul(a, b)]
+    return GroupTable(table, labels=labels, name="s3-relabelled")
+
+
+def test_commuting_tuples_match_the_scan():
+    # the centralizer descent against the scan of every commuting tuple it
+    # replaced: same lex-least representatives, same order, same orbit sizes
+    limits = Limits(tuples=30000)
+    relabelled = _relabelled_s3()
+    assert relabelled.identity != 0
+    for G in battery_groups() + [dihedral_group(6), relabelled]:
+        for n in (1, 2, 3):
+            if G.order**n <= limits.tuples:
+                expected = ref_commuting_tuples(G, n, limits)
+                assert commuting_tuples(G, n, limits) == expected, (G.name, n)
 
 
 def test_commuting_tuples_cap():
