@@ -31,7 +31,6 @@ from .groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    generated_subgroup_of_tuple,
     group_from_generators,
     hom_from_images,
     inclusion_hom,

@@ -132,13 +132,8 @@ def _lookup_rep(G: GroupTable, label: str, limits: Limits):
     table = character_table(G, limits)
     if label == "regular":
         return table.regular_character()
-    if label.startswith("chi"):
-        try:
-            idx = int(label[3:])
-        except ValueError:
-            idx = -1
-        if 0 <= idx < len(table.rows):
-            return table.irreducible(idx)
+    if label in table.labels:
+        return table.irreducible(table.labels.index(label))
     raise SelectorError(
         f"unknown representation label {label!r}; use chi0..chi{len(table.rows) - 1} or regular"
     )

@@ -602,8 +602,8 @@ def commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tuple[
 
     The representative of each orbit is its lexicographically least member.
     The orbits with first entry conjugate to s are those of C(s) on commuting
-    (n-1)-tuples in C(s), so the classes of nested centralizers, each sorted by
-    least element in the parent's order, give the representatives in lex
+    (n-1)-tuples in C(s), so the classes of the centralizers C_G(prefix), each
+    sorted by least element in G's order, give the representatives in lex
     order, and the orbit of sigma has |G| / |C(sigma)| members.
     Raises SizeLimitError when |G|^n or n itself exceeds limits.tuples.
     """
@@ -612,25 +612,22 @@ def commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tuple[
     limits.check_tuples(G.order, n)
     orbits: list[TupleOrbit] = []
 
-    def descend(H: GroupTable, to_G: Sequence[int], prefix: tuple[int, ...]) -> None:
-        # H is C(prefix) as its own table, to_G maps its indices into G.  H is
-        # trivial only when G is; filling in the identity keeps depth 0 for any n.
+    def descend(prefix: tuple[int, ...]) -> None:
+        # H is C_G(prefix) as its own table, to_G maps its indices into G.  For
+        # s in H, C_H(s) = C_G(prefix + (s,)), so every centralizer is taken in
+        # G and memoized there.  H is trivial only when G is; filling in the
+        # identity keeps depth 0 for any n.
+        H, to_G = subgroup_table(centralizer(G, prefix))
         if len(prefix) == n or H.order == 1:
             entries = prefix + (G.identity,) * (n - len(prefix))
             sigma = CommTuple(entries=entries, orders=tuple(G.order_of(x) for x in entries))
             orbits.append(TupleOrbit(representative=sigma, orbit_size=G.order // H.order))
             return
         for cls in conjugacy_classes(H):
-            C, to_H = subgroup_table(centralizer(H, (cls.rep,)))
-            descend(C, tuple(to_G[x] for x in to_H), prefix + (to_G[cls.rep],))
+            descend(prefix + (to_G[cls.rep],))
 
-    descend(G, range(G.order), ())
+    descend(())
     return tuple(orbits)
-
-
-def generated_subgroup_of_tuple(G: GroupTable, sigma: CommTuple) -> Subgroup:
-    """The subgroup generated by the entries of a commuting tuple."""
-    return subgroup_from_generators(G, sigma.entries)
 
 
 # -- subgroup tables and homomorphisms -------------------------------------------

@@ -39,8 +39,8 @@ from .groups import (
     Subgroup,
     centralizer,
     direct_product,
-    generated_subgroup_of_tuple,
     make_comm_tuple,
+    subgroup_from_generators,
     subgroup_table,
 )
 from .snf import mat_vec, smith_normal_form
@@ -52,6 +52,8 @@ class LambdaDesc:
     """Precomputed data for one group Lambda_G(sigma)."""
 
     def __init__(self, group: GroupTable, sigma: CommTuple, limits: Limits = Limits()):
+        # n itself is capped as in commuting_tuples: the kernel solve is n x n
+        limits.check_tuples(1, sigma.n)
         self.group = group
         self.sigma = sigma
         self.orders = sigma.orders
@@ -229,7 +231,7 @@ def fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
 
 def fixed_space_dimension(chi: ClassFunction, d: LambdaDesc) -> int:
     """dim V^sigma via averaging the character over the subgroup the tuple generates."""
-    gamma = generated_subgroup_of_tuple(d.group, d.sigma)
+    gamma = subgroup_from_generators(d.group, d.sigma.entries)
     n = lcm(*(v.conductor for v in chi.values))
     terms = ((1, chi.value_at_element(x)._exponents_at(n), ((0, 1),)) for x in gamma.elements)
     val = (conj_product_sum(terms, n) * Fraction(1, gamma.order)).rational_value()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import QuasiError
 from .groups import (
@@ -20,47 +20,21 @@ from .groups import (
     GroupTable,
     Limits,
     Subgroup,
-    TupleOrbit,
     commuting_tuples,
     contains_conjugate,
-    generated_subgroup_of_tuple,
+    subgroup_from_generators,
 )
 from .lambdarep import lambda_basis, lambda_desc
 
 
-class QuasiRecord:
-    """One coefficient-ring factor: rank and twist data for a tuple orbit.
+class QuasiRecord(NamedTuple):
+    """One coefficient-ring factor: rank and twist data for a tuple orbit."""
 
-    Immutable.  orbit is left out of equality, hashing and repr, so a record
-    parsed back from JSON equals the computed one.
-    """
-
-    __slots__ = ("sigma_labels", "orbit_size", "centralizer_order", "rank", "twists", "orbit")
-
-    def __init__(self, sigma_labels: tuple[str, ...], orbit_size: int, centralizer_order: int,
-                 rank: int, twists: tuple[tuple[Fraction, ...], ...],
-                 orbit: Optional[TupleOrbit] = None):
-        values = (sigma_labels, orbit_size, centralizer_order, rank, twists, orbit)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.sigma_labels, self.orbit_size, self.centralizer_order, self.rank, self.twists)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
-        return f"QuasiRecord({fields})"
+    sigma_labels: tuple[str, ...]
+    orbit_size: int
+    centralizer_order: int
+    rank: int
+    twists: tuple[tuple[Fraction, ...], ...]
 
 
 class QuasiTable(NamedTuple):
@@ -90,7 +64,6 @@ def quasi_coefficients(G: GroupTable, n: int, limits: Limits = Limits()) -> Quas
                 centralizer_order=desc.centralizer.order,
                 rank=rank,
                 twists=twists,
-                orbit=orbit,
             )
         )
     return QuasiTable(group=G.name, n=n, records=tuple(records), total_rank=total)
@@ -111,7 +84,7 @@ class SFixedVerdict(NamedTuple):
 
 def s_fixed_predicate(G: GroupTable, sigma: CommTuple, H: Subgroup) -> SFixedVerdict:
     """Empty iff some conjugate of the subgroup generated by the tuple lies in H."""
-    gamma = generated_subgroup_of_tuple(G, sigma)
+    gamma = subgroup_from_generators(G, sigma.entries)
     return SFixedVerdict(empty=contains_conjugate(G, gamma, H))
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,11 @@ from quasik import (
     quaternion_group,
     symmetric_group,
 )
+
+# tests that start `python -m quasik` children give them the src/ that
+# pytest's pythonpath setting gives this process
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def battery_groups():

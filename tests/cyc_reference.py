@@ -23,7 +23,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Optional
 
-from quasik import Cyc, generated_subgroup_of_tuple
+from quasik import Cyc, subgroup_from_generators
 from quasik.cyclotomic import _reduce, totient
 from quasik.errors import SizeLimitError
 from quasik.groups import GroupTable, Limits, TupleOrbit, make_comm_tuple
@@ -240,7 +240,7 @@ def ref_fs_indicator(table, irrep: int) -> int:
 
 
 def ref_fixed_space_dimension(chi, d) -> int:
-    gamma = generated_subgroup_of_tuple(d.group, d.sigma)
+    gamma = subgroup_from_generators(d.group, d.sigma.entries)
     acc = Cyc(0)
     for x in gamma.elements:
         acc = ref_add(acc, chi.value_at_element(x))

@@ -42,11 +42,11 @@ from quasik import (
     restrict_lambda,
     s_fixed_predicate,
     serialize_quasi,
+    subgroup_from_generators,
     subgroups,
     symmetric_group,
     v_sigma,
 )
-from quasik.groups import generated_subgroup_of_tuple
 from quasik.quasicalc import tate_rank_report
 
 
@@ -234,7 +234,7 @@ def test_criterion_8_fixed_point_dichotomy():
         for n in (1, 2):
             for orbit in commuting_tuples(G, n):
                 sigma = orbit.representative
-                gamma = generated_subgroup_of_tuple(G, sigma)
+                gamma = subgroup_from_generators(G, sigma.entries)
                 for H in subs:
                     verdict = s_fixed_predicate(G, sigma, H)
                     # direct brute force over all conjugators

@@ -183,10 +183,29 @@ def test_bad_selector_is_domain_error():
         ["faithful", "--group", "cyclic:4", "--sigma", "g2", "--rep", "chi9"]
     )
     assert code == 1 and "chi" in err
+    # a rep label is exact: none of these names chi1 or chi10
+    for label in ("chi01", "chi+1", "chi 1", "chi1_0"):
+        code, out, err = _run(
+            ["faithful", "--group", "cyclic:12", "--sigma", "g2", "--rep", label]
+        )
+        assert (code, out) == (1, ""), label
+        assert err == (
+            f"error: unknown representation label {label!r}; use chi0..chi11 or regular\n"
+        )
     code, _, err = _run(
         ["faithful", "--group", "cyclic:4", "--sigma", "g1,g2", "--rep", "chi0"]
     )
     assert code == 0 or code == 1  # two commuting entries: fine; just not usage error
+
+
+@pytest.mark.parametrize("command, extra", [("faithful", ["--rep", "chi1"]),
+                                            ("lambda-basis", [])])
+def test_sigma_longer_than_the_tuple_cap_is_rejected(command, extra):
+    # the kernel solve allocates n x n integers, so n itself is capped
+    sigma = ",".join(["g2"] * 4097)
+    code, out, err = _run([command, "--group", "cyclic:4", "--sigma", sigma, *extra])
+    assert code == 1 and out == ""
+    assert err == "error: n = 4097 exceeds the tuple scan cap 4096\n"
 
 
 def test_cap_exceeded_is_domain_error():

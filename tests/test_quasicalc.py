@@ -67,7 +67,7 @@ def test_all_ones_twist_count(s3, d4, q8):
             table = quasi_coefficients(G, n)
             for rec in table.records:
                 ones = sum(1 for t in rec.twists if all(w == 1 for w in t))
-                desc = lambda_desc(G, rec.orbit.representative)
+                desc = lambda_desc(G, tuple(G.index_of(s) for s in rec.sigma_labels))
                 trivially_acted = sum(
                     1
                     for lam in range(len(desc.table.rows))
@@ -78,9 +78,29 @@ def test_all_ones_twist_count(s3, d4, q8):
 
 def test_records_follow_orbit_order(d4):
     table = quasi_coefficients(d4, 2)
-    reps = [rec.orbit.representative.entries for rec in table.records]
+    reps = [tuple(d4.index_of(s) for s in rec.sigma_labels) for rec in table.records]
     assert reps == sorted(reps)
     assert table.total_rank == sum(r.rank for r in table.records)
+
+
+def test_every_centralizer_table_lives_in_the_group_memo():
+    # the orbit descent takes each C_G(prefix) in G, so no subgroup table
+    # memoizes subgroups or centralizers of its own, and lambda_desc finds
+    # the descent's table for C_G(sigma) instead of building a second one
+    from quasik import dihedral_group, lambda_desc, quaternion_group
+
+    for G in (dihedral_group(4), quaternion_group(), symmetric_group(4)):
+        table = quasi_coefficients(G, 2)
+        tables = [v for k, v in G._memo.items() if isinstance(k, tuple) and k[0] == "subgroup"]
+        assert tables, G.name
+        for H in tables:
+            nested = [k for k in H._memo if isinstance(k, tuple)]
+            assert not any(k[0] in ("subgroup", "centralizer") for k in nested), (G.name, H.name)
+        stored = list(G._memo.values())
+        for rec in table.records:
+            desc = lambda_desc(G, tuple(G.index_of(s) for s in rec.sigma_labels))
+            assert desc.cent_group is G or any(desc.cent_group is v for v in stored)
+            assert desc.centralizer.order == rec.centralizer_order
 
 
 def test_s_fixed_examples(s3):
@@ -97,11 +117,11 @@ def test_s_fixed_examples(s3):
 
 def test_s_fixed_matches_brute_force(s3, d4):
     for G in (s3, d4):
-        from quasik import commuting_tuples, generated_subgroup_of_tuple
+        from quasik import commuting_tuples
 
         for orbit in commuting_tuples(G, 1):
             sigma = orbit.representative
-            gamma = generated_subgroup_of_tuple(G, sigma)
+            gamma = subgroup_from_generators(G, sigma.entries)
             for H in subgroups(G):
                 verdict = s_fixed_predicate(G, sigma, H)
                 assert verdict.empty == brute_contains_conjugate(

@@ -11,6 +11,7 @@ import pytest
 from quasik import (
     ClassFunction,
     QuasiError,
+    QuasiRecord,
     TwistedIrrep,
     character_table,
     commuting_tuples,
@@ -84,9 +85,10 @@ def test_records_are_immutable_values():
             setattr(a, field, getattr(b, field))
         assert a == b, name
 
-    # orbit rides along outside equality: a parsed record equals the computed one
-    rec = pairs[10][1]
-    assert rec.orbit is not None and "orbit=" not in repr(rec)
+    # a coefficient record holds exactly what its JSON holds
+    assert QuasiRecord._fields == (
+        "sigma_labels", "orbit_size", "centralizer_order", "rank", "twists"
+    )
 
     # value records are tuples: index and unpack in field order
     rep_index, members = conjugacy_classes(symmetric_group(3))[1]
