@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .cyclotomic import Cyc, conj_product_sum
+from .cyclotomic import Cyc, _primes, conj_product_sum
 from .errors import NonScalarError, QuasiError, VirtualCharacterError
 from .groups import (
     GroupTable,
@@ -176,12 +176,6 @@ class RepDecomposition(NamedTuple):
     table: CharacterTable
     entries: tuple[tuple[int, int], ...]  # (irreducible index, multiplicity)
 
-    def multiplicity(self, irrep: int) -> int:
-        for i, m in self.entries:
-            if i == irrep:
-                return m
-        return 0
-
     def reassemble(self) -> ClassFunction:
         vals = [Cyc(0)] * self.table.n_classes
         for i, m in self.entries:
@@ -218,37 +212,15 @@ def character_table(G: GroupTable, limits: Limits = Limits()) -> CharacterTable:
 
 
 def _smallest_valid_prime(exponent: int, order: int) -> int:
-    def is_prime(n: int) -> bool:
-        if n < 2:
-            return False
-        for d in range(2, isqrt(n) + 1):
-            if n % d == 0:
-                return False
-        return True
-
     p = exponent + 1
-    while True:
-        if p > 2 * isqrt(order) + 1 and is_prime(p):
-            return p
+    while p <= 2 * isqrt(order) + 1 or _primes(p) != (p,):
         p += exponent
+    return p
 
 
 def _primitive_root(p: int) -> int:
-    factors = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise QuasiError("no primitive root found")  # unreachable for prime p
+    factors = _primes(p - 1)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
 def _nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -462,13 +434,17 @@ def central_scalar(table: CharacterTable, irrep: int, z: int, l: Optional[int] =
     return m, l
 
 
+def pull_back(chi: ClassFunction, images: Sequence[int], table: CharacterTable) -> ClassFunction:
+    """The class function x -> chi(images[x]) on table, for a map images from
+    table's group into chi's that sends classes into classes."""
+    return ClassFunction(table, tuple(chi.value_at_element(images[c.rep]) for c in table.classes))
+
+
 def restrict_character(chi: ClassFunction, phi: Homomorphism) -> ClassFunction:
     """Pull a class function on the target group back along a homomorphism."""
     if phi.target is not chi.table.group:
         raise QuasiError("homomorphism target does not match the class function")
-    source_table = character_table(phi.source)
-    vals = tuple(chi.value_at_element(phi(cls.rep)) for cls in source_table.classes)
-    return ClassFunction(source_table, vals)
+    return pull_back(chi, phi.images, character_table(phi.source))
 
 
 def fs_indicator(table: CharacterTable, irrep: int) -> int:

@@ -492,10 +492,6 @@ def _closure(G: GroupTable, gens: Iterable[int]) -> tuple[int, ...]:
                 if y not in found:
                     found.add(y)
                     nxt.append(y)
-                y = G.mul(x, G.inverse(g))
-                if y not in found:
-                    found.add(y)
-                    nxt.append(y)
         frontier = nxt
     return tuple(sorted(found))
 

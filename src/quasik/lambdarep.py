@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .chartable import (
@@ -27,6 +28,7 @@ from .chartable import (
     character_table,
     decompose,
     fs_indicator,
+    pull_back,
     restrict_character,
 )
 from .cyclotomic import conj_product_sum
@@ -169,17 +171,12 @@ def lambda_basis(d: LambdaDesc) -> list[TwistedIrrep]:
     return [TwistedIrrep(lam, d.basis_weight(lam)) for lam in range(len(d.table.rows))]
 
 
-def _restrict_to_centralizer(chi: ClassFunction, d: LambdaDesc) -> ClassFunction:
-    if chi.table.group is not d.group:
-        raise QuasiError("character does not live on the ambient group")
-    vals = tuple(chi.value_at_element(d.to_parent[cls.rep]) for cls in d.table.classes)
-    return ClassFunction(d.table, vals)
-
-
 def v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     """Restrict a character of G to the centralizer and give each isotypic
     piece its basis weight."""
-    dec = decompose(_restrict_to_centralizer(chi, d))
+    if chi.table.group is not d.group:
+        raise QuasiError("character does not live on the ambient group")
+    dec = decompose(pull_back(chi, d.to_parent, d.table))
     rep = LambdaRep(d, [(TwistedIrrep(lam, d.basis_weight(lam)), m) for lam, m in dec.entries])
     want = chi.degree.rational_value()
     if rep.dimension() != want:
@@ -219,14 +216,11 @@ def dual(rep: LambdaRep) -> LambdaRep:
 
 def fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     """The subrepresentation on which every tuple entry acts as the scalar 1,
-    placed at weight zero."""
-    dec = decompose(_restrict_to_centralizer(chi, d))
+    placed at weight zero: the components of (V)_sigma whose weights are all
+    1, as a basis weight m/l with 0 < m <= l is 1 exactly when m = l."""
     zero = (Fraction(0),) * d.n
-    comps = []
-    for lam, m in dec.entries:
-        if all(s == l for s, l in zip(d.scalars[lam], d.orders)):
-            comps.append((TwistedIrrep(lam, zero), m))
-    return LambdaRep(d, comps)
+    fixed = [(c, m) for c, m in v_sigma(chi, d).components if all(w == 1 for w in c.weight)]
+    return LambdaRep(d, [(TwistedIrrep(c.lam, zero), m) for c, m in fixed])
 
 
 def fixed_space_dimension(chi: ClassFunction, d: LambdaDesc) -> int:
@@ -284,6 +278,12 @@ def kernel(rep: LambdaRep) -> KernelDescription:
     weights = [c.weight for c in comps]
     den = lcm(*(w.denominator for row in weights for w in row), C.exponent())
     A = [[int(w * den) for w in row] for row in weights]
+    if len(A) < n:
+        # rank A < n, read off the k x k Gram matrix A A^T (same rank over Q)
+        # before the Smith transforms of A would build an n x n V
+        S = smith_normal_form([[sum(map(mul, r, s)) for s in A] for r in A])[0]
+        rank = sum(1 for i, row in enumerate(S) if row[i])
+        return KernelDescription(torus_rank=n - rank, finite_points=())
     S, U, V = smith_normal_form(A)
     diag = [S[i][i] for i in range(min(len(S), n))]
     rank = sum(1 for s in diag if s)
@@ -332,27 +332,14 @@ def is_faithful(rep: LambdaRep) -> bool:
 
 
 def _product_factor_irrep(
-    desc_p: LambdaDesc,
-    factor_table: CharacterTable,
-    factor_to_parent: tuple[int, ...],
-    lam: int,
-    left: bool,
-    h_order: int,
+    desc_p: LambdaDesc, desc: LambdaDesc, lam: int, factor: int, h_order: int
 ) -> int:
-    """Index in the product centralizer's table of lam boxtimes trivial (or
-    trivial boxtimes lam)."""
-    local_index = {p: i for i, p in enumerate(factor_to_parent)}
-    wanted = []
-    for cls in desc_p.table.classes:
-        parent_idx = desc_p.to_parent[cls.rep]  # index in G x H
-        a, b = divmod(parent_idx, h_order)
-        part = a if left else b
-        wanted.append(factor_table.value_at_element(lam, local_index[part]))
-    wanted_t = tuple(wanted)
-    for i, row in enumerate(desc_p.table.rows):
-        if row == wanted_t:
-            return i
-    raise QuasiError("factor irreducible not found in the product table")  # unreachable
+    """Index in the product centralizer's table of lam boxtimes trivial
+    (factor 0, desc over G) or trivial boxtimes lam (factor 1, desc over H)."""
+    # the element g * |H| + h of G x H projects to divmod(., |H|)[factor]
+    images = tuple(desc.from_parent[divmod(x, h_order)[factor]] for x in desc_p.to_parent)
+    row = pull_back(desc.table.irreducible(lam), images, desc_p.table).values
+    return desc_p.table.rows.index(row)
 
 
 def external_sum(rep_g: LambdaRep, rep_h: LambdaRep) -> LambdaRep:
@@ -370,12 +357,10 @@ def external_sum(rep_g: LambdaRep, rep_h: LambdaRep) -> LambdaRep:
     if dp.centralizer.order != dg.centralizer.order * dh.centralizer.order:
         raise QuasiError("product centralizer is not the product of centralizers")
     comps: list[tuple[TwistedIrrep, int]] = []
-    for c, m in rep_g.components:
-        lam_p = _product_factor_irrep(dp, dg.table, dg.to_parent, c.lam, True, H.order)
-        comps.append((TwistedIrrep(lam_p, c.weight), m))
-    for c, m in rep_h.components:
-        lam_p = _product_factor_irrep(dp, dh.table, dh.to_parent, c.lam, False, H.order)
-        comps.append((TwistedIrrep(lam_p, c.weight), m))
+    for factor, rep in enumerate((rep_g, rep_h)):
+        for c, m in rep.components:
+            lam_p = _product_factor_irrep(dp, rep.desc, c.lam, factor, H.order)
+            comps.append((TwistedIrrep(lam_p, c.weight), m))
     return LambdaRep(dp, comps)
 
 
@@ -397,13 +382,11 @@ def restrict_lambda(
     dh = lambda_desc(H, tau)
 
     upstairs = v_sigma(chi, dg)
+    # phi maps C_H(tau) into C_G(phi tau)
+    images = tuple(dg.from_parent[phi(x)] for x in dh.to_parent)
     comps: list[tuple[TwistedIrrep, int]] = []
     for c, m in upstairs.components:
-        vals = []
-        for cls in dh.table.classes:
-            g_elem = phi(dh.to_parent[cls.rep])
-            vals.append(dg.table.value_at_element(c.lam, dg.from_parent[g_elem]))
-        dec = decompose(ClassFunction(dh.table, tuple(vals)))
+        dec = decompose(pull_back(dg.table.irreducible(c.lam), images, dh.table))
         for mu, mult in dec.entries:
             comps.append((TwistedIrrep(mu, c.weight), m * mult))
     pulled = LambdaRep(dh, comps)

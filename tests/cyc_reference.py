@@ -11,8 +11,10 @@ every divisor that the prime descent in cyclotomic._minimize replaced, and
 the Cyc operations the library itself no longer needs (inverse, division,
 negative powers, |z|^2 and root-of-unity extraction), the kernel solver
 that enumerated Fraction candidates before lambdarep.kernel ran in integers,
-and the commuting-tuple scan that groups.commuting_tuples ran before it
-descended through centralizers.
+the commuting-tuple scan that groups.commuting_tuples ran before it
+descended through centralizers, and the hand-written restrictions that
+v_sigma, fixed_part_rep and the external sum used before every restriction
+went through chartable.pull_back.
 """
 
 from __future__ import annotations
@@ -24,10 +26,17 @@ from math import gcd, lcm
 from typing import Optional
 
 from quasik import Cyc, subgroup_from_generators
+from quasik.chartable import CharacterTable, ClassFunction, decompose
 from quasik.cyclotomic import _reduce, totient
-from quasik.errors import SizeLimitError
+from quasik.errors import QuasiError, SizeLimitError
 from quasik.groups import GroupTable, Limits, TupleOrbit, make_comm_tuple
-from quasik.lambdarep import KERNEL_ENUM_CAP, KernelDescription, LambdaDesc, LambdaRep
+from quasik.lambdarep import (
+    KERNEL_ENUM_CAP,
+    KernelDescription,
+    LambdaDesc,
+    LambdaRep,
+    TwistedIrrep,
+)
 from quasik.snf import mat_vec, smith_normal_form
 
 _ZERO = Fraction(0)
@@ -348,3 +357,60 @@ def ref_commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tu
         seen.update(orbit)
         orbits.append(TupleOrbit(representative=make_comm_tuple(G, t), orbit_size=len(orbit)))
     return tuple(orbits)
+
+
+# The restrictions that lambdarep wrote out by hand before chartable.pull_back:
+# v_sigma and fixed_part_rep each restricted and decomposed on their own, and
+# the external sum rebuilt the factor's element index on every call.
+def _restrict_to_centralizer(chi: ClassFunction, d: LambdaDesc) -> ClassFunction:
+    if chi.table.group is not d.group:
+        raise QuasiError("character does not live on the ambient group")
+    vals = tuple(chi.value_at_element(d.to_parent[cls.rep]) for cls in d.table.classes)
+    return ClassFunction(d.table, vals)
+
+
+def ref_v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
+    """Restrict a character of G to the centralizer and give each isotypic
+    piece its basis weight."""
+    dec = decompose(_restrict_to_centralizer(chi, d))
+    rep = LambdaRep(d, [(TwistedIrrep(lam, d.basis_weight(lam)), m) for lam, m in dec.entries])
+    want = chi.degree.rational_value()
+    if rep.dimension() != want:
+        raise QuasiError("dimension bookkeeping failed in v_sigma")  # unreachable
+    return rep
+
+
+def ref_fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
+    """The subrepresentation on which every tuple entry acts as the scalar 1,
+    placed at weight zero."""
+    dec = decompose(_restrict_to_centralizer(chi, d))
+    zero = (Fraction(0),) * d.n
+    comps = []
+    for lam, m in dec.entries:
+        if all(s == l for s, l in zip(d.scalars[lam], d.orders)):
+            comps.append((TwistedIrrep(lam, zero), m))
+    return LambdaRep(d, comps)
+
+
+def ref_product_factor_irrep(
+    desc_p: LambdaDesc,
+    factor_table: CharacterTable,
+    factor_to_parent: tuple[int, ...],
+    lam: int,
+    left: bool,
+    h_order: int,
+) -> int:
+    """Index in the product centralizer's table of lam boxtimes trivial (or
+    trivial boxtimes lam)."""
+    local_index = {p: i for i, p in enumerate(factor_to_parent)}
+    wanted = []
+    for cls in desc_p.table.classes:
+        parent_idx = desc_p.to_parent[cls.rep]  # index in G x H
+        a, b = divmod(parent_idx, h_order)
+        part = a if left else b
+        wanted.append(factor_table.value_at_element(lam, local_index[part]))
+    wanted_t = tuple(wanted)
+    for i, row in enumerate(desc_p.table.rows):
+        if row == wanted_t:
+            return i
+    raise QuasiError("factor irreducible not found in the product table")  # unreachable

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from conftest import oracle_kernel_grid, random_lambda_reps
-from cyc_reference import ref_kernel
+from cyc_reference import (
+    ref_fixed_part_rep,
+    ref_kernel,
+    ref_product_factor_irrep,
+    ref_v_sigma,
+)
 
 from quasik import (
     Cyc,
@@ -19,6 +25,7 @@ from quasik import (
     class_function_from_element_values,
     commuting_tuples,
     cyclic_group,
+    direct_product,
     dual,
     external_sum,
     fixed_part_rep,
@@ -36,6 +43,7 @@ from quasik import (
     smith_normal_form,
     v_sigma,
 )
+from quasik.lambdarep import _product_factor_irrep
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -181,6 +189,25 @@ def test_fixed_dimension_matches_averaging(s3, d4, q8):
             assert fixed_part_rep(reg, d).dimension() == fixed_space_dimension(reg, d)
 
 
+def test_v_sigma_and_fixed_part_match_the_reference(battery):
+    # every orbit representative at n = 1 on the battery and at n = 2 on its
+    # nonabelian groups and cyclic:1..6, every irreducible and the regular
+    # character; in cyclic:7..12 every centralizer is the whole group, so
+    # n = 2 repeats the restriction of n = 1 at other weights (and would add
+    # about 17 s of CPU on a 2-vCPU machine)
+    for G in battery:
+        table = character_table(G)
+        chars = [table.irreducible(i) for i in range(len(table.rows))]
+        chars.append(table.regular_character())
+        abelian = table.n_classes == G.order
+        for n in (1, 2) if not abelian or G.order <= 6 else (1,):
+            for orbit in commuting_tuples(G, n):
+                d = lambda_desc(G, orbit.representative)
+                for chi in chars:
+                    assert v_sigma(chi, d) == ref_v_sigma(chi, d)
+                    assert fixed_part_rep(chi, d) == ref_fixed_part_rep(chi, d)
+
+
 def test_weight_compatibility_enforced():
     z2 = cyclic_group(2)
     d = lambda_desc(z2, (1,))
@@ -257,6 +284,41 @@ def test_faithfulness_constructions_sample(s3, d4, q8):
                         real_v_sigma(reg, d)):
                 assert kernel(rep) == ref_kernel(rep)
                 assert is_faithful(rep)
+
+
+def test_wide_kernels_match_the_reference(d4, q8):
+    # sigma repeats one class representative n = 2..8 times, or a pair
+    # orbit representative twice; reps with fewer components than n take the
+    # early rank path
+    wide = 0
+    for G in (cyclic_group(4), d4, q8):
+        table = character_table(G)
+        sigmas = [o.representative.entries * n for o in commuting_tuples(G, 1) for n in range(2, 9)]
+        sigmas += [o.representative.entries * 2 for o in commuting_tuples(G, 2)]
+        for sigma in sigmas:
+            d = lambda_desc(G, sigma)
+            n = len(sigma)
+            for lam in range(len(table.rows)):
+                base = v_sigma(table.irreducible(lam), d)
+                for rep in (base, base + q_twist(base, -1)):
+                    assert kernel(rep) == ref_kernel(rep)
+                    wide += len(rep.components) < n
+    assert wide > 0
+
+
+def test_wide_kernel_skips_the_full_smith_form():
+    # 512 copies of g2 in Z/4: one component, so the torus rank is 511
+    # without the 512 x 512 transform the full Smith form would build
+    z4 = cyclic_group(4)
+    rep = v_sigma(character_table(z4).irreducible(1), lambda_desc(z4, (2,) * 512))
+    tracemalloc.start()
+    try:
+        ker = kernel(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ker == (511, (), False)
+    assert peak < 500_000
 
 
 def test_multi_index_twist_needs_coordinates():
@@ -346,6 +408,24 @@ def test_external_sum_examples():
     s2 = external_sum(r, empty_side)
     assert s2.dimension() == r.dimension() + 1
     assert sorted(c.weight[0] for c, _ in s2.components) == [HALF, 1]
+
+
+def test_product_factor_irrep_matches_the_reference(s3, d4):
+    # nonabelian factors, every lambda on both factors, every pair of class
+    # representatives as sigma = ((s, t))
+    c2 = cyclic_group(2)
+    for G, H in ((s3, c2), (d4, c2), (s3, s3)):
+        P = direct_product(G, H)
+        for s in (c.rep for c in character_table(G).classes):
+            for t in (c.rep for c in character_table(H).classes):
+                dp = lambda_desc(P, (s * H.order + t,))
+                for factor, d in enumerate((lambda_desc(G, (s,)), lambda_desc(H, (t,)))):
+                    for lam in range(len(d.table.rows)):
+                        got = _product_factor_irrep(dp, d, lam, factor, H.order)
+                        want = ref_product_factor_irrep(
+                            dp, d.table, d.to_parent, lam, factor == 0, H.order
+                        )
+                        assert got == want
 
 
 def test_external_sum_arity_mismatch():
