@@ -396,24 +396,67 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyc:
     return conj_product_sum(terms, n) * Fraction(1, table.group.order)
 
 
-def decompose(chi: ClassFunction) -> RepDecomposition:
-    """Isotypic multiplicities of a genuine character."""
+def _products(table: CharacterTable, vals: Sequence[EigVector], n: int) -> list[Cyc]:
+    """<f, chi_i> for every irreducible, where f is vals[c] at conductor n (a multiple
+    of exp(G)) on each class c: one sum per chi_i, read from its eig vectors."""
+    f = n // table.exponent
+    return [
+        conj_product_sum(((cls.size, a, tuple((x * f, c) for x, c in b))
+                          for cls, a, b in zip(table.classes, vals, vecs)), n)
+        * Fraction(1, table.group.order)
+        for vecs in table.eig
+    ]
+
+
+def _coordinates(chi: ClassFunction) -> Sequence[Cyc | int]:
+    """<chi, chi_i> for every irreducible, unchecked: the unit vector of a row,
+    the degrees for the regular character, else chi expanded once at
+    lcm(exp(G), its conductors)."""
     table = chi.table
-    entries = []
-    for i in range(len(table.rows)):
-        m = inner_product(chi, table.irreducible(i))
+    if chi.values in table.rows:
+        return [int(row == chi.values) for row in table.rows]
+    if chi == table.regular_character():
+        return table.degrees
+    n = lcm(table.exponent, *(v.conductor for v in chi.values))
+    return _products(table, [v._exponents_at(n) for v in chi.values], n)
+
+
+def _multiplicity(m: Cyc | int, label: str) -> int:
+    if isinstance(m, Cyc):
         if not m.is_rational:
             raise VirtualCharacterError("multiplicity is not rational")
-        q = m.rational_value()
-        if q.denominator != 1 or q < 0:
-            raise VirtualCharacterError(
-                f"multiplicity of {table.labels[i]} is {q}, not a non-negative integer"
-            )
-        if q:
-            entries.append((i, int(q)))
+        m = m.rational_value()
+    if m.denominator != 1 or m < 0:
+        raise VirtualCharacterError(f"multiplicity of {label} is {m}, not a non-negative integer")
+    return int(m)
+
+
+def decompose(chi: ClassFunction) -> RepDecomposition:
+    """Isotypic multiplicities of a genuine character."""
+    mults = map(_multiplicity, _coordinates(chi), chi.table.labels)
     # A verified table's rows are an orthonormal basis of the class functions,
     # so chi is the sum of these multiples of them.
-    return RepDecomposition(table, tuple(entries))
+    return RepDecomposition(chi.table, tuple((i, m) for i, m in enumerate(mults) if m))
+
+
+def restriction_multiplicities(chi: ClassFunction, sub: CharacterTable, to_parent: Sequence[int]) -> list[int]:
+    """Multiplicity of each irreducible lam of sub in chi restricted to the subgroup
+    with elements to_parent: chi's coordinates times the branching matrix
+    B[i][lam] = <Res chi_i, lam> (exact for every class function, as Irr(G) is a
+    basis).  B is read from the eig vectors with each class of sub fused into its
+    class of G, checked once and memoized on G under the element set."""
+    table, key = chi.table, ("branching", tuple(to_parent))
+    if key not in table.group._memo:
+        fuse = [table.class_of[to_parent[cls.rep]] for cls in sub.classes]
+        B = tuple(tuple(map(_multiplicity, _products(sub, [v[g] for g in fuse], table.exponent),
+                            sub.labels)) for v in table.eig)
+        if any(sum(b * d for b, d in zip(row, sub.degrees)) != deg
+               for row, deg in zip(B, table.degrees)):
+            raise QuasiError("branching multiplicities do not add up to the degrees")
+        table.group._memo[key] = B
+    coords, B = _coordinates(chi), table.group._memo[key]
+    return [_multiplicity(sum(a * row[j] for a, row in zip(coords, B) if a), label)
+            for j, label in enumerate(sub.labels)]
 
 
 def central_scalar(table: CharacterTable, irrep: int, z: int, l: Optional[int] = None) -> tuple[int, int]:

@@ -30,6 +30,7 @@ from .chartable import (
     fs_indicator,
     pull_back,
     restrict_character,
+    restriction_multiplicities,
 )
 from .cyclotomic import conj_product_sum
 from .errors import NotRealizableError, QuasiError, SizeLimitError
@@ -75,9 +76,10 @@ class LambdaDesc:
             )
             for lam in range(len(self.table.rows))
         )
+        self.weights = tuple(tuple(map(Fraction, s, self.orders)) for s in self.scalars)
 
     def basis_weight(self, lam: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(m, l) for m, l in zip(self.scalars[lam], self.orders))
+        return self.weights[lam]
 
     def same_as(self, other: "LambdaDesc") -> bool:
         return self.group is other.group and self.sigma.entries == other.sigma.entries
@@ -122,8 +124,7 @@ class LambdaRep:
         d = self.desc
         if len(comp.weight) != d.n:
             raise QuasiError("weight vector has the wrong arity")
-        for i, w in enumerate(comp.weight):
-            expected = Fraction(d.scalars[comp.lam][i], d.orders[i])
+        for i, (w, expected) in enumerate(zip(comp.weight, d.weights[comp.lam])):
             if (w - expected).denominator != 1:
                 raise QuasiError(
                     f"weight {w} is incompatible with the scalar action "
@@ -172,12 +173,12 @@ def lambda_basis(d: LambdaDesc) -> list[TwistedIrrep]:
 
 
 def v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
-    """Restrict a character of G to the centralizer and give each isotypic
-    piece its basis weight."""
+    """Restrict a character of G to the centralizer, through its branching
+    matrix, and give each isotypic piece its basis weight."""
     if chi.table.group is not d.group:
         raise QuasiError("character does not live on the ambient group")
-    dec = decompose(pull_back(chi, d.to_parent, d.table))
-    rep = LambdaRep(d, [(TwistedIrrep(lam, d.basis_weight(lam)), m) for lam, m in dec.entries])
+    mults = restriction_multiplicities(chi, d.table, d.to_parent)
+    rep = LambdaRep(d, [(TwistedIrrep(lam, d.weights[lam]), m) for lam, m in enumerate(mults) if m])
     want = chi.degree.rational_value()
     if rep.dimension() != want:
         raise QuasiError("dimension bookkeeping failed in v_sigma")  # unreachable
@@ -297,9 +298,10 @@ def kernel(rep: LambdaRep) -> KernelDescription:
         raise SizeLimitError("kernel solution enumeration exceeds the cap")
     L = lcm(*diag)
     period = L * den
-    for a in range(C.order):
-        # a acts on lam by zeta_l^m; l = order(a) divides exp(C), hence den
-        l = C.order_of(a)
+    for cls in d.table.classes:
+        # a acts on lam by zeta_l^m; l = order(a) divides exp(C), hence den; both
+        # are class functions, so each class is solved once
+        a, l = cls.rep, C.order_of(cls.rep)
         b = []
         for c in comps:
             m = d.table.scalar_exponent(c.lam, a, l)
@@ -318,7 +320,8 @@ def kernel(rep: LambdaRep) -> KernelDescription:
         for y in product(*choices):
             T = [x % period for x in mat_vec(V, y)]
             if all(x < L for x in T):
-                points.append((a, tuple(Fraction(x, L) for x in T)))
+                t = tuple(Fraction(x, L) for x in T)
+                points += [(g, t) for g in cls.members]
     e = C.identity
     finite = tuple(sorted(p for p in points if p != (e, zero)))
     return KernelDescription(torus_rank=0, finite_points=finite)
@@ -435,33 +438,11 @@ def real_basis(d: LambdaDesc) -> list[RealBasisEntry]:
         if lam in seen:
             continue
         ind = fs_indicator(table, lam)
-        conj = table.conjugate_row(lam)
-        if ind == 0:
-            constituents = tuple(sorted((lam, conj)))
-            seen.update(constituents)
-            counts = {lam: 1, conj: 1}
-        elif ind == 1:
-            constituents = (lam,)
-            seen.add(lam)
-            counts = {lam: 1}
-        else:
-            constituents = (lam,)
-            seen.add(lam)
-            counts = {lam: 2}
-        comps = [
-            (TwistedIrrep(mu, d.basis_weight(mu)), m) for mu, m in sorted(counts.items())
-        ]
+        # a complex irreducible is paired with its conjugate, a quaternionic one doubled
+        constituents = tuple(sorted({lam, table.conjugate_row(lam)})) if ind == 0 else (lam,)
+        seen.update(constituents)
+        comps = [(TwistedIrrep(mu, d.weights[mu]), 2 if ind == -1 else 1) for mu in constituents]
         complexification = LambdaRep(d, comps)
-        if sigma_trivial:
-            rep = complexification
-        else:
-            rep = complexification + dual(complexification)
-        entries.append(
-            RealBasisEntry(
-                constituents=constituents,
-                indicator=ind,
-                dimension=rep.dimension(),
-                rep=rep,
-            )
-        )
+        rep = complexification if sigma_trivial else complexification + dual(complexification)
+        entries.append(RealBasisEntry(constituents, ind, rep.dimension(), rep))
     return entries

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from quasik import (
+    ClassFunction,
+    Cyc,
     LambdaRep,
     TwistedIrrep,
     alternating_group,
@@ -62,6 +64,29 @@ def d4():
 @pytest.fixture(scope="session")
 def q8():
     return quaternion_group()
+
+
+# -- class functions that are no characters ----------------------------------------
+
+
+def non_genuine_class_functions(table):
+    """chi_i - chi_j for i != j, each row halved, and each class indicator."""
+    rows = [table.irreducible(i) for i in range(len(table.rows))]
+    out = [a + b.scale(-1) for a in rows for b in rows if a is not b]
+    out += [ClassFunction(table, tuple(Cyc(Fraction(1, 2)) * v for v in r.values)) for r in rows]
+    out += [
+        ClassFunction(table, tuple(Cyc(int(c == k)) for c in range(table.n_classes)))
+        for k in range(table.n_classes)
+    ]
+    return out
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 # -- group-theory oracles ---------------------------------------------------------

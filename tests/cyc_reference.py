@@ -12,9 +12,11 @@ the Cyc operations the library itself no longer needs (inverse, division,
 negative powers, |z|^2 and root-of-unity extraction), the kernel solver
 that enumerated Fraction candidates before lambdarep.kernel ran in integers,
 the commuting-tuple scan that groups.commuting_tuples ran before it
-descended through centralizers, and the hand-written restrictions that
+descended through centralizers, the hand-written restrictions that
 v_sigma, fixed_part_rep and the external sum used before every restriction
-went through chartable.pull_back.
+went through chartable.pull_back (v_sigma now reads a branching matrix),
+and the decompose that took one inner_product per irreducible before the
+character was expanded once.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from math import gcd, lcm
 from typing import Optional
 
 from quasik import Cyc, subgroup_from_generators
-from quasik.chartable import CharacterTable, ClassFunction, decompose
+from quasik.chartable import CharacterTable, ClassFunction, RepDecomposition, decompose, inner_product
 from quasik.cyclotomic import _reduce, totient
-from quasik.errors import QuasiError, SizeLimitError
+from quasik.errors import QuasiError, SizeLimitError, VirtualCharacterError
 from quasik.groups import GroupTable, Limits, TupleOrbit, make_comm_tuple
 from quasik.lambdarep import (
     KERNEL_ENUM_CAP,
@@ -357,6 +359,24 @@ def ref_commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tu
         seen.update(orbit)
         orbits.append(TupleOrbit(representative=make_comm_tuple(G, t), orbit_size=len(orbit)))
     return tuple(orbits)
+
+
+def ref_decompose(chi: ClassFunction) -> RepDecomposition:
+    """Isotypic multiplicities of a genuine character."""
+    table = chi.table
+    entries = []
+    for i in range(len(table.rows)):
+        m = inner_product(chi, table.irreducible(i))
+        if not m.is_rational:
+            raise VirtualCharacterError("multiplicity is not rational")
+        q = m.rational_value()
+        if q.denominator != 1 or q < 0:
+            raise VirtualCharacterError(
+                f"multiplicity of {table.labels[i]} is {q}, not a non-negative integer"
+            )
+        if q:
+            entries.append((i, int(q)))
+    return RepDecomposition(table, tuple(entries))
 
 
 # The restrictions that lambdarep wrote out by hand before chartable.pull_back:

@@ -6,12 +6,13 @@ import copy
 from fractions import Fraction
 
 import pytest
-from conftest import battery_groups
+from conftest import battery_groups, non_genuine_class_functions, outcome
 from cyc_reference import (
     as_root_of_unity,
     ref_abs_squared,
     ref_add,
     ref_conj,
+    ref_decompose,
     ref_fixed_space_dimension,
     ref_fs_indicator,
     ref_inner_product,
@@ -43,7 +44,7 @@ from quasik import (
     subgroup_from_generators,
     symmetric_group,
 )
-from quasik.chartable import _verify_table
+from quasik.chartable import _coordinates, _verify_table
 from quasik.groups import inclusion_hom
 
 
@@ -163,6 +164,23 @@ def test_decompose(s3):
     )
     with pytest.raises(VirtualCharacterError):
         decompose(half)
+
+
+def test_decompose_matches_the_reference(battery):
+    # rows, regular characters, sums of rows and functions that are no
+    # characters: the same multiplicities, or the same exception and message
+    rejected = 0
+    for G in battery:
+        table = character_table(G)
+        rows = [table.irreducible(i) for i in range(len(table.rows))]
+        reg = table.regular_character()
+        funcs = rows + [reg, reg + rows[-1], rows[0] + rows[-1].scale(3)]
+        funcs += non_genuine_class_functions(table) if table.n_classes <= 8 else []
+        for chi in funcs:
+            got = outcome(decompose, chi)
+            assert got == outcome(ref_decompose, chi)
+            rejected += isinstance(got, tuple)
+    assert rejected > 0
 
 
 def test_central_scalar_examples(q8):
@@ -485,3 +503,9 @@ def test_class_functions_beyond_the_table_conductor(spec):
     assert not inner_product(chi, table.irreducible(0)).is_rational
     with pytest.raises(VirtualCharacterError):
         decompose(chi)
+    # decompose expands chi once at the lcm of the conductors and reads each
+    # irreducible's eig vectors, rescaled from exp(G) to that lcm
+    for f in (chi, chi + table.irreducible(1), ClassFunction(table, tuple(
+            v * Cyc.zeta(7) for v in table.irreducible(1).values))):
+        want = [ref_inner_product(f, table.irreducible(i)) for i in range(len(table.rows))]
+        assert list(_coordinates(f)) == want

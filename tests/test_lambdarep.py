@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from conftest import oracle_kernel_grid, random_lambda_reps
+from conftest import (
+    battery_groups,
+    non_genuine_class_functions,
+    oracle_kernel_grid,
+    outcome,
+    random_lambda_reps,
+)
 from cyc_reference import (
+    ref_decompose,
     ref_fixed_part_rep,
     ref_kernel,
     ref_product_factor_irrep,
@@ -16,6 +24,7 @@ from cyc_reference import (
 
 from quasik import (
     Cyc,
+    build_group,
     LambdaRep,
     NotRealizableError,
     QuasiError,
@@ -25,6 +34,7 @@ from quasik import (
     class_function_from_element_values,
     commuting_tuples,
     cyclic_group,
+    decompose,
     direct_product,
     dual,
     external_sum,
@@ -43,6 +53,8 @@ from quasik import (
     smith_normal_form,
     v_sigma,
 )
+from quasik import chartable, lambdarep
+from quasik.chartable import pull_back, restriction_multiplicities
 from quasik.lambdarep import _product_factor_irrep
 
 HALF = Fraction(1, 2)
@@ -204,8 +216,119 @@ def test_v_sigma_and_fixed_part_match_the_reference(battery):
             for orbit in commuting_tuples(G, n):
                 d = lambda_desc(G, orbit.representative)
                 for chi in chars:
-                    assert v_sigma(chi, d) == ref_v_sigma(chi, d)
-                    assert fixed_part_rep(chi, d) == ref_fixed_part_rep(chi, d)
+                    base, ref = v_sigma(chi, d), ref_v_sigma(chi, d)
+                    fixed, ref_fixed = fixed_part_rep(chi, d), ref_fixed_part_rep(chi, d)
+                    assert base == ref and fixed == ref_fixed
+                    # the q and fixed constructions of the kernel workloads
+                    assert base + q_twist(base, -1) == ref + q_twist(ref, -1)
+                    assert base + fixed == ref + ref_fixed
+
+
+def test_v_sigma_rejects_non_genuine_functions_as_the_reference(s3, d4, q8):
+    # differences of irreducibles, halved rows and class indicators at every
+    # orbit representative at n = 1: the same answer, or the same exception
+    # type and message, as restricting and decomposing
+    rejected = 0
+    for G in (s3, d4, q8):
+        funcs = non_genuine_class_functions(character_table(G))
+        for orbit in commuting_tuples(G, 1):
+            d = lambda_desc(G, orbit.representative)
+            for f in funcs:
+                got = outcome(v_sigma, f, d)
+                assert got == outcome(ref_v_sigma, f, d)
+                rejected += isinstance(got, tuple)
+    assert rejected > 0
+
+
+def _branching_of(d):
+    return d.group._memo[("branching", d.to_parent)]
+
+
+def test_branching_matrix_matches_restrict_then_decompose(battery):
+    # B[i][lam] is the multiplicity of lam in chi_i restricted to each
+    # centralizer at n = 1, by decompose and by the inner-product reference
+    for G in battery:
+        table = character_table(G)
+        for orbit in commuting_tuples(G, 1):
+            d = lambda_desc(G, orbit.representative)
+            v_sigma(table.irreducible(0), d)
+            B = _branching_of(d)
+            assert len(B) == len(table.rows)
+            for i, row in enumerate(B):
+                res = pull_back(table.irreducible(i), d.to_parent, d.table)
+                dense = [0] * len(d.table.rows)
+                for lam, m in decompose(res).entries:
+                    dense[lam] = m
+                assert list(row) == dense
+                assert decompose(res) == ref_decompose(res)
+
+
+def test_branching_matrix_is_built_once_per_centralizer(monkeypatch):
+    G = build_group("dihedral:4")
+    table = character_table(G)
+    descs = [lambda_desc(G, o.representative) for o in commuting_tuples(G, 1)]
+    for d in descs:
+        v_sigma(table.regular_character(), d)
+    keys = {k for k in G._memo if k[0] == "branching"}
+    assert keys == {("branching", d.to_parent) for d in descs}
+    built = {k: G._memo[k] for k in keys}
+    # identity and the central rotation share the whole group as centralizer
+    assert len(keys) < len(descs)
+
+    def no_sums(*args):
+        raise AssertionError("branching matrix rebuilt")
+
+    monkeypatch.setattr(chartable, "_products", no_sums)
+    for d in descs:
+        for i in range(len(table.rows)):
+            v_sigma(table.irreducible(i), d)
+            assert _branching_of(d) is built[("branching", d.to_parent)]
+
+
+def test_branching_matrix_is_checked_when_built():
+    # a centralizer table corrupted so that the restrictions of S3's
+    # irreducibles to C(12) = Z/2 come out wrong: a degree that does not add
+    # up, or an eig vector that makes a multiplicity fractional
+    def corrupted(**fields):
+        G = build_group("symmetric:3")
+        d = lambda_desc(G, (G.index_of("(12)"),))
+        sub = copy.copy(d.table)
+        for name, value in fields.items():
+            setattr(sub, name, value)
+        return character_table(G).irreducible(0), sub, d.to_parent
+
+    with pytest.raises(QuasiError, match="^branching multiplicities do not add up"):
+        restriction_multiplicities(*corrupted(degrees=(1, 2)))
+    with pytest.raises(QuasiError, match="^multiplicity of chi1 is 1/2, not"):
+        # the sign character of Z/2 made 0 on the involution
+        restriction_multiplicities(*corrupted(eig=((((0, 1),), ((0, 1),)), (((0, 1),), ()))))
+
+
+def test_v_sigma_takes_no_inner_product_for_characters_of_the_table(monkeypatch):
+    # irreducibles and the regular character are read as coordinates, never
+    # decomposed; fresh groups, so the branching matrices are built under the patch
+    groups = battery_groups()
+    cases = []
+    for G in groups:
+        table = character_table(G)
+        chars = [table.irreducible(i) for i in range(len(table.rows))]
+        chars.append(table.regular_character())
+        for orbit in commuting_tuples(G, 1):
+            d = lambda_desc(G, orbit.representative)
+            cases += [(chi, d, ref_v_sigma(chi, d)) for chi in chars]
+
+    def forbidden(*args):
+        raise AssertionError("v_sigma fell back to an inner product")
+
+    for module, name in ((chartable, "inner_product"), (chartable, "decompose"),
+                         (lambdarep, "decompose")):
+        monkeypatch.setattr(module, name, forbidden)
+    for chi, d, want in cases:
+        assert v_sigma(chi, d) == want
+    # with every matrix built, not even the branching sums are taken again
+    monkeypatch.setattr(chartable, "_products", forbidden)
+    for chi, d, want in cases:
+        assert v_sigma(chi, d) == want
 
 
 def test_weight_compatibility_enforced():
@@ -319,6 +442,29 @@ def test_wide_kernel_skips_the_full_smith_form():
         tracemalloc.stop()
     assert ker == (511, (), False)
     assert peak < 500_000
+
+
+def test_kernel_per_class_matches_the_reference():
+    # kernel solves once per conjugacy class of the centralizer; the reference
+    # runs over its elements.  n = 1 and 2, every irreducible and the regular
+    # character, plain, q and fixed constructions
+    nonabelian_points = 0
+    for spec in ("symmetric:3", "symmetric:4", "dihedral:4", "dihedral:6", "quaternion8"):
+        G = build_group(spec)
+        table = character_table(G)
+        chars = [table.irreducible(i) for i in range(len(table.rows))]
+        chars.append(table.regular_character())
+        for n in (1, 2):
+            for orbit in commuting_tuples(G, n):
+                d = lambda_desc(G, orbit.representative)
+                for chi in chars:
+                    base = v_sigma(chi, d)
+                    for rep in (base, base + q_twist(base, -1), base + fixed_part_rep(chi, d)):
+                        ker = kernel(rep)
+                        assert ker == ref_kernel(rep)
+                        if ker.finite_points and d.table.n_classes < d.cent_group.order:
+                            nonabelian_points += 1
+    assert nonabelian_points > 0
 
 
 def test_multi_index_twist_needs_coordinates():
