@@ -83,6 +83,7 @@ from .quasicalc import (
     parse_quasi,
     quasi_coefficients,
     render_quasi_text,
+    render_tate_report,
     s_fixed_predicate,
     serialize_quasi,
     tate_rank_report,

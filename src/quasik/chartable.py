@@ -439,17 +439,20 @@ def decompose(chi: ClassFunction) -> RepDecomposition:
     return RepDecomposition(chi.table, tuple((i, m) for i, m in enumerate(mults) if m))
 
 
-def restriction_multiplicities(chi: ClassFunction, sub: CharacterTable, to_parent: Sequence[int]) -> list[int]:
-    """Multiplicity of each irreducible lam of sub in chi restricted to the subgroup
-    with elements to_parent: chi's coordinates times the branching matrix
-    B[i][lam] = <Res chi_i, lam> (exact for every class function, as Irr(G) is a
-    basis).  B is read from the eig vectors with each class of sub fused into its
-    class of G, checked once and memoized on G under the element set."""
-    table, key = chi.table, ("branching", tuple(to_parent))
+def restriction_multiplicities(chi: ClassFunction, sub: CharacterTable, images: Sequence[int]) -> list[int]:
+    """Multiplicity of each irreducible lam of sub in chi o images, for a map images
+    from sub's group into chi's that sends classes into classes: chi's coordinates
+    times the branching matrix B[i][lam] = <chi_i o images, lam> (exact for every
+    class function, as Irr(G) is a basis).  B is summed at lcm(exp(G), exp(sub)),
+    checked once and memoized on G under (sub, images): maps from different groups
+    can share their images."""
+    table, key = chi.table, ("branching", sub, tuple(images))
     if key not in table.group._memo:
-        fuse = [table.class_of[to_parent[cls.rep]] for cls in sub.classes]
-        B = tuple(tuple(map(_multiplicity, _products(sub, [v[g] for g in fuse], table.exponent),
-                            sub.labels)) for v in table.eig)
+        n = lcm(table.exponent, sub.exponent)  # exp(sub) need not divide exp(G)
+        fuse = [table.class_of[images[cls.rep]] for cls in sub.classes]
+        B = tuple(tuple(map(_multiplicity, _products(
+            sub, [tuple((x * n // table.exponent, c) for x, c in v[g]) for g in fuse], n),
+            sub.labels)) for v in table.eig)
         if any(sum(b * d for b, d in zip(row, sub.degrees)) != deg
                for row, deg in zip(B, table.degrees)):
             raise QuasiError("branching multiplicities do not add up to the degrees")
@@ -477,17 +480,12 @@ def central_scalar(table: CharacterTable, irrep: int, z: int, l: Optional[int] =
     return m, l
 
 
-def pull_back(chi: ClassFunction, images: Sequence[int], table: CharacterTable) -> ClassFunction:
-    """The class function x -> chi(images[x]) on table, for a map images from
-    table's group into chi's that sends classes into classes."""
-    return ClassFunction(table, tuple(chi.value_at_element(images[c.rep]) for c in table.classes))
-
-
 def restrict_character(chi: ClassFunction, phi: Homomorphism) -> ClassFunction:
     """Pull a class function on the target group back along a homomorphism."""
     if phi.target is not chi.table.group:
         raise QuasiError("homomorphism target does not match the class function")
-    return pull_back(chi, phi.images, character_table(phi.source))
+    table = character_table(phi.source)
+    return ClassFunction(table, tuple(chi.value_at_element(phi.images[c.rep]) for c in table.classes))
 
 
 def fs_indicator(table: CharacterTable, irrep: int) -> int:

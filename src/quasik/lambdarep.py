@@ -28,7 +28,6 @@ from .chartable import (
     character_table,
     decompose,
     fs_indicator,
-    pull_back,
     restrict_character,
     restriction_multiplicities,
 )
@@ -112,10 +111,12 @@ class LambdaRep:
         self.desc = desc
         merged: dict[TwistedIrrep, int] = {}
         for comp, mult in components:
+            if not isinstance(mult, (int, Fraction)) or mult.denominator != 1:
+                raise QuasiError(f"multiplicity {mult!r} is not an integer")
             if mult < 0:
                 raise QuasiError("multiplicities must be non-negative")
             if mult:
-                merged[comp] = merged.get(comp, 0) + mult
+                merged[comp] = merged.get(comp, 0) + int(mult)
         for comp in merged:
             self._check_compatible(comp)
         self.components = tuple(sorted(merged.items()))
@@ -185,15 +186,15 @@ def v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     return rep
 
 
-def q_twist(rep: LambdaRep, shift: int | Sequence[int]) -> LambdaRep:
-    """Tensor by an integer character of the torus: shift every weight."""
+def q_twist(rep: LambdaRep, shift: int | Fraction | Sequence[int | Fraction]) -> LambdaRep:
+    """Tensor by an integer character of the torus: shift every weight by an int
+    or a Fraction with denominator 1."""
     n = rep.desc.n
-    if isinstance(shift, int):
-        vec = (shift,) * n
-    else:
-        vec = tuple(int(s) for s in shift)
-        if len(vec) != n:
-            raise QuasiError("shift vector has the wrong arity")
+    vec = tuple(shift) if isinstance(shift, Iterable) else (shift,) * n
+    if len(vec) != n:
+        raise QuasiError("shift vector has the wrong arity")
+    if not all(isinstance(s, (int, Fraction)) and s.denominator == 1 for s in vec):
+        raise QuasiError(f"shift {shift!r} is not an integer vector")
     return LambdaRep(
         rep.desc,
         [
@@ -334,17 +335,6 @@ def is_faithful(rep: LambdaRep) -> bool:
 # -- sums, restrictions, real forms ----------------------------------------------
 
 
-def _product_factor_irrep(
-    desc_p: LambdaDesc, desc: LambdaDesc, lam: int, factor: int, h_order: int
-) -> int:
-    """Index in the product centralizer's table of lam boxtimes trivial
-    (factor 0, desc over G) or trivial boxtimes lam (factor 1, desc over H)."""
-    # the element g * |H| + h of G x H projects to divmod(., |H|)[factor]
-    images = tuple(desc.from_parent[divmod(x, h_order)[factor]] for x in desc_p.to_parent)
-    row = pull_back(desc.table.irreducible(lam), images, desc_p.table).values
-    return desc_p.table.rows.index(row)
-
-
 def external_sum(rep_g: LambdaRep, rep_h: LambdaRep) -> LambdaRep:
     """Direct sum over the product group: components re-expressed over
     C_{GxH}(sigma, tau) = C_G(sigma) x C_H(tau)."""
@@ -361,9 +351,13 @@ def external_sum(rep_g: LambdaRep, rep_h: LambdaRep) -> LambdaRep:
         raise QuasiError("product centralizer is not the product of centralizers")
     comps: list[tuple[TwistedIrrep, int]] = []
     for factor, rep in enumerate((rep_g, rep_h)):
+        # g * |H| + h in G x H projects to divmod(., |H|)[factor]; lam inflated
+        # along the projection is the irreducible lam boxtimes 1 (or 1 boxtimes lam)
+        d = rep.desc
+        images = tuple(d.from_parent[divmod(x, H.order)[factor]] for x in dp.to_parent)
         for c, m in rep.components:
-            lam_p = _product_factor_irrep(dp, rep.desc, c.lam, factor, H.order)
-            comps.append((TwistedIrrep(lam_p, c.weight), m))
+            row = restriction_multiplicities(d.table.irreducible(c.lam), dp.table, images)
+            comps.append((TwistedIrrep(row.index(1), c.weight), m))
     return LambdaRep(dp, comps)
 
 
@@ -384,14 +378,12 @@ def restrict_lambda(
     dg = lambda_desc(G, sigma)
     dh = lambda_desc(H, tau)
 
-    upstairs = v_sigma(chi, dg)
     # phi maps C_H(tau) into C_G(phi tau)
     images = tuple(dg.from_parent[phi(x)] for x in dh.to_parent)
     comps: list[tuple[TwistedIrrep, int]] = []
-    for c, m in upstairs.components:
-        dec = decompose(pull_back(dg.table.irreducible(c.lam), images, dh.table))
-        for mu, mult in dec.entries:
-            comps.append((TwistedIrrep(mu, c.weight), m * mult))
+    for c, m in v_sigma(chi, dg).components:
+        row = restriction_multiplicities(dg.table.irreducible(c.lam), dh.table, images)
+        comps += [(TwistedIrrep(mu, c.weight), m * b) for mu, b in enumerate(row) if b]
     pulled = LambdaRep(dh, comps)
     direct = v_sigma(restrict_character(chi, phi), dh)
     return pulled, direct, pulled == direct

@@ -12,11 +12,12 @@ the Cyc operations the library itself no longer needs (inverse, division,
 negative powers, |z|^2 and root-of-unity extraction), the kernel solver
 that enumerated Fraction candidates before lambdarep.kernel ran in integers,
 the commuting-tuple scan that groups.commuting_tuples ran before it
-descended through centralizers, the hand-written restrictions that
-v_sigma, fixed_part_rep and the external sum used before every restriction
-went through chartable.pull_back (v_sigma now reads a branching matrix),
-and the decompose that took one inner_product per irreducible before the
-character was expanded once.
+descended through centralizers, the restrictions that v_sigma,
+fixed_part_rep, the external sum and restrict_lambda made by pulling a
+class function back and decomposing it before every restriction in
+lambdarep read one memoized branching matrix from
+chartable.restriction_multiplicities, and the decompose that took one
+inner_product per irreducible before the character was expanded once.
 """
 
 from __future__ import annotations
@@ -28,16 +29,24 @@ from math import gcd, lcm
 from typing import Optional
 
 from quasik import Cyc, subgroup_from_generators
-from quasik.chartable import CharacterTable, ClassFunction, RepDecomposition, decompose, inner_product
+from quasik.chartable import (
+    CharacterTable,
+    ClassFunction,
+    RepDecomposition,
+    character_table,
+    decompose,
+    inner_product,
+)
 from quasik.cyclotomic import _reduce, totient
 from quasik.errors import QuasiError, SizeLimitError, VirtualCharacterError
-from quasik.groups import GroupTable, Limits, TupleOrbit, make_comm_tuple
+from quasik.groups import CommTuple, GroupTable, Homomorphism, Limits, TupleOrbit, make_comm_tuple
 from quasik.lambdarep import (
     KERNEL_ENUM_CAP,
     KernelDescription,
     LambdaDesc,
     LambdaRep,
     TwistedIrrep,
+    lambda_desc,
 )
 from quasik.snf import mat_vec, smith_normal_form
 
@@ -434,3 +443,31 @@ def ref_product_factor_irrep(
         if row == wanted_t:
             return i
     raise QuasiError("factor irreducible not found in the product table")  # unreachable
+
+
+# The pullback that restrict_lambda took before it read the branching matrix:
+# every upstairs irreducible pulled back along C_H(tau) -> C_G(phi tau) as a
+# class function and decomposed afresh.
+def _pull_back(chi: ClassFunction, images: tuple[int, ...], table: CharacterTable) -> ClassFunction:
+    return ClassFunction(table, tuple(chi.value_at_element(images[c.rep]) for c in table.classes))
+
+
+def ref_restrict_lambda(
+    phi: Homomorphism, tau, chi: ClassFunction
+) -> tuple[LambdaRep, LambdaRep, bool]:
+    """(pulled_back, direct, equal) as lambdarep.restrict_lambda returns them."""
+    H, G = phi.source, phi.target
+    if chi.table.group is not G:
+        raise QuasiError("character does not live on the homomorphism target")
+    if not isinstance(tau, CommTuple):
+        tau = make_comm_tuple(H, tau)
+    dg = lambda_desc(G, make_comm_tuple(G, tuple(phi(t) for t in tau.entries)))
+    dh = lambda_desc(H, tau)
+    images = tuple(dg.from_parent[phi(x)] for x in dh.to_parent)
+    comps = []
+    for c, m in ref_v_sigma(chi, dg).components:
+        dec = ref_decompose(_pull_back(dg.table.irreducible(c.lam), images, dh.table))
+        comps += [(TwistedIrrep(mu, c.weight), m * mult) for mu, mult in dec.entries]
+    pulled = LambdaRep(dh, comps)
+    direct = ref_v_sigma(_pull_back(chi, phi.images, character_table(H)), dh)
+    return pulled, direct, pulled == direct

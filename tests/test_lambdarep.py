@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import (
@@ -19,11 +20,13 @@ from cyc_reference import (
     ref_fixed_part_rep,
     ref_kernel,
     ref_product_factor_irrep,
+    ref_restrict_lambda,
     ref_v_sigma,
 )
 
 from quasik import (
     Cyc,
+    Homomorphism,
     build_group,
     LambdaRep,
     NotRealizableError,
@@ -49,13 +52,13 @@ from quasik import (
     q_twist,
     real_basis,
     real_v_sigma,
+    restrict_character,
     restrict_lambda,
     smith_normal_form,
     v_sigma,
 )
 from quasik import chartable, lambdarep
-from quasik.chartable import pull_back, restriction_multiplicities
-from quasik.lambdarep import _product_factor_irrep
+from quasik.chartable import restriction_multiplicities
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -156,6 +159,18 @@ def test_q_twist(s3):
     assert q_twist(q_twist(rep, 2), -2) == rep
 
 
+def test_q_twist_takes_integers_only():
+    z2 = cyclic_group(2)
+    rep = v_sigma(character_table(z2).irreducible(1), lambda_desc(z2, (1,)))
+    assert q_twist(rep, Fraction(-1)) == q_twist(rep, [Fraction(-1)]) == q_twist(rep, -1)
+    assert q_twist(rep, [Fraction(-1)]).components[0][0].weight == (-HALF,)
+    for shift in (HALF, [HALF], [1.9], 1.0, ["1"]):
+        with pytest.raises(QuasiError, match="is not an integer vector$"):
+            q_twist(rep, shift)
+    with pytest.raises(QuasiError, match="^shift vector has the wrong arity$"):
+        q_twist(rep, [1, 1])
+
+
 def test_dual(s3):
     z3 = cyclic_group(3)
     t3 = character_table(z3)
@@ -241,7 +256,7 @@ def test_v_sigma_rejects_non_genuine_functions_as_the_reference(s3, d4, q8):
 
 
 def _branching_of(d):
-    return d.group._memo[("branching", d.to_parent)]
+    return d.group._memo[("branching", d.table, d.to_parent)]
 
 
 def test_branching_matrix_matches_restrict_then_decompose(battery):
@@ -255,7 +270,8 @@ def test_branching_matrix_matches_restrict_then_decompose(battery):
             B = _branching_of(d)
             assert len(B) == len(table.rows)
             for i, row in enumerate(B):
-                res = pull_back(table.irreducible(i), d.to_parent, d.table)
+                incl = Homomorphism(d.cent_group, G, d.to_parent)
+                res = restrict_character(table.irreducible(i), incl)
                 dense = [0] * len(d.table.rows)
                 for lam, m in decompose(res).entries:
                     dense[lam] = m
@@ -270,7 +286,7 @@ def test_branching_matrix_is_built_once_per_centralizer(monkeypatch):
     for d in descs:
         v_sigma(table.regular_character(), d)
     keys = {k for k in G._memo if k[0] == "branching"}
-    assert keys == {("branching", d.to_parent) for d in descs}
+    assert keys == {("branching", d.table, d.to_parent) for d in descs}
     built = {k: G._memo[k] for k in keys}
     # identity and the central rotation share the whole group as centralizer
     assert len(keys) < len(descs)
@@ -282,7 +298,7 @@ def test_branching_matrix_is_built_once_per_centralizer(monkeypatch):
     for d in descs:
         for i in range(len(table.rows)):
             v_sigma(table.irreducible(i), d)
-            assert _branching_of(d) is built[("branching", d.to_parent)]
+            assert _branching_of(d) is built[("branching", d.table, d.to_parent)]
 
 
 def test_branching_matrix_is_checked_when_built():
@@ -339,6 +355,21 @@ def test_weight_compatibility_enforced():
         LambdaRep(d, [(TwistedIrrep(sign_row, (Fraction(1),)), 1)])  # sign needs 1/2 mod 1
     with pytest.raises(QuasiError):
         LambdaRep(d, [(TwistedIrrep(0, (HALF, HALF)), 1)])  # wrong arity
+
+
+def test_multiplicities_are_integers():
+    G = build_group("cyclic:4")
+    d = lambda_desc(G, (G.index_of("g1"),))
+    b = lambda_basis(d)
+    for mult in (HALF, 1.5, 2.0, "1"):
+        with pytest.raises(QuasiError, match="is not an integer$"):
+            LambdaRep(d, [(b[1], mult)])
+    with pytest.raises(QuasiError, match="^multiplicities must be non-negative$"):
+        LambdaRep(d, [(b[1], -1)])
+    rep = LambdaRep(d, [(b[1], Fraction(2)), (b[2], 1)])
+    assert [m for _, m in rep.components] == [2, 1]
+    assert all(type(m) is int for _, m in rep.components)
+    assert type(rep.dimension()) is int and rep.dimension() == 3
 
 
 def test_kernel_witness_z4():
@@ -558,20 +589,25 @@ def test_external_sum_examples():
 
 def test_product_factor_irrep_matches_the_reference(s3, d4):
     # nonabelian factors, every lambda on both factors, every pair of class
-    # representatives as sigma = ((s, t))
+    # representatives as sigma = ((s, t)): external_sum reads lam boxtimes 1
+    # (or 1 boxtimes lam) as the single 1 in row lam along the projection
     c2 = cyclic_group(2)
     for G, H in ((s3, c2), (d4, c2), (s3, s3)):
         P = direct_product(G, H)
         for s in (c.rep for c in character_table(G).classes):
             for t in (c.rep for c in character_table(H).classes):
                 dp = lambda_desc(P, (s * H.order + t,))
-                for factor, d in enumerate((lambda_desc(G, (s,)), lambda_desc(H, (t,)))):
+                descs = (lambda_desc(G, (s,)), lambda_desc(H, (t,)))
+                for factor, d in enumerate(descs):
+                    empty = LambdaRep(descs[1 - factor], [])
                     for lam in range(len(d.table.rows)):
-                        got = _product_factor_irrep(dp, d, lam, factor, H.order)
+                        one = LambdaRep(d, [(TwistedIrrep(lam, d.weights[lam]), 1)])
+                        pair = (one, empty) if factor == 0 else (empty, one)
+                        ((comp, mult),) = external_sum(*pair).components
                         want = ref_product_factor_irrep(
                             dp, d.table, d.to_parent, lam, factor == 0, H.order
                         )
-                        assert got == want
+                        assert (comp, mult) == (TwistedIrrep(want, d.weights[lam]), 1)
 
 
 def test_external_sum_arity_mismatch():
@@ -641,6 +677,140 @@ def test_restrict_lambda_nonabelian_centralizer(q8):
         Fraction(1, 4),
         Fraction(3, 4),
     ]
+
+
+def _branching_entries(*groups):
+    return {(id(G), k): v for G in groups for k, v in G._memo.items()
+            if isinstance(k, tuple) and k[0] == "branching"}
+
+
+def _restriction_cases(G):
+    """Every irreducible and the regular character of G, then chi_0 - chi_1,
+    which restrict_lambda must reject."""
+    table = character_table(G)
+    chars = [table.irreducible(i) for i in range(len(table.rows))]
+    return chars + [table.regular_character()] + non_genuine_class_functions(table)[:1]
+
+
+def test_restrict_lambda_matches_the_reference(battery):
+    # every distinct n = 1 centralizer C = C_G(s) of the battery mapped into G,
+    # with tau each class representative of C, so C_C(tau) -> C_G(tau) is an
+    # inclusion that is proper whenever tau is not central in G
+    for G in battery:
+        chars = _restriction_cases(G)
+        descs = {}
+        for orbit in commuting_tuples(G, 1):
+            d = lambda_desc(G, orbit.representative)
+            descs.setdefault(d.to_parent, d)
+        for d in descs.values():
+            incl = Homomorphism(d.cent_group, G, d.to_parent)
+            for t in (c.rep for c in d.table.classes):
+                for chi in chars:
+                    got = outcome(restrict_lambda, incl, (t,), chi)
+                    assert got == outcome(ref_restrict_lambda, incl, (t,), chi)
+                    assert len(got) == 2 or got[2]
+    # a tuple that does not commute, and a character of the wrong group
+    s3 = build_group("symmetric:3")
+    ident = Homomorphism(s3, s3, tuple(range(6)))
+    chi = character_table(s3).irreducible(1)
+    for args in ((ident, (s3.index_of("(12)"), s3.index_of("(13)")), chi),
+                 (ident, (0,), character_table(cyclic_group(2)).irreducible(1))):
+        got = outcome(restrict_lambda, *args)
+        assert len(got) == 2 and got == outcome(ref_restrict_lambda, *args)
+
+
+def test_restrict_lambda_along_maps_that_are_not_inclusions():
+    # Z/4 -> Z/2 (exp(C_H) = 4 does not divide exp(C_G) = 2), Z/4 -> Q8, and
+    # the trivial maps from Z/4 and from a Klein four group into S3, whose
+    # images tuples coincide; every tau of the source
+    z2, z4, q8, s3 = (build_group(n) for n in ("cyclic:2", "cyclic:4", "quaternion8", "symmetric:3"))
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
+    maps = [
+        hom_from_images(z4, [1], [1], z2),
+        hom_from_images(z4, [1], [q8.index_of("i")], q8),
+        hom_from_images(z4, [1], [s3.identity], s3),
+        hom_from_images(klein, [1, 2], [s3.identity] * 2, s3),
+    ]
+    for phi in maps:
+        for t in range(phi.source.order):
+            for chi in _restriction_cases(phi.target):
+                got = outcome(restrict_lambda, phi, (t,), chi)
+                assert got == outcome(ref_restrict_lambda, phi, (t,), chi)
+                assert len(got) == 2 or got[2]
+    # both trivial maps send C_H(tau) = H to the identity of C_S3(e) = S3
+    cent = lambda_desc(s3, (s3.identity,)).cent_group
+    shared = [k for _, k in _branching_entries(cent) if k[2] == (0, 0, 0, 0)]
+    assert {k[1].group.order for k in shared} == {4}
+    assert len(shared) == 2 and shared[0][1] is not shared[1][1]
+
+
+def test_restriction_matrices_are_built_once(monkeypatch):
+    # restrict_lambda along Z/4 -> Q8 and external_sum over Q8 x Z/2 on
+    # characters whose restrictions are rows, so that once every matrix is
+    # built no sum is needed: a second call reuses the memoized matrices
+    q8, z4, z2 = (build_group(n) for n in ("quaternion8", "cyclic:4", "cyclic:2"))
+    phi = hom_from_images(z4, [1], [q8.index_of("i")], q8)
+    tq = character_table(q8)
+    linear = [tq.irreducible(i) for i in range(len(tq.rows)) if tq.degrees[i] == 1]
+    dq = lambda_desc(q8, (q8.index_of("i"),))
+    d2 = lambda_desc(z2, (1,))
+    pairs = [(v_sigma(chi, dq), v_sigma(character_table(z2).irreducible(1), d2)) for chi in linear]
+
+    def run():
+        out = [restrict_lambda(phi, (t,), chi) for t in range(4) for chi in linear]
+        return out + [external_sum(a, b) for a, b in pairs]
+
+    first = run()
+    groups = [q8, z4, dq.cent_group, d2.cent_group]
+    groups += [lambda_desc(q8, (phi(t),)).cent_group for t in range(4)]
+    groups += [lambda_desc(z4, (t,)).cent_group for t in range(4)]
+    built = _branching_entries(*groups)
+    assert any(k[1] is lambda_desc(z4, (1,)).table for _, k in built)  # along phi
+    assert any(k[1] is external_sum(*pairs[0]).desc.table for _, k in built)  # projections
+
+    def no_sums(*args):
+        raise AssertionError("branching matrix rebuilt")
+
+    monkeypatch.setattr(chartable, "_products", no_sums)
+    assert run() == first
+    again = _branching_entries(*groups)
+    assert again.keys() == built.keys()
+    assert all(again[k] is built[k] for k in built)
+
+
+def test_restriction_takes_no_inner_product(monkeypatch):
+    # fresh groups, so the matrices along each map and each projection are
+    # built under the patch; the references are taken before it
+    q8, z4, z2, s3 = (build_group(n) for n in ("quaternion8", "cyclic:4", "cyclic:2", "symmetric:3"))
+    maps = [hom_from_images(z4, [1], [q8.index_of("i")], q8), hom_from_images(z4, [1], [1], z2),
+            hom_from_images(z2, [1], [s3.index_of("(12)")], s3)]
+    cases = [(phi, (t,), chi) for phi in maps for t in range(phi.source.order)
+             for chi in _restriction_cases(phi.target)[:-1]]
+    wanted = [ref_restrict_lambda(*case) for case in cases]
+    sums = []
+    for G, H in ((s3, z2), (q8, z2)):
+        for s, t in product(range(G.order), range(H.order)):
+            dg, dh = lambda_desc(G, (s,)), lambda_desc(H, (t,))
+            dp = lambda_desc(direct_product(G, H), (s * H.order + t,))
+            for chi, psi in product(_restriction_cases(G)[:-1], _restriction_cases(H)[:-1]):
+                rep_g, rep_h = v_sigma(chi, dg), v_sigma(psi, dh)
+                want = [
+                    (TwistedIrrep(ref_product_factor_irrep(
+                        dp, rep.desc.table, rep.desc.to_parent, c.lam, left, H.order), c.weight), m)
+                    for left, rep in ((True, rep_g), (False, rep_h)) for c, m in rep.components
+                ]
+                sums.append((rep_g, rep_h, LambdaRep(dp, want)))
+
+    def forbidden(*args):
+        raise AssertionError("restriction fell back to an inner product")
+
+    for module, name in ((chartable, "inner_product"), (chartable, "decompose"),
+                         (lambdarep, "decompose")):
+        monkeypatch.setattr(module, name, forbidden)
+    for case, want in zip(cases, wanted):
+        assert restrict_lambda(*case) == want
+    for rep_g, rep_h, want in sums:
+        assert external_sum(rep_g, rep_h) == want
 
 
 def test_real_v_sigma_examples():

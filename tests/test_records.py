@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import quasik
 from quasik import (
     ClassFunction,
     QuasiError,
@@ -38,6 +41,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert "quasik.cli" in loaded
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
+
+
+def test_every_public_function_is_exported_or_named_in_src():
+    # a top-level public function that quasik does not export and that no
+    # module of the package names is dead code
+    trees = {p.stem: ast.parse(p.read_text()) for p in Path(quasik.__file__).parent.glob("*.py")}
+    exported = {alias.asname or alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named = {node.id for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+    dead = sorted(f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                  and node.name not in exported | named)
+    assert dead == []
 
 
 def _record_pairs():
