@@ -46,7 +46,6 @@ class CliConfig(NamedTuple):
     rep: Optional[str] = None
     construction: str = "plain"
     fmt: str = "text"
-    threads: int = 1
     limits: Limits = Limits()
 
 
@@ -103,12 +102,11 @@ def parse_args(argv: Sequence[str]) -> CliConfig:
         rep=getattr(ns, "rep", None),
         construction=getattr(ns, "construction", "plain"),
         fmt=ns.fmt,
-        threads=ns.threads,
         limits=Limits(order=m, tuples=max(Limits().tuples, m * m)),
     )
     if cfg.n < 1:
         raise SelectorError("-n must be at least 1")
-    if cfg.threads < 1:
+    if ns.threads < 1:
         raise SelectorError("--threads must be at least 1")
     if not 1 <= m <= Limits().closure:
         raise SelectorError(f"--max-order must be between 1 and {Limits().closure}")
@@ -218,7 +216,7 @@ def _cmd_lambda_basis(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
     basis = lambda_basis(desc)
     lines = [
         f"basis of R(Lambda) over the torus characters; centralizer order "
-        f"{desc.centralizer.order}, rank {len(basis)}"
+        f"{desc.cent_group.order}, rank {len(basis)}"
     ]
     doc = {"group": G.name, "sigma": [G.label(x) for x in sigma.entries], "basis": []}
     for b in basis:

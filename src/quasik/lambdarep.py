@@ -38,7 +38,6 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Limits,
-    Subgroup,
     centralizer,
     direct_product,
     make_comm_tuple,
@@ -50,42 +49,20 @@ from .snf import mat_vec, smith_normal_form
 KERNEL_ENUM_CAP = 1 << 20
 
 
-class LambdaDesc:
-    """Precomputed data for one group Lambda_G(sigma)."""
+class LambdaDesc(NamedTuple):
+    """Lambda_G(sigma): the centralizer C_G(sigma) as table.group, its
+    inclusion to_parent into G, and the twist data weights[lam][i] = m/l
+    with lam(sigma_i) = zeta_l^m and 0 < m <= l."""
 
-    def __init__(self, group: GroupTable, sigma: CommTuple, limits: Limits = Limits()):
-        # n itself is capped as in commuting_tuples: the kernel solve is n x n
-        limits.check_tuples(1, sigma.n)
-        self.group = group
-        self.sigma = sigma
-        self.orders = sigma.orders
-        self.n = sigma.n
-        self.centralizer: Subgroup = centralizer(group, sigma)
-        cent_table_group, to_parent = subgroup_table(self.centralizer)
-        self.cent_group = cent_table_group
-        self.to_parent = to_parent
-        self.from_parent = {p: i for i, p in enumerate(to_parent)}
-        self.sigma_in_cent = tuple(self.from_parent[s] for s in sigma.entries)
-        self.table: CharacterTable = character_table(self.cent_group, limits)
-        # scalar exponents: scalars[lam][i] = m with lambda(sigma_i) = zeta_{l_i}^m
-        self.scalars = tuple(
-            tuple(
-                central_scalar(self.table, lam, s, l)[0]
-                for s, l in zip(self.sigma_in_cent, self.orders)
-            )
-            for lam in range(len(self.table.rows))
-        )
-        self.weights = tuple(tuple(map(Fraction, s, self.orders)) for s in self.scalars)
+    group: GroupTable
+    sigma: CommTuple
+    to_parent: tuple[int, ...]
+    table: CharacterTable
+    weights: tuple[tuple[Fraction, ...], ...]
 
-    def basis_weight(self, lam: int) -> tuple[Fraction, ...]:
-        return self.weights[lam]
-
-    def same_as(self, other: "LambdaDesc") -> bool:
-        return self.group is other.group and self.sigma.entries == other.sigma.entries
-
-    def __repr__(self) -> str:
-        names = ",".join(self.group.label(s) for s in self.sigma.entries)
-        return f"LambdaDesc({self.group.name}; sigma=({names}))"
+    @property
+    def cent_group(self) -> GroupTable:
+        return self.table.group
 
 
 def lambda_desc(
@@ -94,7 +71,16 @@ def lambda_desc(
     """Build the centralizer, its character table, and the twist data for sigma."""
     if not isinstance(sigma, CommTuple):
         sigma = make_comm_tuple(G, sigma)
-    return LambdaDesc(G, sigma, limits)
+    # n itself is capped as in commuting_tuples: the kernel solve is n x n
+    limits.check_tuples(1, sigma.n)
+    C, to_parent = subgroup_table(centralizer(G, sigma))
+    table = character_table(C, limits)
+    pairs = [(to_parent.index(s), l) for s, l in zip(sigma.entries, sigma.orders)]
+    weights = tuple(
+        tuple(Fraction(central_scalar(table, lam, s, l)[0], l) for s, l in pairs)
+        for lam in range(len(table.rows))
+    )
+    return LambdaDesc(G, sigma, to_parent, table, weights)
 
 
 class TwistedIrrep(NamedTuple):
@@ -123,9 +109,13 @@ class LambdaRep:
 
     def _check_compatible(self, comp: TwistedIrrep) -> None:
         d = self.desc
-        if len(comp.weight) != d.n:
+        if not (isinstance(comp.lam, int) and 0 <= comp.lam < len(d.weights)):
+            raise QuasiError(f"irreducible index {comp.lam!r} is not in range({len(d.weights)})")
+        if len(comp.weight) != d.sigma.n:
             raise QuasiError("weight vector has the wrong arity")
         for i, (w, expected) in enumerate(zip(comp.weight, d.weights[comp.lam])):
+            if not isinstance(w, (int, Fraction)):
+                raise QuasiError(f"weight {w!r} is not an int or a Fraction")
             if (w - expected).denominator != 1:
                 raise QuasiError(
                     f"weight {w} is incompatible with the scalar action "
@@ -140,14 +130,14 @@ class LambdaRep:
         return sum(self.desc.table.degrees[c.lam] * m for c, m in self.components)
 
     def __add__(self, other: "LambdaRep") -> "LambdaRep":
-        if not self.desc.same_as(other.desc):
+        if self.desc != other.desc:
             raise QuasiError("representations live over different groups")
         return LambdaRep(self.desc, self.components + other.components)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LambdaRep):
             return NotImplemented
-        return self.desc.same_as(other.desc) and self.components == other.components
+        return self.desc == other.desc and self.components == other.components
 
     def __hash__(self) -> int:
         return hash((id(self.desc.group), self.desc.sigma.entries, self.components))
@@ -170,7 +160,7 @@ class LambdaRep:
 def lambda_basis(d: LambdaDesc) -> list[TwistedIrrep]:
     """The free basis over the torus character ring: one twisted irreducible
     per irreducible of the centralizer, with weights in (0, 1]."""
-    return [TwistedIrrep(lam, d.basis_weight(lam)) for lam in range(len(d.table.rows))]
+    return [TwistedIrrep(lam, w) for lam, w in enumerate(d.weights)]
 
 
 def v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
@@ -189,7 +179,7 @@ def v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
 def q_twist(rep: LambdaRep, shift: int | Fraction | Sequence[int | Fraction]) -> LambdaRep:
     """Tensor by an integer character of the torus: shift every weight by an int
     or a Fraction with denominator 1."""
-    n = rep.desc.n
+    n = rep.desc.sigma.n
     vec = tuple(shift) if isinstance(shift, Iterable) else (shift,) * n
     if len(vec) != n:
         raise QuasiError("shift vector has the wrong arity")
@@ -220,7 +210,7 @@ def fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     """The subrepresentation on which every tuple entry acts as the scalar 1,
     placed at weight zero: the components of (V)_sigma whose weights are all
     1, as a basis weight m/l with 0 < m <= l is 1 exactly when m = l."""
-    zero = (Fraction(0),) * d.n
+    zero = (Fraction(0),) * d.sigma.n
     fixed = [(c, m) for c, m in v_sigma(chi, d).components if all(w == 1 for w in c.weight)]
     return LambdaRep(d, [(TwistedIrrep(c.lam, zero), m) for c, m in fixed])
 
@@ -269,7 +259,7 @@ def kernel(rep: LambdaRep) -> KernelDescription:
     L*t are integers, so only the reported points t in [0,1)^n are Fractions.
     """
     d = rep.desc
-    n = d.n
+    n = d.sigma.n
     C = d.cent_group
     trivial_row = d.table.trivial_index()
     zero = (Fraction(0),) * n
@@ -339,7 +329,7 @@ def external_sum(rep_g: LambdaRep, rep_h: LambdaRep) -> LambdaRep:
     """Direct sum over the product group: components re-expressed over
     C_{GxH}(sigma, tau) = C_G(sigma) x C_H(tau)."""
     dg, dh = rep_g.desc, rep_h.desc
-    if dg.n != dh.n:
+    if dg.sigma.n != dh.sigma.n:
         raise QuasiError("tuple arities differ")
     G, H = dg.group, dh.group
     P = direct_product(G, H)
@@ -347,14 +337,14 @@ def external_sum(rep_g: LambdaRep, rep_h: LambdaRep) -> LambdaRep:
         s * H.order + t for s, t in zip(dg.sigma.entries, dh.sigma.entries)
     )
     dp = lambda_desc(P, pair)
-    if dp.centralizer.order != dg.centralizer.order * dh.centralizer.order:
+    if len(dp.to_parent) != len(dg.to_parent) * len(dh.to_parent):
         raise QuasiError("product centralizer is not the product of centralizers")
     comps: list[tuple[TwistedIrrep, int]] = []
     for factor, rep in enumerate((rep_g, rep_h)):
         # g * |H| + h in G x H projects to divmod(., |H|)[factor]; lam inflated
         # along the projection is the irreducible lam boxtimes 1 (or 1 boxtimes lam)
         d = rep.desc
-        images = tuple(d.from_parent[divmod(x, H.order)[factor]] for x in dp.to_parent)
+        images = tuple(d.to_parent.index(divmod(x, H.order)[factor]) for x in dp.to_parent)
         for c, m in rep.components:
             row = restriction_multiplicities(d.table.irreducible(c.lam), dp.table, images)
             comps.append((TwistedIrrep(row.index(1), c.weight), m))
@@ -379,7 +369,7 @@ def restrict_lambda(
     dh = lambda_desc(H, tau)
 
     # phi maps C_H(tau) into C_G(phi tau)
-    images = tuple(dg.from_parent[phi(x)] for x in dh.to_parent)
+    images = tuple(dg.to_parent.index(phi(x)) for x in dh.to_parent)
     comps: list[tuple[TwistedIrrep, int]] = []
     for c, m in v_sigma(chi, dg).components:
         row = restriction_multiplicities(dg.table.irreducible(c.lam), dh.table, images)
@@ -423,7 +413,7 @@ def real_basis(d: LambdaDesc) -> list[RealBasisEntry]:
     tuple the entry keeps its underlying space and dimension.
     """
     table = d.table
-    sigma_trivial = all(s == d.cent_group.identity for s in d.sigma_in_cent)
+    sigma_trivial = all(s == d.group.identity for s in d.sigma.entries)
     seen: set[int] = set()
     entries = []
     for lam in range(len(table.rows)):

@@ -24,7 +24,7 @@ from .groups import (
     contains_conjugate,
     subgroup_from_generators,
 )
-from .lambdarep import lambda_basis, lambda_desc
+from .lambdarep import lambda_desc
 
 
 class QuasiRecord(NamedTuple):
@@ -53,17 +53,15 @@ def quasi_coefficients(G: GroupTable, n: int, limits: Limits = Limits()) -> Quas
     for orbit in commuting_tuples(G, n, limits):
         sigma = orbit.representative
         desc = lambda_desc(G, sigma, limits)
-        basis = lambda_basis(desc)
-        twists = tuple(b.weight for b in basis)
-        rank = len(basis)
+        rank = len(desc.weights)
         total += rank
         records.append(
             QuasiRecord(
                 sigma_labels=tuple(G.label(s) for s in sigma.entries),
                 orbit_size=orbit.orbit_size,
-                centralizer_order=desc.centralizer.order,
+                centralizer_order=len(desc.to_parent),
                 rank=rank,
-                twists=twists,
+                twists=desc.weights,
             )
         )
     return QuasiTable(group=G.name, n=n, records=tuple(records), total_rank=total)

@@ -191,7 +191,7 @@ def oracle_kernel_grid(rep: LambdaRep):
     from cyc_reference import as_root_of_unity
 
     d = rep.desc
-    n = d.n
+    n = d.sigma.n
     C = d.cent_group
     comps = [c for c, _ in rep.components]
     weights = [c.weight for c in comps]
@@ -199,7 +199,7 @@ def oracle_kernel_grid(rep: LambdaRep):
     for row in weights:
         for w in row:
             wden = lcm(wden, w.denominator)
-    delta = 2 * lcm(*d.orders) * wden
+    delta = 2 * lcm(*d.sigma.orders) * wden
     big_den = lcm(wden, C.exponent())
     A = [[int(w * big_den) for w in row] for row in weights]
     g = _minor_gcd(A, n) if len(A) >= n else 0
@@ -252,13 +252,13 @@ def oracle_cost_bound(rep: LambdaRep) -> int:
     for row in weights:
         for w in row:
             wden = lcm(wden, w.denominator)
-    delta = 2 * lcm(*d.orders) * wden
+    delta = 2 * lcm(*d.sigma.orders) * wden
     big_den = lcm(wden, d.cent_group.exponent())
     A = [[int(w * big_den) for w in row] for row in weights]
-    g = _minor_gcd(A, d.n) if len(A) >= d.n else 0
+    g = _minor_gcd(A, d.sigma.n) if len(A) >= d.sigma.n else 0
     if g:
         delta = lcm(delta, g)
-    return (delta ** d.n) * d.cent_group.order
+    return (delta ** d.sigma.n) * d.cent_group.order
 
 
 def random_lambda_reps(count: int, seed: int = 20260810):

@@ -287,7 +287,7 @@ def ref_kernel(rep: LambdaRep) -> KernelDescription:
     reduced to the canonical fundamental domain t in [0,1)^n.
     """
     d = rep.desc
-    n = d.n
+    n = d.sigma.n
     C = d.cent_group
     trivial_row = d.table.trivial_index()
     zero = (Fraction(0),) * n
@@ -402,7 +402,7 @@ def ref_v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     """Restrict a character of G to the centralizer and give each isotypic
     piece its basis weight."""
     dec = decompose(_restrict_to_centralizer(chi, d))
-    rep = LambdaRep(d, [(TwistedIrrep(lam, d.basis_weight(lam)), m) for lam, m in dec.entries])
+    rep = LambdaRep(d, [(TwistedIrrep(lam, d.weights[lam]), m) for lam, m in dec.entries])
     want = chi.degree.rational_value()
     if rep.dimension() != want:
         raise QuasiError("dimension bookkeeping failed in v_sigma")  # unreachable
@@ -413,10 +413,10 @@ def ref_fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     """The subrepresentation on which every tuple entry acts as the scalar 1,
     placed at weight zero."""
     dec = decompose(_restrict_to_centralizer(chi, d))
-    zero = (Fraction(0),) * d.n
+    zero = (Fraction(0),) * d.sigma.n
     comps = []
     for lam, m in dec.entries:
-        if all(s == l for s, l in zip(d.scalars[lam], d.orders)):
+        if all(w == 1 for w in d.weights[lam]):
             comps.append((TwistedIrrep(lam, zero), m))
     return LambdaRep(d, comps)
 
@@ -463,7 +463,7 @@ def ref_restrict_lambda(
         tau = make_comm_tuple(H, tau)
     dg = lambda_desc(G, make_comm_tuple(G, tuple(phi(t) for t in tau.entries)))
     dh = lambda_desc(H, tau)
-    images = tuple(dg.from_parent[phi(x)] for x in dh.to_parent)
+    images = tuple(dg.to_parent.index(phi(x)) for x in dh.to_parent)
     comps = []
     for c, m in ref_v_sigma(chi, dg).components:
         dec = ref_decompose(_pull_back(dg.table.irreducible(c.lam), images, dh.table))

@@ -85,10 +85,11 @@ def test_criterion_2_free_basis_ranks():
                 for b in basis:
                     deg = desc.table.degrees[b.lam]
                     for i, w in enumerate(b.weight):
-                        l = desc.orders[i]
+                        l = desc.sigma.orders[i]
                         m = w * l
                         assert m.denominator == 1 and 0 < m <= l
-                        val = desc.table.value_at_element(b.lam, desc.sigma_in_cent[i])
+                        s = desc.to_parent.index(desc.sigma.entries[i])
+                        val = desc.table.value_at_element(b.lam, s)
                         assert val == Cyc.zeta(l) ** int(m) * deg
                 orbits_checked += 1
     print(f"PASS criterion 2: free-basis rank and twists on {orbits_checked} orbits")

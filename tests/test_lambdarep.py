@@ -77,13 +77,13 @@ def _faithful_linear(table, generator=1):
 def test_lambda_desc_examples(s3):
     z2 = cyclic_group(2)
     d = lambda_desc(z2, (1,))
-    assert d.centralizer.order == 2
-    assert d.orders == (2,)
+    assert d.cent_group.order == 2
+    assert d.sigma.orders == (2,)
 
     d12 = lambda_desc(s3, (s3.index_of("(12)"),))
-    assert d12.centralizer.order == 2
+    assert d12.cent_group.order == 2
     d123 = lambda_desc(s3, (s3.index_of("(123)"),))
-    assert d123.centralizer.order == 3
+    assert d123.cent_group.order == 3
 
 
 def test_lambda_basis_examples(s3):
@@ -111,11 +111,12 @@ def test_lambda_basis_count_and_scalar_consistency(s3, d4, q8):
                 for b in basis:
                     deg = d.table.degrees[b.lam]
                     for i, w in enumerate(b.weight):
-                        l = d.orders[i]
+                        l = d.sigma.orders[i]
                         m = w * l
                         assert m.denominator == 1 and 0 < m <= l
                         # the tuple entry really acts by that scalar
-                        val = d.table.value_at_element(b.lam, d.sigma_in_cent[i])
+                        s = d.to_parent.index(d.sigma.entries[i])
+                        val = d.table.value_at_element(b.lam, s)
                         assert val == Cyc.zeta(l) ** int(m) * deg
 
 
@@ -355,6 +356,25 @@ def test_weight_compatibility_enforced():
         LambdaRep(d, [(TwistedIrrep(sign_row, (Fraction(1),)), 1)])  # sign needs 1/2 mod 1
     with pytest.raises(QuasiError):
         LambdaRep(d, [(TwistedIrrep(0, (HALF, HALF)), 1)])  # wrong arity
+
+
+
+def test_components_are_validated():
+    # an index outside the table is not wrapped round (-1 would render as
+    # chi3) and a weight entry must be exact, each rejected as a QuasiError
+    G = build_group("cyclic:4")
+    d = lambda_desc(G, (G.index_of("g1"),))
+    valid = LambdaRep(d, [(TwistedIrrep(3, (Fraction(1, 4),)), 1)])
+    assert valid.render() == "(chi3, q^(1/4)) x 1"
+    cases = [
+        (TwistedIrrep(-1, (Fraction(1, 4),)), "^irreducible index -1 is not in range\\(4\\)$"),
+        (TwistedIrrep(7, (Fraction(1),)), "^irreducible index 7 is not in range\\(4\\)$"),
+        (TwistedIrrep(0, (1.0,)), "^weight 1\\.0 is not an int or a Fraction$"),
+        (TwistedIrrep(0, ("1",)), "^weight '1' is not an int or a Fraction$"),
+    ]
+    for comp, message in cases:
+        with pytest.raises(QuasiError, match=message):
+            LambdaRep(d, [(comp, 1)])
 
 
 def test_multiplicities_are_integers():

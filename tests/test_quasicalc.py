@@ -68,10 +68,12 @@ def test_all_ones_twist_count(s3, d4, q8):
             for rec in table.records:
                 ones = sum(1 for t in rec.twists if all(w == 1 for w in t))
                 desc = lambda_desc(G, tuple(G.index_of(s) for s in rec.sigma_labels))
+                in_cent = [desc.to_parent.index(s) for s in desc.sigma.entries]
                 trivially_acted = sum(
                     1
                     for lam in range(len(desc.table.rows))
-                    if all(m == l for m, l in zip(desc.scalars[lam], desc.orders))
+                    if all(desc.table.value_at_element(lam, s) == desc.table.degrees[lam]
+                           for s in in_cent)
                 )
                 assert ones == trivially_acted >= 1
 
@@ -100,7 +102,7 @@ def test_every_centralizer_table_lives_in_the_group_memo():
         for rec in table.records:
             desc = lambda_desc(G, tuple(G.index_of(s) for s in rec.sigma_labels))
             assert desc.cent_group is G or any(desc.cent_group is v for v in stored)
-            assert desc.centralizer.order == rec.centralizer_order
+            assert desc.cent_group.order == rec.centralizer_order
 
 
 def test_s_fixed_examples(s3):

@@ -13,6 +13,8 @@ import pytest
 import quasik
 from quasik import (
     ClassFunction,
+    LambdaDesc,
+    LambdaRep,
     QuasiError,
     QuasiRecord,
     TwistedIrrep,
@@ -78,6 +80,7 @@ def _record_pairs():
         ("RepDecomposition", decompose(table.regular_character()),
          decompose(table.regular_character()), "entries"),
         ("TwistedIrrep", TwistedIrrep(1, half), TwistedIrrep(1, half), "weight"),
+        ("LambdaDesc", desc, lambda_desc(G, (t,)), "weights"),
         ("KernelDescription", kernel(rep), kernel(rep), "torus_rank"),
         ("RealBasisEntry", real_basis(desc)[0], real_basis(desc)[0], "indicator"),
         ("QuasiRecord", quasi_coefficients(G, 1).records[1],
@@ -92,7 +95,7 @@ def _record_pairs():
 
 def test_records_are_immutable_values():
     pairs = _record_pairs()
-    assert len({name for name, *_ in pairs}) == 14
+    assert len({name for name, *_ in pairs}) == 15
     for name, a, b, field in pairs:
         assert a is not b, name
         assert a == b, name
@@ -106,10 +109,27 @@ def test_records_are_immutable_values():
     assert QuasiRecord._fields == (
         "sigma_labels", "orbit_size", "centralizer_order", "rank", "twists"
     )
+    assert LambdaDesc._fields == ("group", "sigma", "to_parent", "table", "weights")
 
     # value records are tuples: index and unpack in field order
     rep_index, members = conjugacy_classes(symmetric_group(3))[1]
     assert (rep_index, len(members)) == (1, 3)
+
+
+def test_reps_over_separately_built_descriptors_are_one_value():
+    G = symmetric_group(3)
+    regular = character_table(G).regular_character()
+    for label in ("()", "(12)", "(123)"):
+        t = G.index_of(label)
+        a, b = v_sigma(regular, lambda_desc(G, (t,))), v_sigma(regular, lambda_desc(G, [t]))
+        assert a.desc is not b.desc and a.desc == b.desc, label
+        assert a == b and hash(a) == hash(b), label
+        assert (a + b).components == LambdaRep(a.desc, a.components * 2).components, label
+    one = v_sigma(regular, lambda_desc(G, (G.index_of("(12)"),)))
+    other = v_sigma(regular, lambda_desc(G, (G.index_of("(13)"),)))
+    assert one != other
+    with pytest.raises(QuasiError, match="^representations live over different groups$"):
+        one + other  # noqa: B018
 
 
 def test_twisted_irreps_sort_by_lam_then_weight():
