@@ -32,7 +32,7 @@ from .lambdarep import (
     real_v_sigma,
     v_sigma,
 )
-from .quasicalc import quasi_coefficients, s_fixed_predicate, serialize_quasi
+from .quasicalc import quasi_coefficients, quasi_document, render_quasi_text, s_fixed_predicate
 
 CONSTRUCTIONS = ("plain", "q", "fixed", "real")
 
@@ -138,158 +138,126 @@ def _lookup_rep(G: GroupTable, label: str, limits: Limits):
 
 
 def run(cfg: CliConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
+    """Dispatch a parsed configuration; returns the process exit code.  Each
+    handler returns only the format asked for: a JSON document or text lines."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
         G = build_group(cfg.group_spec, cfg.limits)
-        handler = _HANDLERS[cfg.command]
-        handler(cfg, G, out)
-        return 0
+        answer = _HANDLERS[cfg.command](cfg, G)
     except QuasiError as exc:
         print(f"error: {exc}", file=err)
         return 1
+    out.write((json.dumps(answer, indent=2) if cfg.fmt == "json" else "\n".join(answer)) + "\n")
+    return 0
 
 
-def _emit(out: TextIO, cfg: CliConfig, text: str, doc: object) -> None:
-    if cfg.fmt == "json":
-        out.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        out.write(text + "\n")
-
-
-def _cmd_classes(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
+def _cmd_classes(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
     classes = conjugacy_classes(G)
-    lines = [f"{len(classes)} conjugacy classes of {G.name} (order {G.order})"]
-    doc = {"group": G.name, "order": G.order, "classes": []}
-    for cls in classes:
-        lines.append(f"  {G.label(cls.rep)}: size {cls.size}")
-        doc["classes"].append(
-            {"rep": G.label(cls.rep), "size": cls.size,
-             "members": [G.label(x) for x in cls.members]}
-        )
-    _emit(out, cfg, "\n".join(lines), doc)
+    if cfg.fmt == "json":
+        return {"group": G.name, "order": G.order, "classes": [
+            {"rep": G.label(c.rep), "size": c.size, "members": list(map(G.label, c.members))}
+            for c in classes
+        ]}
+    return [f"{len(classes)} conjugacy classes of {G.name} (order {G.order})",
+            *(f"  {G.label(c.rep)}: size {c.size}" for c in classes)]
 
 
-def _cmd_chartab(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
+def _cmd_chartab(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
     table = character_table(G, cfg.limits)
     reps = [G.label(c.rep) for c in table.classes]
-    sizes = [str(c.size) for c in table.classes]
     cells = [[v.render() for v in row] for row in table.rows]
-    widths = [
-        max(len(reps[c]), len(sizes[c]), *(len(cells[r][c]) for r in range(len(cells))))
-        for c in range(len(reps))
-    ]
+    if cfg.fmt == "json":
+        return {
+            "group": G.name,
+            "classes": [{"rep": r, "size": c.size} for r, c in zip(reps, table.classes)],
+            "irreducibles": [
+                {"label": label, "degree": degree, "values": row}
+                for label, degree, row in zip(table.labels, table.degrees, cells)
+            ],
+        }
+    rows = [("", reps), ("size", [str(c.size) for c in table.classes]),
+            *zip(table.labels, cells)]
+    widths = [max(map(len, column)) for column in zip(*(row for _, row in rows))]
     lw = max(len(s) for s in table.labels)
-    lines = [f"character table of {G.name} (order {G.order})"]
-    lines.append(" " * lw + "  " + "  ".join(r.rjust(w) for r, w in zip(reps, widths)))
-    lines.append("size".ljust(lw) + "  " + "  ".join(s.rjust(w) for s, w in zip(sizes, widths)))
-    for i, row in enumerate(cells):
-        lines.append(
-            table.labels[i].ljust(lw) + "  " + "  ".join(v.rjust(w) for v, w in zip(row, widths))
-        )
-    doc = {
-        "group": G.name,
-        "classes": [{"rep": r, "size": c.size} for r, c in zip(reps, table.classes)],
-        "irreducibles": [
-            {"label": table.labels[i], "degree": table.degrees[i], "values": cells[i]}
-            for i in range(len(cells))
-        ],
-    }
-    _emit(out, cfg, "\n".join(lines), doc)
+    return [f"character table of {G.name} (order {G.order})",
+            *(label.ljust(lw) + "  " + "  ".join(v.rjust(w) for v, w in zip(row, widths))
+              for label, row in rows)]
 
 
-def _cmd_gnz(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
+def _cmd_gnz(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
     orbits = commuting_tuples(G, cfg.n, cfg.limits)
-    lines = [f"{len(orbits)} orbits of commuting {cfg.n}-tuples in {G.name}"]
-    doc = {"group": G.name, "n": cfg.n, "orbits": []}
-    for orb in orbits:
-        labels = [G.label(x) for x in orb.representative.entries]
-        lines.append(f"  ({','.join(labels)}) x {orb.orbit_size}")
-        doc["orbits"].append({"sigma": labels, "orbit_size": orb.orbit_size})
-    _emit(out, cfg, "\n".join(lines), doc)
+    if cfg.fmt == "json":
+        return {"group": G.name, "n": cfg.n, "orbits": [
+            {"sigma": list(map(G.label, o.representative.entries)), "orbit_size": o.orbit_size}
+            for o in orbits
+        ]}
+    return [f"{len(orbits)} orbits of commuting {cfg.n}-tuples in {G.name}",
+            *(f"  ({','.join(map(G.label, o.representative.entries))}) x {o.orbit_size}"
+              for o in orbits)]
 
 
-def _cmd_lambda_basis(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
+def _cmd_lambda_basis(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
     sigma = make_comm_tuple(G, _lookup_elements(G, cfg.sigma))
     desc = lambda_desc(G, sigma, cfg.limits)
-    basis = lambda_basis(desc)
-    lines = [
-        f"basis of R(Lambda) over the torus characters; centralizer order "
-        f"{desc.cent_group.order}, rank {len(basis)}"
-    ]
-    doc = {"group": G.name, "sigma": [G.label(x) for x in sigma.entries], "basis": []}
-    for b in basis:
-        ws = ", ".join(str(w) for w in b.weight)
-        lines.append(f"  ({desc.table.labels[b.lam]}, q^({ws})) x 1")
-        doc["basis"].append(
-            {"irrep": desc.table.labels[b.lam], "twist": [str(w) for w in b.weight]}
-        )
-    _emit(out, cfg, "\n".join(lines), doc)
+    basis = [(desc.table.labels[b.lam], [str(w) for w in b.weight]) for b in lambda_basis(desc)]
+    if cfg.fmt == "json":
+        return {"group": G.name, "sigma": list(map(G.label, sigma.entries)),
+                "basis": [{"irrep": label, "twist": ws} for label, ws in basis]}
+    return [f"basis of R(Lambda) over the torus characters; centralizer order "
+            f"{desc.cent_group.order}, rank {len(basis)}",
+            *(f"  ({label}, q^({', '.join(ws)})) x 1" for label, ws in basis)]
 
 
-def _cmd_faithful(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
+def _cmd_faithful(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
     sigma = make_comm_tuple(G, _lookup_elements(G, cfg.sigma))
     desc = lambda_desc(G, sigma, cfg.limits)
     chi = _lookup_rep(G, cfg.rep or "", cfg.limits)
-    if cfg.construction == "plain":
-        rep = v_sigma(chi, desc)
-    elif cfg.construction == "q":
-        base = v_sigma(chi, desc)
-        rep = base + q_twist(base, -1)
-    elif cfg.construction == "fixed":
-        rep = v_sigma(chi, desc) + fixed_part_rep(chi, desc)
-    else:
+    if cfg.construction == "real":
         rep = real_v_sigma(chi, desc)
+    else:
+        rep = v_sigma(chi, desc)
+        if cfg.construction == "q":
+            rep = rep + q_twist(rep, -1)
+        elif cfg.construction == "fixed":
+            rep = rep + fixed_part_rep(chi, desc)
     ker = kernel(rep)
-    verdict = "faithful" if ker.is_trivial else "not faithful"
-    lines = [rep.render(), f"torus_rank: {ker.torus_rank}"]
-    if ker.full_group:
-        lines.append("kernel: the whole group acts trivially")
-    for a, t in ker.finite_points:
-        ts = ", ".join(str(x) for x in t)
-        lines.append(f"kernel point: ({desc.cent_group.label(a)}; t = ({ts}))")
-    lines.append(verdict)
-    doc = {
-        "group": G.name,
-        "sigma": [G.label(x) for x in sigma.entries],
-        "rep": cfg.rep,
-        "construction": cfg.construction,
-        "components": [
-            {
-                "irrep": desc.table.labels[c.lam],
-                "twist": [str(w) for w in c.weight],
-                "multiplicity": m,
-            }
-            for c, m in rep.components
-        ],
-        "torus_rank": ker.torus_rank,
-        "full_group": ker.full_group,
-        "kernel_points": [
-            {"element": desc.cent_group.label(a), "t": [str(x) for x in t]}
-            for a, t in ker.finite_points
-        ],
-        "faithful": ker.is_trivial,
-    }
-    _emit(out, cfg, "\n".join(lines), doc)
+    points = [(desc.cent_group.label(a), [str(x) for x in t]) for a, t in ker.finite_points]
+    if cfg.fmt == "json":
+        return {
+            "group": G.name,
+            "sigma": list(map(G.label, sigma.entries)),
+            "rep": cfg.rep,
+            "construction": cfg.construction,
+            "components": [
+                {"irrep": desc.table.labels[c.lam], "twist": [str(w) for w in c.weight],
+                 "multiplicity": m}
+                for c, m in rep.components
+            ],
+            "torus_rank": ker.torus_rank,
+            "full_group": ker.full_group,
+            "kernel_points": [{"element": a, "t": t} for a, t in points],
+            "faithful": ker.is_trivial,
+        }
+    return [rep.render(), f"torus_rank: {ker.torus_rank}",
+            *(["kernel: the whole group acts trivially"] if ker.full_group else []),
+            *(f"kernel point: ({a}; t = ({', '.join(t)}))" for a, t in points),
+            "faithful" if ker.is_trivial else "not faithful"]
 
 
-def _cmd_sfixed(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
+def _cmd_sfixed(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
     sigma = make_comm_tuple(G, _lookup_elements(G, cfg.sigma))
     H = subgroup_from_generators(G, _lookup_elements(G, cfg.subgroup))
-    verdict = s_fixed_predicate(G, sigma, H)
-    doc = {
-        "group": G.name,
-        "sigma": [G.label(x) for x in sigma.entries],
-        "H": [G.label(x) for x in H.elements],
-        "verdict": verdict.label,
-    }
-    _emit(out, cfg, verdict.label, doc)
+    verdict = s_fixed_predicate(G, sigma, H).label
+    if cfg.fmt == "json":
+        return {"group": G.name, "sigma": list(map(G.label, sigma.entries)),
+                "H": list(map(G.label, H.elements)), "verdict": verdict}
+    return [verdict]
 
 
-def _cmd_quasi(cfg: CliConfig, G: GroupTable, out: TextIO) -> None:
+def _cmd_quasi(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
     table = quasi_coefficients(G, cfg.n, cfg.limits)
-    out.write(serialize_quasi(table, cfg.fmt).decode("utf-8"))
+    return quasi_document(table) if cfg.fmt == "json" else [render_quasi_text(table)]
 
 
 _HANDLERS = {

@@ -97,18 +97,19 @@ class LambdaRep:
         self.desc = desc
         merged: dict[TwistedIrrep, int] = {}
         for comp, mult in components:
+            self._check_compatible(comp)  # before hashing: a list weight is unhashable
             if not isinstance(mult, (int, Fraction)) or mult.denominator != 1:
                 raise QuasiError(f"multiplicity {mult!r} is not an integer")
             if mult < 0:
                 raise QuasiError("multiplicities must be non-negative")
             if mult:
                 merged[comp] = merged.get(comp, 0) + int(mult)
-        for comp in merged:
-            self._check_compatible(comp)
         self.components = tuple(sorted(merged.items()))
 
     def _check_compatible(self, comp: TwistedIrrep) -> None:
         d = self.desc
+        if not (isinstance(comp, TwistedIrrep) and isinstance(comp.weight, tuple)):
+            raise QuasiError(f"component {comp!r} is not a TwistedIrrep with a tuple weight")
         if not (isinstance(comp.lam, int) and 0 <= comp.lam < len(d.weights)):
             raise QuasiError(f"irreducible index {comp.lam!r} is not in range({len(d.weights)})")
         if len(comp.weight) != d.sigma.n:

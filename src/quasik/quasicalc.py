@@ -114,27 +114,30 @@ def render_tate_report(report: dict) -> str:
 # -- serialization ------------------------------------------------------------------
 
 
-def _record_to_json(rec: QuasiRecord) -> dict:
+def quasi_document(table: QuasiTable) -> dict:
+    """The JSON document of a coefficient table, as serialize_quasi writes it."""
     return {
-        "sigma": list(rec.sigma_labels),
-        "orbit_size": rec.orbit_size,
-        "centralizer_order": rec.centralizer_order,
-        "rank": rec.rank,
-        "twists": [[str(w) for w in twist] for twist in rec.twists],
+        "group": table.group,
+        "n": table.n,
+        "E": table.theory,
+        "records": [
+            {
+                "sigma": list(rec.sigma_labels),
+                "orbit_size": rec.orbit_size,
+                "centralizer_order": rec.centralizer_order,
+                "rank": rec.rank,
+                "twists": [[str(w) for w in twist] for twist in rec.twists],
+            }
+            for rec in table.records
+        ],
+        "total_rank": table.total_rank,
     }
 
 
 def serialize_quasi(table: QuasiTable, fmt: str = "json") -> bytes:
     """Deterministic byte serialization in 'json' or 'text' format."""
     if fmt == "json":
-        doc = {
-            "group": table.group,
-            "n": table.n,
-            "E": table.theory,
-            "records": [_record_to_json(r) for r in table.records],
-            "total_rank": table.total_rank,
-        }
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        return (json.dumps(quasi_document(table), indent=2) + "\n").encode("utf-8")
     if fmt == "text":
         return (render_quasi_text(table) + "\n").encode("utf-8")
     raise QuasiError(f"unknown serialization format {fmt!r}")

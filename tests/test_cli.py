@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasik import Limits, build_group
+from quasik import Limits, build_group, quasi_coefficients, serialize_quasi
 from quasik.cli import CONSTRUCTIONS, CliConfig, main, parse_args, run
 from quasik.errors import SelectorError
 
@@ -322,6 +322,21 @@ def test_byte_identical_output():
     assert all(code == 0 for code, _, _ in runs)
     outputs = {out for _, out, _ in runs}
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("fmt, unused", [("json", "render_quasi_text"),
+                                         ("text", "quasi_document")])
+def test_a_run_renders_only_the_format_it_prints(monkeypatch, fmt, unused):
+    import quasik.cli
+
+    def refuse(table):
+        raise AssertionError(f"{unused} called for --format {fmt}")
+
+    monkeypatch.setattr(quasik.cli, unused, refuse)
+    code, out, err = _run(["quasi", "--group", "symmetric:3", "-n", "1", "--format", fmt])
+    assert (code, err) == (0, "")
+    table = quasi_coefficients(build_group("symmetric:3"), 1)
+    assert out.encode() == serialize_quasi(table, fmt)
 
 
 def test_main_entry(capsys):

@@ -371,6 +371,10 @@ def test_components_are_validated():
         (TwistedIrrep(7, (Fraction(1),)), "^irreducible index 7 is not in range\\(4\\)$"),
         (TwistedIrrep(0, (1.0,)), "^weight 1\\.0 is not an int or a Fraction$"),
         (TwistedIrrep(0, ("1",)), "^weight '1' is not an int or a Fraction$"),
+        # rejected before the merge dict hashes them
+        (TwistedIrrep(1, [Fraction(1, 4)]), "is not a TwistedIrrep with a tuple weight$"),
+        (TwistedIrrep(1, Fraction(1, 4)), "is not a TwistedIrrep with a tuple weight$"),
+        ((1, (Fraction(1, 4),)), "is not a TwistedIrrep with a tuple weight$"),
     ]
     for comp, message in cases:
         with pytest.raises(QuasiError, match=message):
