@@ -1,17 +1,20 @@
 """Exact irreducible character tables of finite groups.
 
-The table is computed by the classical modular method: simultaneous
-eigenvectors of the class-sum matrices over a prime field F_p with
-p = 1 (mod exponent), lifted to exact cyclotomic values by counting
-eigenvalue multiplicities through a discrete Fourier inversion (Dixon 1967).
+The table is computed by the modular method (Dixon 1967, Schneider 1990).
+Over F_p with p = 1 (mod exponent), the common eigenspaces of the class-sum
+matrices are split at the roots of each one's characteristic polynomial.  One
+character per Galois class is lifted to exact values by a discrete Fourier
+inversion that counts eigenvalue multiplicities; for a unit j mod e, its
+conjugate chi^(sigma_j) takes chi's values at the classes of g^j, with each
+eigenvalue exponent times j, and the split skips the eigenspaces it spans.
 
 The lift's integers are kept: for each irreducible and class the table
 stores the multiplicity c of each eigenvalue zeta_e^x, e = exp(G), as a
-sparse vector ((x, c), ...).  Every finished table is verified in
-Z[zeta_e] on these vectors, with integer arithmetic only, against row and
-column orthogonality and the degree sum before it is returned, and
-central scalars are read off them: an element acts as a scalar exactly
-when its vector has a single entry.
+sparse vector ((x, c), ...).  Every finished table, conjugates included, is
+verified in Z[zeta_e] on these vectors, with integer arithmetic only,
+against row and column orthogonality and the degree sum before it is
+returned, and central scalars are read off them: an element acts as a
+scalar exactly when its vector has a single entry.
 
 Every character sum here (table entries, orthogonality, inner products,
 Frobenius-Schur indicators) is one call to cyclotomic.conj_product_sum,
@@ -20,8 +23,10 @@ which reduces the whole sum once.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import accumulate, product
+from math import gcd, isqrt, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import Cyc, _primes, conj_product_sum
@@ -223,140 +228,172 @@ def _primitive_root(p: int) -> int:
     return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
-def _nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right null space of a matrix over F_p."""
-    mat = [row[:] for row in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
+def _nullspace_mod_p(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
+    """Basis of the right null space of a matrix with entries in F_p, and its free
+    columns: basis vector f is 1 at free[f] and 0 at the other free columns."""
+    mat, pivots, n = [row[:] for row in rows], [], len(rows[0])
     for c in range(n):
-        pivot = next((i for i in range(r, m) if mat[i][c] % p), None)
-        if pivot is None:
+        r = len(pivots)
+        i = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if i is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r], mat[i] = mat[i], mat[r]
         inv = pow(mat[r][c], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                mat[i] = [(x - row[c] * y) % p for x, y in zip(row, mat[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
     free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-mat[i][fc]) % p
-        basis.append(vec)
-    return basis
+    return free, [[-mat[pivots.index(c)][fc] % p if c in pivots else int(c == fc) for c in range(n)]
+                  for fc in free]
+
+
+def _charpoly_mod_p(M: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial over F_p, leading coefficient first: a similarity to
+    Hessenberg form H, then a recurrence over H's leading minors (Cohen 1993, 2.2.9)."""
+    H, n = [row[:] for row in M], len(M)
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if i is None:
+            continue
+        H[i], H[m] = H[m], H[i]
+        for row in H:
+            row[i], row[m] = row[m], row[i]
+        inv = pow(H[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * inv % p
+            if u:  # row i -= u * row m, then column m += u * column i
+                H[i] = [(a - u * b) % p for a, b in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]  # constant term first
+    for m in range(n):  # x * P_m - sum_i H[i][m] * H[i+1][i] ... H[m][m-1] * P_i
+        nxt, t = [0] + polys[m], 1
+        for i in range(m, -1, -1):
+            for d, c in enumerate(polys[i]):
+                nxt[d] = (nxt[d] - H[i][m] * t * c) % p
+            t = t * H[i][i - 1] % p if i else 0
+            if not t:
+                break
+        polys.append(nxt)
+    return polys[n][::-1]
+
+
+def _roots_mod_p(poly: list[int], p: int) -> list[int]:
+    """Roots of a polynomial over F_p, leading coefficient first, each as often
+    as it divides: synthetic division at each point in turn."""
+    roots = []
+    for lam in range(p):
+        while len(poly) > 1:
+            quot = list(accumulate(poly, lambda acc, a: (acc * lam + a) % p))
+            if quot.pop():
+                break
+            poly = quot
+            roots.append(lam)
+    return roots
+
+
+def _scaled(vec: Sequence[tuple[int, int]], u: int, e: int) -> EigVector:
+    """The eigenvalue vector of g^u, for vec that of g: each x times u mod e."""
+    counts: dict[int, int] = {}
+    for x, c in vec:
+        counts[x * u % e] = counts.get(x * u % e, 0) + c
+    return tuple(sorted(counts.items()))
 
 
 def _modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tuple[EigVector, ...]]]:
     """Each irreducible as (values, eigenvalue vectors at conductor exp(G))."""
-    classes = conjugacy_classes(G)
-    class_of = class_index_map(G)
-    k = len(classes)
-    reps = [c.rep for c in classes]
-    sizes = [c.size for c in classes]
-    exponent = G.exponent()
+    classes, class_of, exponent = conjugacy_classes(G), class_index_map(G), G.exponent()
+    k, id_class = len(classes), class_of[G.identity]
     p = _smallest_valid_prime(exponent, G.order)
 
     # class-sum structure matrices: (A_i)[j][t] = #{x in C_i : x^-1 * z_t in C_j}
-    mats = []
-    for i in range(k):
-        mat = [[0] * k for _ in range(k)]
-        for t in range(k):
-            z = reps[t]
-            for x in classes[i].members:
-                j = class_of[G.mul(G.inverse(x), z)]
-                mat[j][t] += 1
-        mats.append(mat)
+    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for i, t in product(range(k), range(k)):
+        for x in classes[i].members:
+            mats[i][class_of[G.mul(G.inverse(x), classes[t].rep)]][t] += 1
 
-    # split the common eigenspaces over F_p
-    spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for mi in range(k):
-        if all(len(space) == 1 for space in spaces):
-            break
-        mat = mats[mi]
+    # powers[t][u] is the class of g_t^u for u < |g_t|.  For a unit j mod exp(G),
+    # the Galois conjugate chi^(sigma_j) takes chi's values at the classes of g^j.
+    powers = [[class_of[x] for x in accumulate(range(1, G.order_of(c.rep)),
+                                               lambda x, _: G.mul(x, c.rep), initial=G.identity)]
+              for c in classes]
+    units = [j for j in range(1, exponent + 1) if gcd(j, exponent) == 1]
+
+    def conjugates(omega: Sequence[int]) -> list[tuple[int, ...]]:
+        return [tuple(omega[pw[j % len(pw)]] for pw in powers) for j in units]
+
+    # Split the common eigenspaces at the roots of each characteristic polynomial.
+    # A space is (basis, pivots, signature): basis vector r is 1 at pivots[r] and 0
+    # at the other pivots, and omega lies in it iff omega[:i] == signature.
+    known: set[tuple[int, ...]] = set()  # central characters split off, and their conjugates
+    spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)), ())]
+    for mi, mat in enumerate(mats):
         new_spaces = []
-        for space in spaces:
-            if len(space) == 1:
-                new_spaces.append(space)
+        for basis, piv, sig in spaces:
+            if len(basis) == 1:
+                new_spaces.append((basis, piv, sig))
                 continue
-            # images of the space basis under A_i, as columns
-            cols = [[sum(mat[r][c] * v[c] for c in range(k)) % p for v in space] for r in range(k)]
-            remaining = len(space)
-            for lam in range(p):
-                shifted = [
-                    [(cols[r][c] - lam * space[c][r]) % p for c in range(len(space))]
-                    for r in range(k)
-                ]
-                coeffs = _nullspace_mod_p(shifted, p)
-                if not coeffs:
-                    continue
-                vecs = [
-                    [sum(co[c] * space[c][r] for c in range(len(space))) % p for r in range(k)]
-                    for co in coeffs
-                ]
-                new_spaces.append(vecs)
-                remaining -= len(vecs)
-                if remaining == 0:
-                    break
+            support = [[(t, x) for t, x in enumerate(v) if x] for v in basis]
+            M = [[sum(mat[r][t] * x for t, x in s) % p for s in support] for r in piv]
+            for lam, mult in Counter(_roots_mod_p(_charpoly_mod_p(M, p), p)).items():
+                sig_lam = sig + (lam,)
+                hits = [om for om in known if om[:mi + 1] == sig_lam]
+                if mult == len(basis):  # A_i acts as lam on the whole space
+                    new_spaces.append((basis, piv, sig_lam))
+                elif mult == len(hits):  # known characters span the eigenspace
+                    new_spaces += [([list(om)], [id_class], sig_lam) for om in hits]
+                else:
+                    free, coeffs = _nullspace_mod_p([[(x - lam * (r == c)) % p for c, x in enumerate(row)]
+                                                     for r, row in enumerate(M)], p)
+                    vecs = [[sum(a * v[t] for a, v in zip(co, basis) if a) % p for t in range(k)]
+                            for co in coeffs]
+                    new_spaces.append((vecs, [piv[c] for c in free], sig_lam))
+                    if len(vecs) == 1:  # scaled to omega, 1 at the identity
+                        inv = pow(vecs[0][id_class], -1, p)
+                        vecs[0] = [x * inv % p for x in vecs[0]]
+                        known.update(conjugates(vecs[0]))
         spaces = new_spaces
-    if any(len(space) != 1 for space in spaces):
+    if any(len(basis) != 1 for basis, _, _ in spaces):
         raise QuasiError("class algebra failed to split into one-dimensional pieces")
 
-    id_class = class_of[G.identity]
-    inv_class = [class_of[G.inverse(r)] for r in reps]
+    # Lift one irreducible per Galois class.  A discrete Fourier inversion over
+    # the powers of g_t counts the multiplicity of each eigenvalue; the powers
+    # of g_t then take theirs from it, so classes of higher order go first.
     w = _primitive_root(p)
-
-    values: dict[EigVector, Cyc] = {}  # one Cyc per distinct vector
-
-    def value_of(vec: EigVector) -> Cyc:
-        if vec not in values:
-            values[vec] = conj_product_sum(((1, vec, ((0, 1),)),), exponent)
-        return values[vec]
-
-    rows = []
-    for space in spaces:
-        v = space[0]
-        scale = pow(v[id_class], -1, p)
-        omega = [(x * scale) % p for x in v]  # omega_i = |C_i| chi(g_i) / d  (mod p)
-        denom = sum(omega[i] * omega[inv_class[i]] * pow(sizes[i], -1, p) for i in range(k)) % p
-        d_sq = (G.order * pow(denom, -1, p)) % p
-        d0 = next(d for d in range(1, p) if (d * d) % p == d_sq)
-        d = d0 if d0 * d0 <= G.order else p - d0
-        if d * d > G.order:
+    dft = [[pow(w, (p - 1) // len(pw) * (len(pw) - u), p) for u in range(len(pw))]
+           for pw in powers]  # dft[t][u] = zeta_m^-u mod p, m = |g_t|
+    size_inv = [pow(c.size, -1, p) for c in classes]
+    by_order = sorted(range(k), key=lambda t: -len(powers[t]))
+    omegas = [tuple(basis[0]) for basis, _, _ in spaces]  # omega_i = |C_i| chi(g_i) / d  (mod p)
+    lifted: dict[tuple[int, ...], tuple[EigVector, ...]] = {}
+    for omega in omegas:
+        if omega in lifted:  # a conjugate of one lifted before
+            continue
+        denom = sum(omega[i] * omega[powers[i][-1]] * size_inv[i] for i in range(k)) % p
+        d_sq = G.order * pow(denom, -1, p) % p
+        d = next((d for d in range(1, isqrt(G.order) + 1) if d * d % p == d_sq), None)
+        if d is None:
             raise QuasiError("degree lift out of range")
-
-        def chi_mod(elem: int) -> int:
-            c = class_of[elem]
-            return (d * omega[c] * pow(sizes[c], -1, p)) % p
-
-        vecs = []
-        for t in range(k):
-            g = reps[t]
-            m = G.order_of(g)
-            z_inv = pow(w, -((p - 1) // m), p)
-            z_inv_pows = [pow(z_inv, u, p) for u in range(m)]
-            m_inv = pow(m, -1, p)
-            vec = []
-            powers_chi = [chi_mod(G.power(g, u)) for u in range(m)]
+        chi = [d * omega[c] * size_inv[c] % p for c in range(k)]
+        vecs: list[Optional[EigVector]] = [None] * k
+        for t in (t for t in by_order if vecs[t] is None):
+            pw, zs = powers[t], dft[t]
+            m, m_inv, vec = len(pw), pow(len(pw), -1, p), []
             for j in range(m):
-                acc = sum(powers_chi[u] * z_inv_pows[j * u % m] for u in range(m))
-                c_j = (acc * m_inv) % p
+                c_j = sum(chi[c] * zs[j * u % m] for u, c in enumerate(pw)) * m_inv % p
                 if c_j:
                     vec.append((j * (exponent // m), c_j))  # zeta_m^j = zeta_e^(j e/m)
             if sum(c for _, c in vec) != d:
                 raise QuasiError("eigenvalue multiplicities do not sum to the degree")
-            vecs.append(tuple(vec))
-        rows.append((tuple(value_of(v) for v in vecs), tuple(vecs)))
-    return rows
+            for u, c in enumerate(pw):
+                vecs[c] = vecs[c] or _scaled(vec, u, exponent)
+        for j, conj in zip(units, conjugates(omega)):  # chi^(sigma_j)
+            lifted.setdefault(conj, tuple(_scaled(vec, j, exponent) for vec in vecs))
+    rows = [lifted[omega] for omega in omegas]
+    values = {v: conj_product_sum(((1, v, ((0, 1),)),), exponent) for v in {v for vs in rows for v in vs}}
+    return [(tuple(values[v] for v in vecs), vecs) for vecs in rows]
 
 
 def _verify_table(table: CharacterTable) -> None:

@@ -8,7 +8,6 @@ Results go to stdout, errors to stderr; exit codes are 0 (success),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import NamedTuple, Optional, Sequence, TextIO
 
@@ -148,7 +147,10 @@ def run(cfg: CliConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = No
     except QuasiError as exc:
         print(f"error: {exc}", file=err)
         return 1
-    out.write((json.dumps(answer, indent=2) if cfg.fmt == "json" else "\n".join(answer)) + "\n")
+    if cfg.fmt == "json":
+        import json  # here only: a text run never loads json
+        answer = [json.dumps(answer, indent=2)]
+    out.write("\n".join(answer) + "\n")
     return 0
 
 

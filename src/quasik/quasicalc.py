@@ -9,7 +9,6 @@ the rank and the multiset of q-twist exponents of the basis.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -137,6 +136,7 @@ def quasi_document(table: QuasiTable) -> dict:
 def serialize_quasi(table: QuasiTable, fmt: str = "json") -> bytes:
     """Deterministic byte serialization in 'json' or 'text' format."""
     if fmt == "json":
+        import json  # here and in parse_quasi only: a text run never loads json
         return (json.dumps(quasi_document(table), indent=2) + "\n").encode("utf-8")
     if fmt == "text":
         return (render_quasi_text(table) + "\n").encode("utf-8")
@@ -187,6 +187,7 @@ def parse_quasi(data: bytes | str) -> QuasiTable:
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
+        import json
         doc = json.loads(data)
         records = [
             QuasiRecord(

@@ -16,8 +16,11 @@ descended through centralizers, the restrictions that v_sigma,
 fixed_part_rep, the external sum and restrict_lambda made by pulling a
 class function back and decomposing it before every restriction in
 lambdarep read one memoized branching matrix from
-chartable.restriction_multiplicities, and the decompose that took one
-inner_product per irreducible before the character was expanded once.
+chartable.restriction_multiplicities, the decompose that took one
+inner_product per irreducible before the character was expanded once, and
+the character-table split and lift that tried every eigenvalue in F_p and
+lifted every irreducible before chartable found the eigenvalues first and
+lifted one character per Galois class.
 """
 
 from __future__ import annotations
@@ -32,14 +35,26 @@ from quasik import Cyc, subgroup_from_generators
 from quasik.chartable import (
     CharacterTable,
     ClassFunction,
+    EigVector,
     RepDecomposition,
+    _primitive_root,
+    _smallest_valid_prime,
     character_table,
     decompose,
     inner_product,
 )
-from quasik.cyclotomic import _reduce, totient
+from quasik.cyclotomic import _reduce, conj_product_sum, totient
 from quasik.errors import QuasiError, SizeLimitError, VirtualCharacterError
-from quasik.groups import CommTuple, GroupTable, Homomorphism, Limits, TupleOrbit, make_comm_tuple
+from quasik.groups import (
+    CommTuple,
+    GroupTable,
+    Homomorphism,
+    Limits,
+    TupleOrbit,
+    class_index_map,
+    conjugacy_classes,
+    make_comm_tuple,
+)
 from quasik.lambdarep import (
     KERNEL_ENUM_CAP,
     KernelDescription,
@@ -471,3 +486,147 @@ def ref_restrict_lambda(
     pulled = LambdaRep(dh, comps)
     direct = ref_v_sigma(_pull_back(chi, phi.images, character_table(H)), dh)
     return pulled, direct, pulled == direct
+
+
+# The split and lift that chartable._modular_character_rows made before it
+# took each class matrix's eigenvalues from its characteristic polynomial and
+# lifted one character per Galois class: one null space for every lam in F_p,
+# and a discrete Fourier inversion for every irreducible and class, with the
+# powers of each class representative rebuilt by G.power each time.
+def _ref_nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the right null space of a matrix over F_p."""
+    mat = [row[:] for row in rows]
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if mat[i][c] % p), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(m):
+            if i != r and mat[i][c] % p:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [0] * n
+        vec[fc] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = (-mat[i][fc]) % p
+        basis.append(vec)
+    return basis
+
+
+def ref_modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tuple[EigVector, ...]]]:
+    """Each irreducible as (values, eigenvalue vectors at conductor exp(G)),
+    sorted as character_table sorts them."""
+    classes = conjugacy_classes(G)
+    class_of = class_index_map(G)
+    k = len(classes)
+    reps = [c.rep for c in classes]
+    sizes = [c.size for c in classes]
+    exponent = G.exponent()
+    p = _smallest_valid_prime(exponent, G.order)
+
+    # class-sum structure matrices: (A_i)[j][t] = #{x in C_i : x^-1 * z_t in C_j}
+    mats = []
+    for i in range(k):
+        mat = [[0] * k for _ in range(k)]
+        for t in range(k):
+            z = reps[t]
+            for x in classes[i].members:
+                j = class_of[G.mul(G.inverse(x), z)]
+                mat[j][t] += 1
+        mats.append(mat)
+
+    # split the common eigenspaces over F_p
+    spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
+    for mi in range(k):
+        if all(len(space) == 1 for space in spaces):
+            break
+        mat = mats[mi]
+        new_spaces = []
+        for space in spaces:
+            if len(space) == 1:
+                new_spaces.append(space)
+                continue
+            # images of the space basis under A_i, as columns
+            cols = [[sum(mat[r][c] * v[c] for c in range(k)) % p for v in space] for r in range(k)]
+            remaining = len(space)
+            for lam in range(p):
+                shifted = [
+                    [(cols[r][c] - lam * space[c][r]) % p for c in range(len(space))]
+                    for r in range(k)
+                ]
+                coeffs = _ref_nullspace_mod_p(shifted, p)
+                if not coeffs:
+                    continue
+                vecs = [
+                    [sum(co[c] * space[c][r] for c in range(len(space))) % p for r in range(k)]
+                    for co in coeffs
+                ]
+                new_spaces.append(vecs)
+                remaining -= len(vecs)
+                if remaining == 0:
+                    break
+        spaces = new_spaces
+    if any(len(space) != 1 for space in spaces):
+        raise QuasiError("class algebra failed to split into one-dimensional pieces")
+
+    id_class = class_of[G.identity]
+    inv_class = [class_of[G.inverse(r)] for r in reps]
+    w = _primitive_root(p)
+
+    values: dict[EigVector, Cyc] = {}  # one Cyc per distinct vector
+
+    def value_of(vec: EigVector) -> Cyc:
+        if vec not in values:
+            values[vec] = conj_product_sum(((1, vec, ((0, 1),)),), exponent)
+        return values[vec]
+
+    rows = []
+    for space in spaces:
+        v = space[0]
+        scale = pow(v[id_class], -1, p)
+        omega = [(x * scale) % p for x in v]  # omega_i = |C_i| chi(g_i) / d  (mod p)
+        denom = sum(omega[i] * omega[inv_class[i]] * pow(sizes[i], -1, p) for i in range(k)) % p
+        d_sq = (G.order * pow(denom, -1, p)) % p
+        d0 = next(d for d in range(1, p) if (d * d) % p == d_sq)
+        d = d0 if d0 * d0 <= G.order else p - d0
+        if d * d > G.order:
+            raise QuasiError("degree lift out of range")
+
+        def chi_mod(elem: int) -> int:
+            c = class_of[elem]
+            return (d * omega[c] * pow(sizes[c], -1, p)) % p
+
+        vecs = []
+        for t in range(k):
+            g = reps[t]
+            m = G.order_of(g)
+            z_inv = pow(w, -((p - 1) // m), p)
+            z_inv_pows = [pow(z_inv, u, p) for u in range(m)]
+            m_inv = pow(m, -1, p)
+            vec = []
+            powers_chi = [chi_mod(G.power(g, u)) for u in range(m)]
+            for j in range(m):
+                acc = sum(powers_chi[u] * z_inv_pows[j * u % m] for u in range(m))
+                c_j = (acc * m_inv) % p
+                if c_j:
+                    vec.append((j * (exponent // m), c_j))  # zeta_m^j = zeta_e^(j e/m)
+            if sum(c for _, c in vec) != d:
+                raise QuasiError("eigenvalue multiplicities do not sum to the degree")
+            vecs.append(tuple(vec))
+        rows.append((tuple(value_of(v) for v in vecs), tuple(vecs)))
+    id_row = class_of[G.identity]
+    return sorted(rows, key=lambda pair: (
+        pair[0][id_row].rational_value(), tuple(v.sort_key() for v in pair[0])))

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import copy
+import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from conftest import battery_groups, non_genuine_class_functions, outcome
@@ -16,6 +19,7 @@ from cyc_reference import (
     ref_fixed_space_dimension,
     ref_fs_indicator,
     ref_inner_product,
+    ref_modular_character_rows,
     ref_mul,
 )
 
@@ -44,7 +48,7 @@ from quasik import (
     subgroup_from_generators,
     symmetric_group,
 )
-from quasik.chartable import _coordinates, _verify_table
+from quasik.chartable import _charpoly_mod_p, _coordinates, _roots_mod_p, _verify_table
 from quasik.groups import inclusion_hom
 
 
@@ -509,3 +513,107 @@ def test_class_functions_beyond_the_table_conductor(spec):
             v * Cyc.zeta(7) for v in table.irreducible(1).values))):
         want = [ref_inner_product(f, table.irreducible(i)) for i in range(len(table.rows))]
         assert list(_coordinates(f)) == want
+
+
+# -- the split and the lift against their references -----------------------------
+
+
+def _det_mod_p(rows, p):
+    mat, det = [row[:] for row in rows], 1
+    for c in range(len(mat)):
+        r = next((r for r in range(c, len(mat)) if mat[r][c] % p), None)
+        if r is None:
+            return 0
+        if r != c:
+            mat[c], mat[r], det = mat[r], mat[c], -det
+        det = det * mat[c][c] % p
+        inv = pow(mat[c][c], -1, p)
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] * inv % p
+            mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[c])]
+    return det % p
+
+
+def test_characteristic_polynomial_is_the_determinant_at_every_point():
+    # det(lam I - M) at all p > n points fixes the monic polynomial of degree n;
+    # sparse matrices make the Hessenberg reduction swap rows and skip columns
+    rng = random.Random(20261019)
+    p = 13
+    for n in range(1, 8):
+        for density in (0.2, 0.5, 1.0):
+            for _ in range(6):
+                M = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+                     for _ in range(n)]
+                poly = _charpoly_mod_p(M, p)
+                assert len(poly) == n + 1 and poly[0] == 1
+                for lam in range(p):
+                    value = 0
+                    for a in poly:
+                        value = (value * lam + a) % p
+                    shifted = [[(lam * (i == j) - M[i][j]) % p for j in range(n)] for i in range(n)]
+                    assert value == _det_mod_p(shifted, p)
+
+
+def test_roots_come_with_their_multiplicities():
+    rng = random.Random(7)
+    p = 31
+    for _ in range(40):
+        want = [rng.randrange(p) for _ in range(rng.randrange(1, 9))]
+        poly = [1]
+        for r in want:  # times (x - r)
+            poly = [(a - r * b) % p for a, b in zip(poly + [0], [0] + poly)]
+        assert Counter(_roots_mod_p(poly, p)) == Counter(want)
+    # x^2 + 1 has no root mod 7: nothing is returned for it
+    assert _roots_mod_p([1, 0, 1, 0], 7) == [0]
+
+
+def test_split_and_lift_match_the_reference():
+    groups = battery_groups() + [alternating_group(5), symmetric_group(5), dihedral_group(12),
+                                 cyclic_group(24)]
+    for G in groups:
+        table = character_table(G, Limits(order=120))
+        ref = ref_modular_character_rows(G)
+        assert table.rows == tuple(row for row, _ in ref)
+        assert table.eig == tuple(vecs for _, vecs in ref)
+
+
+@pytest.mark.parametrize("n", [12, 47, 48])
+def test_the_split_takes_one_null_space_per_galois_class(monkeypatch, n):
+    # on cyclic:n the generator's class matrix has n simple roots, one per
+    # character, and the characters fall into one Galois class per divisor of n
+    import quasik.chartable as chartable
+
+    calls = []
+    real = chartable._nullspace_mod_p
+    monkeypatch.setattr(chartable, "_nullspace_mod_p", lambda rows, p: calls.append(p) or real(rows, p))
+    character_table(cyclic_group(n))
+    assert len(calls) == sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def test_galois_conjugates_of_rows_are_rows(oracle_tables):
+    # for a unit j mod e, x -> x j on a row's eig is the row of chi^(sigma_j),
+    # whose vector at class c is chi's at the class of g_c^j
+    for table in oracle_tables:
+        G, e = table.group, table.exponent
+        rows = set(table.eig)
+        for j in (j for j in range(1, e + 1) if gcd(j, e) == 1):
+            for vecs in table.eig:
+                image = tuple(tuple(sorted((x * j % e, c) for x, c in v)) for v in vecs)
+                assert image in rows
+                for c, cls in enumerate(table.classes):
+                    assert image[c] == vecs[table.class_of[G.power(cls.rep, j)]]
+
+
+@pytest.mark.parametrize("n", [47, 48])
+def test_large_cyclic_tables_are_the_dual_group(n):
+    # under the default caps: a prime exponent (p = 283) and (Z/48)^* not cyclic.
+    # chi_a(g^b) = zeta_n^(ab), one eigenvalue of multiplicity 1 at each class
+    G = cyclic_group(n)
+    table = character_table(G)
+    e = table.exponent
+    assert e == n
+    want = {tuple((((a * b * e // n) % e, 1),) for b in range(n)) for a in range(n)}
+    got = [tuple(vecs[table.class_of[G.power(1, b)]] for b in range(n)) for vecs in table.eig]
+    assert len(got) == n and set(got) == want
+    for row, vecs in zip(table.rows, table.eig):
+        assert all(value == Cyc.zeta(e, v[0][0]) for value, v in zip(row, vecs))

@@ -243,6 +243,23 @@ def test_subprocess_runs_are_byte_identical(tmp_path):
     assert first.stdout.startswith(b"{")
 
 
+def test_a_text_run_never_loads_json():
+    # json is imported where a document is encoded or decoded, not at start-up
+    import subprocess
+    import sys
+
+    script = ("import sys, quasik.cli\n"
+              "print('json' in sys.modules)\n"
+              "quasik.cli.main(['quasi', '--group', 'cyclic:3', '-n', '1'])\n"
+              "print('json' in sys.modules)\n"
+              "quasik.cli.main(['classes', '--group', 'cyclic:3', '--format', 'json'])\n"
+              "print('json' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "True")
+    assert lines[lines.index("total rank: 9") + 1] == "False"
+
+
 @pytest.mark.parametrize(
     "content",
     [b"table x\n", b"perm x\n(1 2)\n", b"table 2\n0 1\n1 a\n", b"table 1\n\xff\n",
