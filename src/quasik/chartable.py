@@ -14,7 +14,9 @@ sparse vector ((x, c), ...).  Every finished table, conjugates included, is
 verified in Z[zeta_e] on these vectors, with integer arithmetic only,
 against row and column orthogonality and the degree sum before it is
 returned, and central scalars are read off them: an element acts as a
-scalar exactly when its vector has a single entry.
+scalar exactly when its vector has a single entry x, and then acts as
+zeta_e^x (CharacterTable.central_exponent).  lambdarep reads every scalar
+there: the weight x/e, or 1 when x = 0, and the kernel's b = -x den/e.
 
 Every character sum here (table entries, orthogonality, inner products,
 Frobenius-Schur indicators) is one call to cyclotomic.conj_product_sum,
@@ -35,6 +37,7 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Limits,
+    _check_elements,
     class_index_map,
     conjugacy_classes,
 )
@@ -99,19 +102,11 @@ class CharacterTable:
             )
         return self._conj_rows[irrep]
 
-    def scalar_exponent(self, irrep: int, element: int, l: int) -> Optional[int]:
-        """m with element acting on irrep as the scalar zeta_l^m, 0 < m <= l.
-
-        None when element does not act as a scalar, or acts by a root of
-        unity whose order does not divide l.
-        """
-        vec = self.eig[irrep][self.class_of[element]]
-        if len(vec) != 1:
-            return None
-        m, rem = divmod(vec[0][0] * l, self.exponent)
-        if rem:
-            return None
-        return m or l
+    def central_exponent(self, irrep: int, cls: int) -> Optional[int]:
+        """x with class cls acting on irrep as the scalar zeta_e^x, e = exponent
+        and 0 <= x < e; None when it does not act as a scalar."""
+        vec = self.eig[irrep][cls]
+        return vec[0][0] if len(vec) == 1 else None
 
     def __repr__(self) -> str:
         return f"CharacterTable({self.group.name}, {len(self.rows)} irreducibles)"
@@ -503,18 +498,22 @@ def central_scalar(table: CharacterTable, irrep: int, z: int, l: Optional[int] =
     """The scalar by which z acts on an irreducible, as a root-of-unity exponent.
 
     Returns (m, l) with chi(z)/chi(e) = zeta_l^m and 0 < m <= l, where l is
-    the order of z.  Raises NonScalarError when z does not act as a scalar.
+    the order of z unless given.  Raises NonScalarError when z does not act
+    as a scalar, or acts by a root of unity whose order does not divide l,
+    and QuasiError when irrep or z is out of range or l is not a positive int.
     """
+    _check_elements(table.group, (z,))
     if l is None:
         l = table.group.order_of(z)
-    m = table.scalar_exponent(irrep, z, l)
-    if m is None:
-        if len(table.eig[irrep][table.class_of[z]]) != 1:
-            raise NonScalarError(
-                f"{table.group.label(z)} does not act as a scalar on {table.labels[irrep]}"
-            )
+    if not (0 <= irrep < len(table.rows) and isinstance(l, int) and l >= 1):
+        raise QuasiError(f"irreducible index {irrep} or order {l} out of range")
+    x = table.central_exponent(irrep, table.class_of[z])
+    if x is None:
+        raise NonScalarError(f"{table.group.label(z)} does not act as a scalar on {table.labels[irrep]}")
+    m, rem = divmod(x * l, table.exponent)  # zeta_e^x = zeta_l^m
+    if rem:
         raise NonScalarError("scalar is not a root of unity of the stated order")
-    return m, l
+    return m or l, l
 
 
 def restrict_character(chi: ClassFunction, phi: Homomorphism) -> ClassFunction:

@@ -496,8 +496,15 @@ def _closure(G: GroupTable, gens: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
+def _check_elements(G: GroupTable, elements: Iterable[int]) -> None:
+    for a in elements:
+        if not 0 <= a < G.order:
+            raise GroupInputError(f"element index {a} out of range")
+
+
 def subgroup_from_generators(G: GroupTable, gens: Iterable[int]) -> Subgroup:
     gens = tuple(sorted(set(gens)))
+    _check_elements(G, gens)
     return Subgroup(parent=G, elements=_closure(G, gens), generators=gens)
 
 
@@ -511,6 +518,7 @@ def centralizer(G: GroupTable, entries: Sequence[int] | "CommTuple") -> Subgroup
         entries = entries.entries
     key = ("centralizer", frozenset(entries))
     if key not in G._memo:
+        _check_elements(G, key[1])
         mul = G._mul
         G._memo[key] = tuple(
             a for a in range(G.order) if all(mul[a][s] == mul[s][a] for s in key[1])
@@ -573,9 +581,7 @@ def make_comm_tuple(G: GroupTable, entries: Sequence[int]) -> CommTuple:
     entries = tuple(int(x) for x in entries)
     if len(entries) < 1:
         raise NonCommutingTupleError("a commuting tuple needs at least one entry")
-    for a in entries:
-        if not 0 <= a < G.order:
-            raise GroupInputError(f"element index {a} out of range")
+    _check_elements(G, entries)
     # Only distinct entries can fail to commute.  In first-occurrence order
     # the first failing pair is the one an all-pairs scan would meet first.
     distinct = tuple(dict.fromkeys(entries))
@@ -667,6 +673,8 @@ def hom_from_images(
     """Extend generator images to a homomorphism, verifying multiplicativity."""
     if len(gens) != len(images):
         raise HomomorphismError("need one image per generator")
+    _check_elements(source, gens)
+    _check_elements(target, images)
     full: list[Optional[int]] = [None] * source.order
     full[source.identity] = target.identity
     frontier = [source.identity]

@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .chartable import (
     CharacterTable,
     ClassFunction,
-    central_scalar,
     character_table,
     decompose,
     fs_indicator,
@@ -50,9 +49,9 @@ KERNEL_ENUM_CAP = 1 << 20
 
 
 class LambdaDesc(NamedTuple):
-    """Lambda_G(sigma): the centralizer C_G(sigma) as table.group, its
-    inclusion to_parent into G, and the twist data weights[lam][i] = m/l
-    with lam(sigma_i) = zeta_l^m and 0 < m <= l."""
+    """Lambda_G(sigma): the centralizer C = C_G(sigma) as table.group, its
+    inclusion to_parent into G, and the twist data weights[lam][i] = x/e in
+    (0, 1], or 1 when x = 0, with sigma_i acting on lam as zeta_e^x, e = exp(C)."""
 
     group: GroupTable
     sigma: CommTuple
@@ -75,11 +74,11 @@ def lambda_desc(
     limits.check_tuples(1, sigma.n)
     C, to_parent = subgroup_table(centralizer(G, sigma))
     table = character_table(C, limits)
-    pairs = [(to_parent.index(s), l) for s, l in zip(sigma.entries, sigma.orders)]
-    weights = tuple(
-        tuple(Fraction(central_scalar(table, lam, s, l)[0], l) for s, l in pairs)
-        for lam in range(len(table.rows))
-    )
+    e, cols = table.exponent, [table.class_of[to_parent.index(s)] for s in sigma.entries]
+    xs = [[table.central_exponent(lam, c) for c in cols] for lam in range(len(table.rows))]
+    if any(None in row for row in xs):  # unreachable: sigma is central in C(sigma)
+        raise QuasiError("a tuple entry does not act as a scalar on its centralizer")
+    weights = tuple(tuple(Fraction(x or e, e) for x in row) for row in xs)
     return LambdaDesc(G, sigma, to_parent, table, weights)
 
 
@@ -210,7 +209,7 @@ def dual(rep: LambdaRep) -> LambdaRep:
 def fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     """The subrepresentation on which every tuple entry acts as the scalar 1,
     placed at weight zero: the components of (V)_sigma whose weights are all
-    1, as a basis weight m/l with 0 < m <= l is 1 exactly when m = l."""
+    1, as a basis weight x/e in (0, 1] is 1 exactly when x = 0."""
     zero = (Fraction(0),) * d.sigma.n
     fixed = [(c, m) for c, m in v_sigma(chi, d).components if all(w == 1 for w in c.weight)]
     return LambdaRep(d, [(TwistedIrrep(c.lam, zero), m) for c, m in fixed])
@@ -269,7 +268,8 @@ def kernel(rep: LambdaRep) -> KernelDescription:
         return KernelDescription(torus_rank=n, finite_points=(), full_group=True)
 
     weights = [c.weight for c in comps]
-    den = lcm(*(w.denominator for row in weights for w in row), C.exponent())
+    e = d.table.exponent
+    den = lcm(*(w.denominator for row in weights for w in row), e)
     A = [[int(w * den) for w in row] for row in weights]
     if len(A) < n:
         # rank A < n, read off the k x k Gram matrix A A^T (same rank over Q)
@@ -290,19 +290,12 @@ def kernel(rep: LambdaRep) -> KernelDescription:
         raise SizeLimitError("kernel solution enumeration exceeds the cap")
     L = lcm(*diag)
     period = L * den
-    for cls in d.table.classes:
-        # a acts on lam by zeta_l^m; l = order(a) divides exp(C), hence den; both
-        # are class functions, so each class is solved once
-        a, l = cls.rep, C.order_of(cls.rep)
-        b = []
-        for c in comps:
-            m = d.table.scalar_exponent(c.lam, a, l)
-            if m is None:
-                break
-            b.append(-(m % l) * (den // l))
-        if len(b) != len(comps):
+    for ci, cls in enumerate(d.table.classes):
+        # the class acts on lam by zeta_e^x (e divides den); each class is solved once
+        xs = [d.table.central_exponent(c.lam, ci) for c in comps]
+        if None in xs:
             continue
-        c_vec = mat_vec(U, b)
+        c_vec = mat_vec(U, [-x * (den // e) for x in xs])
         if any(c_vec[i] % den for i in range(rank, len(comps))):
             continue
         # L * y_i over the residues y_i = (c_i + den k) / s_i mod den
@@ -314,8 +307,7 @@ def kernel(rep: LambdaRep) -> KernelDescription:
             if all(x < L for x in T):
                 t = tuple(Fraction(x, L) for x in T)
                 points += [(g, t) for g in cls.members]
-    e = C.identity
-    finite = tuple(sorted(p for p in points if p != (e, zero)))
+    finite = tuple(sorted(p for p in points if p != (C.identity, zero)))
     return KernelDescription(torus_rank=0, finite_points=finite)
 
 

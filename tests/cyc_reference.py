@@ -9,8 +9,10 @@ routine shows up as a disagreement.
 Also here: the conductor minimization by exact Gaussian elimination over
 every divisor that the prime descent in cyclotomic._minimize replaced, and
 the Cyc operations the library itself no longer needs (inverse, division,
-negative powers, |z|^2 and root-of-unity extraction), the kernel solver
-that enumerated Fraction candidates before lambdarep.kernel ran in integers,
+negative powers, |z|^2 and root-of-unity extraction), the central scalars
+read at each element's order l before lambda_desc and kernel read one
+exponent at exp(C), the kernel solver that enumerated Fraction candidates
+before lambdarep.kernel ran in integers,
 the commuting-tuple scan that groups.commuting_tuples ran before it
 descended through centralizers, the restrictions that v_sigma,
 fixed_part_rep, the external sum and restrict_lambda made by pulling a
@@ -39,6 +41,7 @@ from quasik.chartable import (
     RepDecomposition,
     _primitive_root,
     _smallest_valid_prime,
+    central_scalar,
     character_table,
     decompose,
     inner_product,
@@ -284,10 +287,37 @@ def ref_fixed_space_dimension(chi, d) -> int:
     return int(val)
 
 
+# The order-l reading of a central scalar that CharacterTable.scalar_exponent
+# made, and lambda_desc and kernel through it, before both read the single
+# exponent x of eig[lam][class] at e = exp(C) through central_exponent.
+def ref_scalar_exponent(table: CharacterTable, irrep: int, element: int, l: int) -> Optional[int]:
+    """m with element acting on irrep as the scalar zeta_l^m, 0 < m <= l.
+
+    None when element does not act as a scalar, or acts by a root of
+    unity whose order does not divide l.
+    """
+    vec = table.eig[irrep][table.class_of[element]]
+    if len(vec) != 1:
+        return None
+    m, rem = divmod(vec[0][0] * l, table.exponent)
+    if rem:
+        return None
+    return m or l
+
+
+def ref_lambda_weights(d: LambdaDesc) -> tuple[tuple[Fraction, ...], ...]:
+    """weights[lam][i] = m/l with lam(sigma_i) = zeta_l^m, l the order of sigma_i."""
+    pairs = [(d.to_parent.index(s), l) for s, l in zip(d.sigma.entries, d.sigma.orders)]
+    return tuple(
+        tuple(Fraction(central_scalar(d.table, lam, s, l)[0], l) for s, l in pairs)
+        for lam in range(len(d.table.rows))
+    )
+
+
 def _scalar_argument(d: LambdaDesc, lam: int, a: int) -> Optional[Fraction]:
     """Fraction r with the action of a on lam equal to e^(2 pi i r), or None."""
     la = d.cent_group.order_of(a)
-    m = d.table.scalar_exponent(lam, a, la)
+    m = ref_scalar_exponent(d.table, lam, a, la)
     if m is None:
         return None
     return Fraction(m % la, la)

@@ -21,6 +21,7 @@ from cyc_reference import (
     ref_inner_product,
     ref_modular_character_rows,
     ref_mul,
+    ref_scalar_exponent,
 )
 
 from quasik import (
@@ -200,6 +201,16 @@ def test_central_scalar_examples(q8):
     assert central_scalar(tq, two_dim, minus_one) == (1, 2)
     with pytest.raises(NonScalarError):
         central_scalar(tq, two_dim, q8.index_of("i"))
+
+
+def test_central_scalar_rejects_bad_input():
+    z4 = cyclic_group(4)
+    t4 = character_table(z4)
+    # l below 1 or not an int; irreducible -1 and 4; element -1 and |C4|
+    for irrep, z, l in [(0, 0, -2), (0, 1, 0), (0, 1, 2.5), (-1, 1, None), (4, 1, None),
+                        (0, -1, None), (0, 4, 2)]:
+        with pytest.raises(QuasiError, match="out of range"):
+            central_scalar(t4, irrep, z, l)
 
 
 def test_central_scalar_additivity():
@@ -430,9 +441,12 @@ def test_scalar_lookup_matches_the_cyclotomic_oracle(oracle_tables):
         for lam in range(len(table.rows)):
             for z in range(G.order):
                 order = G.order_of(z)
+                x = table.central_exponent(lam, table.class_of[z])
                 for l in (order, 1, table.exponent):
                     want = _oracle_scalar_exponent(table, lam, z, l)
-                    assert table.scalar_exponent(lam, z, l) == want
+                    assert ref_scalar_exponent(table, lam, z, l) == want
+                    if l == table.exponent:  # zeta_e^x with 0 <= x < e
+                        assert (None if x is None else x or l) == want
                     if want is None:
                         with pytest.raises(NonScalarError):
                             central_scalar(table, lam, z, l)

@@ -247,6 +247,27 @@ def test_make_comm_tuple_range_checks_before_commuting(s3, entries, bad):
         make_comm_tuple(s3, entries)
 
 
+def _out_of_range(a):
+    return pytest.raises(GroupInputError, match=rf"^element index {a} out of range$")
+
+
+@pytest.mark.parametrize("past_the_end", [False, True])
+def test_element_indices_are_range_checked(s3, past_the_end):
+    # -1 would wrap round to the last element, and |G| raise IndexError
+    z4 = cyclic_group(4)
+    bad_s3, bad_z4 = (6, 4) if past_the_end else (-1, -1)
+    with _out_of_range(bad_s3):
+        subgroup_from_generators(s3, [1, bad_s3])
+    memo = set(s3._memo)
+    with _out_of_range(bad_s3):
+        centralizer(s3, [bad_s3])
+    assert set(s3._memo) == memo  # nothing memoized under the bad index
+    with _out_of_range(bad_s3):
+        hom_from_images(s3, [bad_s3], [0], z4)  # a generator
+    with _out_of_range(bad_z4):
+        hom_from_images(z4, [1], [bad_z4], z4)  # an image
+
+
 def _all_pairs_comm_check(G, entries):
     """The reference scan: every pair of positions, in order."""
     for i, a in enumerate(entries):

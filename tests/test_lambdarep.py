@@ -19,6 +19,7 @@ from cyc_reference import (
     ref_decompose,
     ref_fixed_part_rep,
     ref_kernel,
+    ref_lambda_weights,
     ref_product_factor_irrep,
     ref_restrict_lambda,
     ref_v_sigma,
@@ -118,6 +119,16 @@ def test_lambda_basis_count_and_scalar_consistency(s3, d4, q8):
                         s = d.to_parent.index(d.sigma.entries[i])
                         val = d.table.value_at_element(b.lam, s)
                         assert val == Cyc.zeta(l) ** int(m) * deg
+
+
+def test_lambda_weights_match_the_order_l_reference(battery):
+    # x/e read at e = exp(C) against m/l read at each entry's order l, on every
+    # orbit of the battery at n = 1 and 2
+    for G in battery:
+        for n in (1, 2):
+            for orbit in commuting_tuples(G, n):
+                d = lambda_desc(G, orbit.representative)
+                assert d.weights == ref_lambda_weights(d)
 
 
 def test_v_sigma_examples(s3):
@@ -502,14 +513,17 @@ def test_wide_kernel_skips_the_full_smith_form():
 def test_kernel_per_class_matches_the_reference():
     # kernel solves once per conjugacy class of the centralizer; the reference
     # runs over its elements.  n = 1 and 2, every irreducible and the regular
-    # character, plain, q and fixed constructions
+    # character, plain, q and fixed constructions; cyclic:12 at n = 1 only: its
+    # element orders 1, 2, 3, 4, 6 and 12 are the case where kernel's -x den/e,
+    # read at e = exp(C), must equal the reference's -(m mod l) den/l
     nonabelian_points = 0
-    for spec in ("symmetric:3", "symmetric:4", "dihedral:4", "dihedral:6", "quaternion8"):
+    specs = ("symmetric:3", "symmetric:4", "dihedral:4", "dihedral:6", "quaternion8", "cyclic:12")
+    for spec in specs:
         G = build_group(spec)
         table = character_table(G)
         chars = [table.irreducible(i) for i in range(len(table.rows))]
         chars.append(table.regular_character())
-        for n in (1, 2):
+        for n in (1,) if spec == "cyclic:12" else (1, 2):
             for orbit in commuting_tuples(G, n):
                 d = lambda_desc(G, orbit.representative)
                 for chi in chars:
