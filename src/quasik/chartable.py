@@ -13,10 +13,11 @@ stores the multiplicity c of each eigenvalue zeta_e^x, e = exp(G), as a
 sparse vector ((x, c), ...).  Every finished table, conjugates included, is
 verified in Z[zeta_e] on these vectors, with integer arithmetic only,
 against row and column orthogonality and the degree sum before it is
-returned, and central scalars are read off them: an element acts as a
-scalar exactly when its vector has a single entry x, and then acts as
-zeta_e^x (CharacterTable.central_exponent).  lambdarep reads every scalar
-there: the weight x/e, or 1 when x = 0, and the kernel's b = -x den/e.
+returned.  An element acts as a scalar exactly when its vector has a single
+entry x, and then acts as zeta_e^x: each table reads these once, into the
+columns central_exponents[class][irrep] = x (or None) and, for a central
+class, central_weights[class][irrep] = x/e, or 1 when x = 0.  lambdarep
+reads every scalar from these columns, and the kernel's b = -x den/e.
 
 Every character sum here (table entries, orthogonality, inner products,
 Frobenius-Schur indicators) is one call to cyclotomic.conj_product_sum,
@@ -70,6 +71,13 @@ class CharacterTable:
         self.rows = tuple(rows)
         self.eig = tuple(eig)
         self.degrees = tuple(int(r[self.id_class].rational_value()) for r in self.rows)
+        # central_exponents[cls][irrep] = x when cls acts on irrep as zeta_e^x, else None;
+        # a central class also has its column of weights x/e in (0, 1], or 1 when x = 0
+        self.central_exponents = tuple(tuple(v[0][0] if len(v) == 1 else None for v in col)
+                                       for col in zip(*self.eig))
+        fracs = [Fraction(x or self.exponent, self.exponent) for x in range(self.exponent)]
+        self.central_weights = tuple(None if None in xs else tuple(fracs[x] for x in xs)
+                                     for xs in self.central_exponents)
         self.labels = tuple(f"chi{i}" for i in range(len(self.rows)))
         self.n_classes = len(self.classes)
         self._conj_rows: Optional[tuple[int, ...]] = None
@@ -101,12 +109,6 @@ class CharacterTable:
                 for vecs in self.eig
             )
         return self._conj_rows[irrep]
-
-    def central_exponent(self, irrep: int, cls: int) -> Optional[int]:
-        """x with class cls acting on irrep as the scalar zeta_e^x, e = exponent
-        and 0 <= x < e; None when it does not act as a scalar."""
-        vec = self.eig[irrep][cls]
-        return vec[0][0] if len(vec) == 1 else None
 
     def __repr__(self) -> str:
         return f"CharacterTable({self.group.name}, {len(self.rows)} irreducibles)"
@@ -507,7 +509,7 @@ def central_scalar(table: CharacterTable, irrep: int, z: int, l: Optional[int] =
         l = table.group.order_of(z)
     if not (0 <= irrep < len(table.rows) and isinstance(l, int) and l >= 1):
         raise QuasiError(f"irreducible index {irrep} or order {l} out of range")
-    x = table.central_exponent(irrep, table.class_of[z])
+    x = table.central_exponents[table.class_of[z]][irrep]
     if x is None:
         raise NonScalarError(f"{table.group.label(z)} does not act as a scalar on {table.labels[irrep]}")
     m, rem = divmod(x * l, table.exponent)  # zeta_e^x = zeta_l^m

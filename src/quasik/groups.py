@@ -496,15 +496,19 @@ def _closure(G: GroupTable, gens: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def _check_elements(G: GroupTable, elements: Iterable[int]) -> None:
+def _check_elements(G: GroupTable, elements: Iterable[int]) -> tuple[int, ...]:
+    """The elements as a tuple, each checked to be an int index of G (bool is not)."""
+    elements = tuple(elements)
     for a in elements:
+        if type(a) is not int:
+            raise GroupInputError(f"element index {a!r} is not an int")
         if not 0 <= a < G.order:
             raise GroupInputError(f"element index {a} out of range")
+    return elements
 
 
 def subgroup_from_generators(G: GroupTable, gens: Iterable[int]) -> Subgroup:
-    gens = tuple(sorted(set(gens)))
-    _check_elements(G, gens)
+    gens = tuple(sorted(set(_check_elements(G, gens))))
     return Subgroup(parent=G, elements=_closure(G, gens), generators=gens)
 
 
@@ -516,9 +520,8 @@ def centralizer(G: GroupTable, entries: Sequence[int] | "CommTuple") -> Subgroup
     """The joint centralizer of a tuple, memoized on G; its generators are all its elements."""
     if isinstance(entries, CommTuple):
         entries = entries.entries
-    key = ("centralizer", frozenset(entries))
+    key = ("centralizer", frozenset(_check_elements(G, entries)))
     if key not in G._memo:
-        _check_elements(G, key[1])
         mul = G._mul
         G._memo[key] = tuple(
             a for a in range(G.order) if all(mul[a][s] == mul[s][a] for s in key[1])
@@ -578,10 +581,9 @@ class CommTuple(NamedTuple):
 
 
 def make_comm_tuple(G: GroupTable, entries: Sequence[int]) -> CommTuple:
-    entries = tuple(int(x) for x in entries)
+    entries = _check_elements(G, entries)
     if len(entries) < 1:
         raise NonCommutingTupleError("a commuting tuple needs at least one entry")
-    _check_elements(G, entries)
     # Only distinct entries can fail to commute.  In first-occurrence order
     # the first failing pair is the one an all-pairs scan would meet first.
     distinct = tuple(dict.fromkeys(entries))

@@ -51,7 +51,8 @@ KERNEL_ENUM_CAP = 1 << 20
 class LambdaDesc(NamedTuple):
     """Lambda_G(sigma): the centralizer C = C_G(sigma) as table.group, its
     inclusion to_parent into G, and the twist data weights[lam][i] = x/e in
-    (0, 1], or 1 when x = 0, with sigma_i acting on lam as zeta_e^x, e = exp(C)."""
+    (0, 1], or 1 when x = 0, with sigma_i acting on lam as zeta_e^x, e = exp(C).
+    The weights are the table's own central_weights columns at the sigma_i."""
 
     group: GroupTable
     sigma: CommTuple
@@ -74,12 +75,10 @@ def lambda_desc(
     limits.check_tuples(1, sigma.n)
     C, to_parent = subgroup_table(centralizer(G, sigma))
     table = character_table(C, limits)
-    e, cols = table.exponent, [table.class_of[to_parent.index(s)] for s in sigma.entries]
-    xs = [[table.central_exponent(lam, c) for c in cols] for lam in range(len(table.rows))]
-    if any(None in row for row in xs):  # unreachable: sigma is central in C(sigma)
+    cols = [table.central_weights[table.class_of[to_parent.index(s)]] for s in sigma.entries]
+    if None in cols:  # unreachable: sigma is central in C(sigma)
         raise QuasiError("a tuple entry does not act as a scalar on its centralizer")
-    weights = tuple(tuple(Fraction(x or e, e) for x in row) for row in xs)
-    return LambdaDesc(G, sigma, to_parent, table, weights)
+    return LambdaDesc(G, sigma, to_parent, table, tuple(zip(*cols)))
 
 
 class TwistedIrrep(NamedTuple):
@@ -116,7 +115,8 @@ class LambdaRep:
         for i, (w, expected) in enumerate(zip(comp.weight, d.weights[comp.lam])):
             if not isinstance(w, (int, Fraction)):
                 raise QuasiError(f"weight {w!r} is not an int or a Fraction")
-            if (w - expected).denominator != 1:
+            q = expected.denominator  # w - expected is an integer: same q, numerators = mod q
+            if w.denominator != q or (w.numerator - expected.numerator) % q:
                 raise QuasiError(
                     f"weight {w} is incompatible with the scalar action "
                     f"{expected} of entry {i} on {d.table.labels[comp.lam]}"
@@ -270,7 +270,7 @@ def kernel(rep: LambdaRep) -> KernelDescription:
     weights = [c.weight for c in comps]
     e = d.table.exponent
     den = lcm(*(w.denominator for row in weights for w in row), e)
-    A = [[int(w * den) for w in row] for row in weights]
+    A = [[w.numerator * (den // w.denominator) for w in row] for row in weights]
     if len(A) < n:
         # rank A < n, read off the k x k Gram matrix A A^T (same rank over Q)
         # before the Smith transforms of A would build an n x n V
@@ -278,9 +278,8 @@ def kernel(rep: LambdaRep) -> KernelDescription:
         rank = sum(1 for i, row in enumerate(S) if row[i])
         return KernelDescription(torus_rank=n - rank, finite_points=())
     S, U, V = smith_normal_form(A)
-    diag = [S[i][i] for i in range(min(len(S), n))]
-    rank = sum(1 for s in diag if s)
-    torus_rank = n - rank
+    diag = [S[i][i] for i in range(n)]  # k >= n rows here
+    torus_rank = diag.count(0)
 
     points: list[tuple[int, tuple[Fraction, ...]]] = []
     if torus_rank > 0:
@@ -290,23 +289,26 @@ def kernel(rep: LambdaRep) -> KernelDescription:
         raise SizeLimitError("kernel solution enumeration exceeds the cap")
     L = lcm(*diag)
     period = L * den
-    for ci, cls in enumerate(d.table.classes):
-        # the class acts on lam by zeta_e^x (e divides den); each class is solved once
-        xs = [d.table.central_exponent(c.lam, ci) for c in comps]
+    kept = []  # (L * t0, members) for each class whose congruences are solvable
+    for cls, col in zip(d.table.classes, d.table.central_exponents):
+        # the class acts on lam by zeta_e^x (e divides den); b = -x den/e, and with
+        # c = U b the particular solution is t0 = V (c_i / s_i), i < n
+        xs = [col[c.lam] for c in comps]
         if None in xs:
             continue
-        c_vec = mat_vec(U, [-x * (den // e) for x in xs])
-        if any(c_vec[i] % den for i in range(rank, len(comps))):
-            continue
-        # L * y_i over the residues y_i = (c_i + den k) / s_i mod den
-        choices = [
-            [(c_vec[i] + den * k) * (L // diag[i]) for k in range(diag[i])] for i in range(n)
-        ]
-        for y in product(*choices):
-            T = [x % period for x in mat_vec(V, y)]
+        b = [-x * (den // e) for x in xs]
+        t0 = mat_vec(V, [c * (L // s) for c, s in zip(mat_vec(U[:n], b), diag)])
+        # U is unimodular: A t0 = b (mod den) iff (U b)_i = 0 (mod den) for i >= n
+        if all((sum(map(mul, row, t0)) - L * bi) % period == 0 for row, bi in zip(A, b)):
+            kept.append((t0, cls.members))
+    # every solution is t0 + V h / L, with h_i = den k L / s_i over k < s_i
+    for h in product(*[range(0, period, period // s) for s in diag]):
+        Vh = mat_vec(V, h)
+        for t0, members in kept:
+            T = [(x + y) % period for x, y in zip(t0, Vh)]
             if all(x < L for x in T):
                 t = tuple(Fraction(x, L) for x in T)
-                points += [(g, t) for g in cls.members]
+                points += [(g, t) for g in members]
     finite = tuple(sorted(p for p in points if p != (C.identity, zero)))
     return KernelDescription(torus_rank=0, finite_points=finite)
 

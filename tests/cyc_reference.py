@@ -12,7 +12,9 @@ the Cyc operations the library itself no longer needs (inverse, division,
 negative powers, |z|^2 and root-of-unity extraction), the central scalars
 read at each element's order l before lambda_desc and kernel read one
 exponent at exp(C), the kernel solver that enumerated Fraction candidates
-before lambdarep.kernel ran in integers,
+before lambdarep.kernel ran in integers, the per-class Smith-form solve
+that kernel made before it hoisted one particular solution per class out of
+a shared residue loop,
 the commuting-tuple scan that groups.commuting_tuples ran before it
 descended through centralizers, the restrictions that v_sigma,
 fixed_part_rep, the external sum and restrict_lambda made by pulling a
@@ -30,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Optional
 
 from quasik import Cyc, subgroup_from_generators
@@ -379,6 +382,70 @@ def ref_kernel(rep: LambdaRep) -> KernelDescription:
                 points.append((a, tuple(t)))
     e = C.identity
     finite = tuple(sorted(p for p in points if p != (e, zero)))
+    return KernelDescription(torus_rank=0, finite_points=finite)
+
+
+# The class loop that lambdarep.kernel ran before it read the table's
+# central_exponents columns: per class, the full U b over every row and its
+# own residue choices y, each multiplied by V.  The exponent x is read from
+# eig here, as CharacterTable.central_exponent read it.
+def _eig_exponent(table: CharacterTable, irrep: int, cls: int) -> Optional[int]:
+    vec = table.eig[irrep][cls]
+    return vec[0][0] if len(vec) == 1 else None
+
+
+def ref_kernel_per_class(rep: LambdaRep) -> KernelDescription:
+    """Exact kernel of the action, one Smith-form solve per class of C(sigma)."""
+    d = rep.desc
+    n = d.sigma.n
+    C = d.cent_group
+    trivial_row = d.table.trivial_index()
+    zero = (Fraction(0),) * n
+    comps = [c for c, _ in rep.components]
+    if not comps or all(c.lam == trivial_row and c.weight == zero for c in comps):
+        return KernelDescription(torus_rank=n, finite_points=(), full_group=True)
+
+    weights = [c.weight for c in comps]
+    e = d.table.exponent
+    den = lcm(*(w.denominator for row in weights for w in row), e)
+    A = [[int(w * den) for w in row] for row in weights]
+    if len(A) < n:
+        # rank A < n, read off the k x k Gram matrix A A^T (same rank over Q)
+        # before the Smith transforms of A would build an n x n V
+        S = smith_normal_form([[sum(map(mul, r, s)) for s in A] for r in A])[0]
+        rank = sum(1 for i, row in enumerate(S) if row[i])
+        return KernelDescription(torus_rank=n - rank, finite_points=())
+    S, U, V = smith_normal_form(A)
+    diag = [S[i][i] for i in range(min(len(S), n))]
+    rank = sum(1 for s in diag if s)
+    torus_rank = n - rank
+
+    points: list[tuple[int, tuple[Fraction, ...]]] = []
+    if torus_rank > 0:
+        # rank deficiency already decides non-faithfulness; points are not finite
+        return KernelDescription(torus_rank=torus_rank, finite_points=())
+    if prod(diag) * C.order > KERNEL_ENUM_CAP:
+        raise SizeLimitError("kernel solution enumeration exceeds the cap")
+    L = lcm(*diag)
+    period = L * den
+    for ci, cls in enumerate(d.table.classes):
+        # the class acts on lam by zeta_e^x (e divides den); each class is solved once
+        xs = [_eig_exponent(d.table, c.lam, ci) for c in comps]
+        if None in xs:
+            continue
+        c_vec = mat_vec(U, [-x * (den // e) for x in xs])
+        if any(c_vec[i] % den for i in range(rank, len(comps))):
+            continue
+        # L * y_i over the residues y_i = (c_i + den k) / s_i mod den
+        choices = [
+            [(c_vec[i] + den * k) * (L // diag[i]) for k in range(diag[i])] for i in range(n)
+        ]
+        for y in product(*choices):
+            T = [x % period for x in mat_vec(V, y)]
+            if all(x < L for x in T):
+                t = tuple(Fraction(x, L) for x in T)
+                points += [(g, t) for g in cls.members]
+    finite = tuple(sorted(p for p in points if p != (C.identity, zero)))
     return KernelDescription(torus_rank=0, finite_points=finite)
 
 

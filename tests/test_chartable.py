@@ -441,7 +441,7 @@ def test_scalar_lookup_matches_the_cyclotomic_oracle(oracle_tables):
         for lam in range(len(table.rows)):
             for z in range(G.order):
                 order = G.order_of(z)
-                x = table.central_exponent(lam, table.class_of[z])
+                x = table.central_exponents[table.class_of[z]][lam]
                 for l in (order, 1, table.exponent):
                     want = _oracle_scalar_exponent(table, lam, z, l)
                     assert ref_scalar_exponent(table, lam, z, l) == want
@@ -452,6 +452,21 @@ def test_scalar_lookup_matches_the_cyclotomic_oracle(oracle_tables):
                             central_scalar(table, lam, z, l)
                     else:
                         assert central_scalar(table, lam, z, l) == (want, l)
+
+
+def test_central_columns_read_the_single_eigenvalue(oracle_tables):
+    # central_exponents[cls][lam] is the x of a one-entry eig vector, and a
+    # class has a weight column exactly when it is central (size 1)
+    for table in oracle_tables:
+        e = table.exponent
+        assert len(table.central_exponents) == len(table.central_weights) == table.n_classes
+        for c, (xs, col) in enumerate(zip(table.central_exponents, table.central_weights)):
+            assert xs == tuple(v[0][0] if len(v) == 1 else None
+                               for v in (vecs[c] for vecs in table.eig))
+            assert (col is None) == (table.classes[c].size > 1) == (None in xs)
+            if col is not None:
+                assert col == tuple(Fraction(x or e, e) for x in xs)
+                assert all(type(w) is Fraction and 0 < w <= 1 for w in col)
 
 
 def test_conjugate_row_matches_the_cyclotomic_conjugate(oracle_tables):

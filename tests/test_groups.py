@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -266,6 +267,29 @@ def test_element_indices_are_range_checked(s3, past_the_end):
         hom_from_images(s3, [bad_s3], [0], z4)  # a generator
     with _out_of_range(bad_z4):
         hom_from_images(z4, [1], [bad_z4], z4)  # an image
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
+def test_element_indices_must_be_ints(s3, bad):
+    # 1.5 was truncated to 1 by make_comm_tuple, and 1.0 and True hash as 1,
+    # so they would reach the memo key of the element 1: every caller
+    # rejects them before any lookup, and leaves no memo key behind
+    z4 = cyclic_group(4)
+    centralizer(s3, [1])
+    memo = set(s3._memo)
+    calls = [
+        lambda: make_comm_tuple(s3, [bad]),
+        lambda: make_comm_tuple(s3, [0, bad]),
+        lambda: subgroup_from_generators(s3, [1, bad]),
+        lambda: centralizer(s3, [bad]),
+        lambda: centralizer(s3, [0, bad]),
+        lambda: hom_from_images(s3, [bad], [0], z4),  # a generator
+        lambda: hom_from_images(z4, [1], [bad], z4),  # an image
+    ]
+    for call in calls:
+        with pytest.raises(GroupInputError, match=rf"^element index {re.escape(repr(bad))} is not an int$"):
+            call()
+    assert set(s3._memo) == memo
 
 
 def _all_pairs_comm_check(G, entries):

@@ -6,8 +6,11 @@ import copy
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from conftest import (
     battery_groups,
     non_genuine_class_functions,
@@ -19,6 +22,7 @@ from cyc_reference import (
     ref_decompose,
     ref_fixed_part_rep,
     ref_kernel,
+    ref_kernel_per_class,
     ref_lambda_weights,
     ref_product_factor_irrep,
     ref_restrict_lambda,
@@ -60,6 +64,7 @@ from quasik import (
 )
 from quasik import chartable, lambdarep
 from quasik.chartable import restriction_multiplicities
+from quasik.snf import identity_matrix
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -129,6 +134,19 @@ def test_lambda_weights_match_the_order_l_reference(battery):
             for orbit in commuting_tuples(G, n):
                 d = lambda_desc(G, orbit.representative)
                 assert d.weights == ref_lambda_weights(d)
+
+
+def test_lambda_weights_are_the_tables_own_columns(battery):
+    # two descriptors on one centralizer share the table's weight objects, so
+    # lambda_desc builds no Fraction of its own
+    for G in battery:
+        for orbit in commuting_tuples(G, 2):
+            d1, d2 = (lambda_desc(G, orbit.representative) for _ in range(2))
+            assert d1.table is d2.table
+            cols = [d1.table.class_of[d1.to_parent.index(s)] for s in d1.sigma.entries]
+            for lam, (w1, w2) in enumerate(zip(d1.weights, d2.weights)):
+                assert all(a is b for a, b in zip(w1, w2))
+                assert all(a is d1.table.central_weights[c][lam] for a, c in zip(w1, cols))
 
 
 def test_v_sigma_examples(s3):
@@ -370,6 +388,27 @@ def test_weight_compatibility_enforced():
 
 
 
+def test_weight_compatibility_is_an_integer_difference():
+    # w is compatible with the basis weight iff w - expected is an integer:
+    # equal reduced denominators and numerators congruent modulo them
+    G = build_group("cyclic:4")
+    d = lambda_desc(G, (G.index_of("g1"),))
+    row_of = {w: lam for lam, (w,) in enumerate(d.weights)}
+    quarter = Fraction(1, 4)
+    cases = [(Fraction(3, 4), quarter), (HALF, quarter), (0, Fraction(1)), (2, Fraction(1)),
+             (Fraction(5, 4), quarter), (Fraction(-3, 4), quarter), (quarter, Fraction(1))]
+    for w, expected in cases:
+        lam = row_of[expected]
+        comp = TwistedIrrep(lam, (w,))
+        if (w - expected).denominator == 1:
+            assert LambdaRep(d, [(comp, 1)]).components == ((comp, 1),)
+        else:
+            message = (f"^weight {w} is incompatible with the scalar action {expected} "
+                       f"of entry 0 on chi{lam}$")
+            with pytest.raises(QuasiError, match=message):
+                LambdaRep(d, [(comp, 1)])
+
+
 def test_components_are_validated():
     # an index outside the table is not wrapped round (-1 would render as
     # chi3) and a weight entry must be exact, each rejected as a QuasiError
@@ -534,6 +573,42 @@ def test_kernel_per_class_matches_the_reference():
                         if ker.finite_points and d.table.n_classes < d.cent_group.order:
                             nonabelian_points += 1
     assert nonabelian_points > 0
+
+
+def test_shared_residue_loop_matches_the_per_class_solve(battery):
+    # kernel takes one particular solution per class and walks the Smith
+    # residues once for all classes; the per-class solve and the Fraction
+    # solver are its references.  n = 2 and 3 only: lib-session runs n = 1,
+    # where the residue loop has a single coordinate
+    coupled = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((2, 3)), st.data())
+    def check(n, data):
+        G = data.draw(st.sampled_from([H for H in battery if H.order ** n <= 4096]))
+        orbit = data.draw(st.sampled_from(commuting_tuples(G, n)))
+        d = lambda_desc(G, orbit.representative)
+        table = character_table(G)
+        chi = data.draw(st.sampled_from(
+            [table.irreducible(i) for i in range(len(table.rows))] + [table.regular_character()]))
+        parts = data.draw(st.lists(st.tuples(
+            st.sampled_from((v_sigma, fixed_part_rep)),
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n)), min_size=1, max_size=3))
+        reps = [q_twist(build(chi, d), shift) for build, shift in parts]
+        rep = LambdaRep(d, [pair for r in reps for pair in r.components])
+        assume(not rep.is_empty)
+        comps = [c for c, _ in rep.components]
+        if len(comps) >= n:
+            den = lcm(*(w.denominator for c in comps for w in c.weight), d.table.exponent)
+            S, _, V = smith_normal_form([[int(w * den) for w in c.weight] for c in comps])
+            diag = [S[i][i] for i in range(n)]
+            assume(prod(diag) * d.cent_group.order <= 20_000)  # keeps the references quick
+            if sum(s > 1 for s in diag) >= 2 and V != identity_matrix(n):
+                coupled.append(rep)
+        assert kernel(rep) == ref_kernel_per_class(rep) == ref_kernel(rep)
+
+    check()
+    assert coupled  # some case had two Smith entries > 1 and a non-identity V
 
 
 def test_multi_index_twist_needs_coordinates():
