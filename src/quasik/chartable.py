@@ -11,13 +11,14 @@ eigenvalue exponent times j, and the split skips the eigenspaces it spans.
 The lift's integers are kept: for each irreducible and class the table
 stores the multiplicity c of each eigenvalue zeta_e^x, e = exp(G), as a
 sparse vector ((x, c), ...).  Every finished table, conjugates included, is
-verified in Z[zeta_e] on these vectors, with integer arithmetic only,
-against row and column orthogonality and the degree sum before it is
-returned.  An element acts as a scalar exactly when its vector has a single
-entry x, and then acts as zeta_e^x: each table reads these once, into the
-columns central_exponents[class][irrep] = x (or None) and, for a central
-class, central_weights[class][irrep] = x/e, or 1 when x = 0.  lambdarep
-reads every scalar from these columns, and the kernel's b = -x den/e.
+verified in Z[zeta_e] on these vectors, with integer arithmetic only, before
+it is returned: one row per class, and row orthogonality, which for a square
+table implies column orthogonality and the degree sum (see _verify_table).
+An element acts as a scalar exactly when its vector has a single entry x,
+and then acts as zeta_e^x: each table reads these once, into the columns
+central_exponents[class][irrep] = x (or None) and, for a central class,
+central_weights[class][irrep] = x/e, or 1 when x = 0.  lambdarep reads every
+scalar from these columns, and the kernel's b = -x den/e.
 
 Every character sum here (table entries, orthogonality, inner products,
 Frobenius-Schur indicators) is one call to cyclotomic.conj_product_sum,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, product
 from math import gcd, isqrt, lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -80,7 +81,9 @@ class CharacterTable:
                                      for xs in self.central_exponents)
         self.labels = tuple(f"chi{i}" for i in range(len(self.rows)))
         self.n_classes = len(self.classes)
-        self._conj_rows: Optional[tuple[int, ...]] = None
+        conj_of = {tuple(tuple(sorted(((-x) % self.exponent, c) for x, c in v)) for v in vecs): i
+                   for i, vecs in enumerate(self.eig)}
+        self._conj_rows = tuple(conj_of[vecs] for vecs in self.eig)
 
     def value_at_element(self, irrep: int, element: int) -> Cyc:
         return self.rows[irrep][self.class_of[element]]
@@ -101,13 +104,6 @@ class CharacterTable:
 
     def conjugate_row(self, irrep: int) -> int:
         """Index of the complex-conjugate irreducible."""
-        if self._conj_rows is None:
-            e = self.exponent
-            lookup = {vecs: i for i, vecs in enumerate(self.eig)}
-            self._conj_rows = tuple(
-                lookup[tuple(tuple(sorted(((-x) % e, c) for x, c in v)) for v in vecs)]
-                for vecs in self.eig
-            )
         return self._conj_rows[irrep]
 
     def __repr__(self) -> str:
@@ -394,24 +390,20 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tuple[
 
 
 def _verify_table(table: CharacterTable) -> None:
-    """Degree sum, and row and column orthogonality over Z[zeta_e]."""
+    """Check that the table is square and its rows orthogonal over Z[zeta_e].
+
+    With X[i][c] = chi_i(g_c) and D = diag(|C_c|), row orthogonality is
+    X D X* = |G| I.  As X is square, X* X = |G| D^-1: column orthogonality,
+    whose entry at the identity class is the degree sum (Isaacs, ch. 2).
+    """
     G = table.group
-    k = table.n_classes
-    e = table.exponent
     eig = table.eig
-    if sum(d * d for d in table.degrees) != G.order:
-        raise QuasiError("degree check failed")
-    for i in range(k):
-        for j in range(i, k):
-            terms = ((cls.size, eig[i][c], eig[j][c]) for c, cls in enumerate(table.classes))
-            if conj_product_sum(terms, e) != (G.order if i == j else 0):
-                raise QuasiError("row orthogonality failed")
-    for c1 in range(k):
-        for c2 in range(c1, k):
-            terms = ((1, vecs[c1], vecs[c2]) for vecs in eig)
-            expected = G.order // table.classes[c1].size if c1 == c2 else 0
-            if conj_product_sum(terms, e) != expected:
-                raise QuasiError("column orthogonality failed")
+    if len(eig) != table.n_classes:
+        raise QuasiError(f"table has {len(eig)} irreducibles for {table.n_classes} classes")
+    for i, j in combinations_with_replacement(range(len(eig)), 2):
+        terms = ((cls.size, eig[i][c], eig[j][c]) for c, cls in enumerate(table.classes))
+        if conj_product_sum(terms, table.exponent) != (G.order if i == j else 0):
+            raise QuasiError("row orthogonality failed")
 
 
 # -- character-level services --------------------------------------------------
@@ -502,12 +494,13 @@ def central_scalar(table: CharacterTable, irrep: int, z: int, l: Optional[int] =
     Returns (m, l) with chi(z)/chi(e) = zeta_l^m and 0 < m <= l, where l is
     the order of z unless given.  Raises NonScalarError when z does not act
     as a scalar, or acts by a root of unity whose order does not divide l,
-    and QuasiError when irrep or z is out of range or l is not a positive int.
+    and QuasiError when irrep or z is not an int in range (bool is not), or l
+    is not a positive int.
     """
     _check_elements(table.group, (z,))
     if l is None:
         l = table.group.order_of(z)
-    if not (0 <= irrep < len(table.rows) and isinstance(l, int) and l >= 1):
+    if not (type(irrep) is int and 0 <= irrep < len(table.rows) and type(l) is int and l >= 1):
         raise QuasiError(f"irreducible index {irrep} or order {l} out of range")
     x = table.central_exponents[table.class_of[z]][irrep]
     if x is None:

@@ -43,11 +43,6 @@ def _primes(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def totient(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
 def _polydiv_exact(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
     # den is monic; division must be exact.
     num = list(num)
@@ -86,8 +81,8 @@ def _reduce(n: int, dense: list[Rational]) -> tuple[Rational, ...]:
 
     The polynomial is monic, so nothing is divided and integers stay integers.
     """
-    phi = totient(n)
     poly = cyclotomic_polynomial(n)
+    phi = len(poly) - 1
     for i in range(len(dense) - 1, phi - 1, -1):
         c = dense[i]
         if c:
@@ -167,7 +162,6 @@ class Cyc:
         return Cyc._make(n, coeffs)
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def zeta(n: int, k: int = 1) -> "Cyc":
         """The root of unity e^(2*pi*i*k/n)."""
         if n < 1:

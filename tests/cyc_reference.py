@@ -24,7 +24,11 @@ chartable.restriction_multiplicities, the decompose that took one
 inner_product per irreducible before the character was expanded once, and
 the character-table split and lift that tried every eigenvalue in F_p and
 lifted every irreducible before chartable found the eigenvalues first and
-lifted one character per Galois class.
+lifted one character per Galois class.  Last, the checks that were made
+once too often: the table verification that also checked the degree sum and
+column orthogonality, which row orthogonality of a square table implies, and
+hom_from_images with its pass over all pairs of elements, which its
+generator-edge check already implies.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from quasik import Cyc, subgroup_from_generators
 from quasik.chartable import (
@@ -49,14 +53,15 @@ from quasik.chartable import (
     decompose,
     inner_product,
 )
-from quasik.cyclotomic import _reduce, conj_product_sum, totient
-from quasik.errors import QuasiError, SizeLimitError, VirtualCharacterError
+from quasik.cyclotomic import _reduce, conj_product_sum
+from quasik.errors import HomomorphismError, QuasiError, SizeLimitError, VirtualCharacterError
 from quasik.groups import (
     CommTuple,
     GroupTable,
     Homomorphism,
     Limits,
     TupleOrbit,
+    _check_elements,
     class_index_map,
     conjugacy_classes,
     make_comm_tuple,
@@ -78,6 +83,11 @@ _ONE = Fraction(1)
 def divisors(n: int) -> tuple[int, ...]:
     """Positive divisors of n in increasing order."""
     return tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+@lru_cache(maxsize=None)
+def totient(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -727,3 +737,62 @@ def ref_modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tup
     id_row = class_of[G.identity]
     return sorted(rows, key=lambda pair: (
         pair[0][id_row].rational_value(), tuple(v.sort_key() for v in pair[0])))
+
+
+def ref_verify_table(table: CharacterTable) -> None:
+    """Degree sum, and row and column orthogonality over Z[zeta_e]."""
+    G = table.group
+    k = table.n_classes
+    e = table.exponent
+    eig = table.eig
+    if sum(d * d for d in table.degrees) != G.order:
+        raise QuasiError("degree check failed")
+    for i in range(k):
+        for j in range(i, k):
+            terms = ((cls.size, eig[i][c], eig[j][c]) for c, cls in enumerate(table.classes))
+            if conj_product_sum(terms, e) != (G.order if i == j else 0):
+                raise QuasiError("row orthogonality failed")
+    for c1 in range(k):
+        for c2 in range(c1, k):
+            terms = ((1, vecs[c1], vecs[c2]) for vecs in eig)
+            expected = G.order // table.classes[c1].size if c1 == c2 else 0
+            if conj_product_sum(terms, e) != expected:
+                raise QuasiError("column orthogonality failed")
+
+
+def ref_hom_from_images(
+    source: GroupTable,
+    gens: Sequence[int],
+    images: Sequence[int],
+    target: GroupTable,
+) -> Homomorphism:
+    """Extend generator images to a homomorphism, verifying multiplicativity."""
+    if len(gens) != len(images):
+        raise HomomorphismError("need one image per generator")
+    _check_elements(source, gens)
+    _check_elements(target, images)
+    full: list[Optional[int]] = [None] * source.order
+    full[source.identity] = target.identity
+    frontier = [source.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            fx = full[x]
+            assert fx is not None
+            for g, img in zip(gens, images):
+                y = source.mul(x, g)
+                fy = target.mul(fx, img)
+                if full[y] is None:
+                    full[y] = fy
+                    nxt.append(y)
+                elif full[y] != fy:
+                    raise HomomorphismError("generator images are inconsistent")
+        frontier = nxt
+    if any(v is None for v in full):
+        raise HomomorphismError("generators do not generate the source group")
+    imgs = tuple(int(v) for v in full)  # type: ignore[arg-type]
+    for a in range(source.order):
+        for b in range(source.order):
+            if imgs[source.mul(a, b)] != target.mul(imgs[a], imgs[b]):
+                raise HomomorphismError("images do not define a homomorphism")
+    return Homomorphism(source=source, target=target, images=imgs)

@@ -22,6 +22,7 @@ from cyc_reference import (
     ref_modular_character_rows,
     ref_mul,
     ref_scalar_exponent,
+    ref_verify_table,
 )
 
 from quasik import (
@@ -206,9 +207,10 @@ def test_central_scalar_examples(q8):
 def test_central_scalar_rejects_bad_input():
     z4 = cyclic_group(4)
     t4 = character_table(z4)
-    # l below 1 or not an int; irreducible -1 and 4; element -1 and |C4|
+    # l below 1 or not an int; irreducible -1 and 4; element -1 and |C4|; a float
+    # irreducible, and bool as irreducible or order
     for irrep, z, l in [(0, 0, -2), (0, 1, 0), (0, 1, 2.5), (-1, 1, None), (4, 1, None),
-                        (0, -1, None), (0, 4, 2)]:
+                        (0, -1, None), (0, 4, 2), (1.0, 1, 1), (True, 1, 1), (0, 1, True)]:
         with pytest.raises(QuasiError, match="out of range"):
             central_scalar(t4, irrep, z, l)
 
@@ -476,6 +478,26 @@ def test_conjugate_row_matches_the_cyclotomic_conjugate(oracle_tables):
             assert table.conjugate_row(lam) == lookup[tuple(v.conj() for v in row)]
 
 
+def _with_eig(table, eig):
+    """A copy of table with these eigenvalue vectors, and the degrees they give."""
+    mutant = copy.copy(table)
+    mutant.eig = tuple(eig)
+    mutant.degrees = tuple(sum(c for _, c in vecs[table.id_class]) for vecs in mutant.eig)
+    return mutant
+
+
+def _rejected_by_both(mutant):
+    for verify in (_verify_table, ref_verify_table):
+        with pytest.raises(QuasiError):
+            verify(mutant)
+
+
+def test_verification_accepts_every_oracle_table(oracle_tables):
+    for table in oracle_tables:
+        assert _verify_table(table) is None
+        assert ref_verify_table(table) is None
+
+
 def test_moving_one_unit_of_multiplicity_fails_verification(oracle_tables):
     for table in oracle_tables:
         e = table.exponent
@@ -488,13 +510,31 @@ def test_moving_one_unit_of_multiplicity_fails_verification(oracle_tables):
                 counts[x] -= 1
                 counts[(x + 1) % e] = counts.get((x + 1) % e, 0) + 1
                 moved = tuple(sorted((y, m) for y, m in counts.items() if m))
-                mutant = copy.copy(table)
-                mutant.eig = tuple(
+                _rejected_by_both(_with_eig(table, (
                     vs[:c] + (moved,) + vs[c + 1:] if i == lam else vs
                     for i, vs in enumerate(table.eig)
-                )
-                with pytest.raises(QuasiError):
-                    _verify_table(mutant)
+                )))
+
+
+def test_a_repeated_row_fails_verification(oracle_tables):
+    for table in oracle_tables:
+        k = table.n_classes
+        if k == 1:
+            continue  # no second row to copy
+        for lam in range(k):
+            twin = table.eig[(lam + 1) % k]
+            _rejected_by_both(_with_eig(table, (twin if i == lam else vs
+                                                for i, vs in enumerate(table.eig))))
+
+
+def test_a_dropped_row_fails_the_count_check(oracle_tables):
+    # the remaining rows are still orthonormal: only the count catches this
+    for table in oracle_tables:
+        k, mutant = table.n_classes, _with_eig(table, table.eig[:-1])
+        with pytest.raises(QuasiError, match=f"{k - 1} irreducibles for {k} classes"):
+            _verify_table(mutant)
+        with pytest.raises(QuasiError, match="degree check failed"):
+            ref_verify_table(mutant)
 
 
 def test_character_sums_match_the_cyclotomic_chain(oracle_tables):

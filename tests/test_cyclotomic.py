@@ -22,6 +22,7 @@ from cyc_reference import (
     ref_minimize,
     ref_mul,
     ref_pow,
+    totient,
 )
 import quasik
 from quasik import Cyc
@@ -30,7 +31,6 @@ from quasik.cyclotomic import (
     _reduce,
     conj_product_sum,
     cyclotomic_polynomial,
-    totient,
 )
 
 

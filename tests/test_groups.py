@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import re
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from cyc_reference import ref_commuting_tuples
+from cyc_reference import ref_commuting_tuples, ref_hom_from_images
 from conftest import (
     battery_groups,
     brute_commuting_pair_count,
     brute_conjugation_orbits,
     brute_contains_conjugate,
     brute_tuple_orbit_count,
+    outcome,
 )
 
 from quasik import (
@@ -46,7 +48,7 @@ from quasik import (
     trivial_subgroup,
 )
 from quasik.errors import HomomorphismError
-from quasik.groups import cycle_label, parse_permutation
+from quasik.groups import Homomorphism, cycle_label, parse_permutation
 
 
 def test_group_from_generators_s3():
@@ -425,6 +427,37 @@ def test_hom_from_images(s3):
     z4 = cyclic_group(4)
     with pytest.raises(HomomorphismError):
         hom_from_images(z4, [2], [2], z4)  # g^2 does not generate
+
+
+def test_hom_from_images_matches_the_pairwise_reference():
+    # every assignment of generator images, accepted or not, gives the same
+    # images or the same error as the reference that also checks all pairs
+    s3, q8 = build_group("symmetric:3"), build_group("quaternion8")
+    sources = [(build_group("cyclic:4"), [1]), (s3, [s3.index_of("(12)"), s3.index_of("(123)")]),
+               (q8, [q8.index_of("i"), q8.index_of("j")])]
+    targets = [build_group(spec) for spec in ("symmetric:3", "cyclic:4", "quaternion8", "dihedral:4")]
+    accepted = 0
+    for source, gens in sources:
+        for target in targets:
+            for images in itertools.product(range(target.order), repeat=len(gens)):
+                got = outcome(hom_from_images, source, gens, images, target)
+                assert got == outcome(ref_hom_from_images, source, gens, images, target)
+                accepted += isinstance(got, Homomorphism)
+    assert 0 < accepted
+
+
+def test_hom_from_images_multiplies_once_per_generator_edge():
+    s4 = symmetric_group(4)
+    gens = [s4.index_of("(12)"), s4.index_of("(1234)")]
+    calls = []
+    mul = s4.mul
+    s4.mul = lambda a, b: calls.append(1) or mul(a, b)
+    try:
+        phi = hom_from_images(s4, gens, gens, s4)
+    finally:
+        del s4.mul
+    assert phi.images == tuple(range(s4.order))
+    assert len(calls) == 2 * s4.order * len(gens)  # x * g in the source and f(x) * f(g) in the target
 
 
 def test_labels_are_deterministic():
