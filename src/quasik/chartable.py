@@ -527,7 +527,5 @@ def fs_indicator(table: CharacterTable, irrep: int) -> int:
         (cls.size, vecs[table.class_of[G.mul(cls.rep, cls.rep)]], ((0, 1),))
         for cls in table.classes
     )
-    val = (conj_product_sum(terms, table.exponent) * Fraction(1, G.order)).rational_value()
-    if val.denominator != 1 or val not in (-1, 0, 1):
-        raise QuasiError("Frobenius-Schur indicator out of range")
-    return int(val)
+    # Frobenius-Schur (Isaacs, ch. 4): the indicator of an irreducible is 1, 0 or -1
+    return int((conj_product_sum(terms, table.exponent) * Fraction(1, G.order)).rational_value())

@@ -8,7 +8,7 @@ and labels are immutable after construction.  Derived data (conjugacy
 classes, centralizers, the character table, subgroup tables and direct
 products) is memoized in a dict owned by the group it is computed from,
 and is freed with that group.  Every size cap is a field of one Limits
-value.
+value, and every table entry and element index is an exact int.
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ class GroupTable:
         n = len(mul_table)
         if n == 0:
             raise GroupInputError("group must have at least one element")
-        table = tuple(tuple(int(x) for x in row) for row in mul_table)
-        for i, row in enumerate(table):
-            if len(row) != n or any(x < 0 or x >= n for x in row):
+        table = tuple(map(tuple, mul_table))
+        for i, row in enumerate(table):  # exact ints only: int() would pass 1.7, "1" and True
+            if len(row) != n or {*map(type, row)} != {int} or min(row) < 0 or max(row) >= n:
                 raise GroupInputError(f"multiplication table row {i} malformed")
             if len(set(row)) != n:
                 raise GroupInputError(f"row {i} is not a permutation of the elements")
@@ -268,7 +268,7 @@ def group_from_generators(
     limits.check_size(degree)
     padded = []
     for g in gens:
-        if sorted(g) != list(range(len(g))):
+        if any(type(x) is not int for x in g) or sorted(g) != list(range(len(g))):
             raise GroupInputError(f"generator {g} is not a bijection")
         if len(g) > degree:
             raise GroupInputError("generator degree exceeds requested degree")
@@ -611,8 +611,8 @@ def commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tuple[
     order, and the orbit of sigma has |G| / |C(sigma)| members.
     Raises SizeLimitError when |G|^n or n itself exceeds limits.tuples.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be an int >= 1")
     limits.check_tuples(G.order, n)
     orbits: list[TupleOrbit] = []
 

@@ -1,4 +1,4 @@
-"""Smith normal form over the integers, with the transformation matrices."""
+"""Smith normal form of a matrix of exact ints, with the transformation matrices."""
 
 from __future__ import annotations
 
@@ -21,7 +21,9 @@ def smith_normal_form(
     Returns (S, U, V) with U * A * V = S, U and V unimodular, and S diagonal
     with non-negative entries s_1 | s_2 | ... (invariant factors first).
     """
-    a = [list(int(x) for x in row) for row in matrix]
+    a = [list(row) for row in matrix]
+    if any(type(x) is not int for row in a for x in row):
+        raise TypeError("Smith normal form entries must be ints")
     m = len(a)
     n = len(a[0]) if m else 0
     U = identity_matrix(m)

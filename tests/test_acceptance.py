@@ -184,6 +184,7 @@ def test_criterion_6_sum_and_restriction_formulas():
         left = v_sigma(chi, d2)
         right = v_sigma(psi_chr, d2)
         total = external_sum(left, right)
+        assert len(total.desc.to_parent) == len(left.desc.to_parent) * len(right.desc.to_parent)
         P = total.desc.group
         tp = character_table(P)
         vals = []

@@ -542,6 +542,9 @@ def test_character_sums_match_the_cyclotomic_chain(oracle_tables):
         G = table.group
         k = len(table.rows)
         chars = [table.irreducible(i) for i in range(k)] + [table.regular_character()]
+        # Isaacs, ch. 4: the sum of nu(chi) chi(1) over Irr(G) counts the g with g^2 = e
+        roots = sum(G.mul(g, g) == G.identity for g in range(G.order))
+        assert sum(fs_indicator(table, lam) * table.degrees[lam] for lam in range(k)) == roots
         for lam in range(k):
             assert fs_indicator(table, lam) == ref_fs_indicator(table, lam)
             for psi in chars:

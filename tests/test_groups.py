@@ -66,6 +66,20 @@ def test_group_from_generators_trivial_and_cyclic():
 def test_group_from_generators_rejects_non_bijection():
     with pytest.raises(GroupInputError):
         group_from_generators([(0, 0, 1)])
+    # 1.0 and True sort as 1, so each of these passed as a bijection: the first
+    # then raised a bare TypeError, the second built a group of bool points
+    for gen in [(1.0, 0), (True, False), ("1", 0)]:
+        with pytest.raises(GroupInputError, match=rf"^generator {re.escape(repr(gen))} is not a bijection$"):
+            group_from_generators([gen])
+
+
+@pytest.mark.parametrize("table", [[[0, 1.7], [1.7, 0]], [[0, 1.0], [1.0, 0]],
+                                   [[0, "1"], ["1", 0]], [[False, True], [True, False]]])
+def test_table_entries_must_be_ints(table):
+    # int() turned each of these into the table of cyclic:2
+    with pytest.raises(GroupInputError, match="^multiplication table row 0 malformed$"):
+        GroupTable(table)
+    assert GroupTable([[0, 1], [1, 0]]).order == 2
 
 
 def test_closure_size_cap():

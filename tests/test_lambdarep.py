@@ -194,7 +194,7 @@ def test_q_twist_takes_integers_only():
     rep = v_sigma(character_table(z2).irreducible(1), lambda_desc(z2, (1,)))
     assert q_twist(rep, Fraction(-1)) == q_twist(rep, [Fraction(-1)]) == q_twist(rep, -1)
     assert q_twist(rep, [Fraction(-1)]).components[0][0].weight == (-HALF,)
-    for shift in (HALF, [HALF], [1.9], 1.0, ["1"]):
+    for shift in (HALF, [HALF], [1.9], 1.0, ["1"], True, [True]):  # True shifted by 1
         with pytest.raises(QuasiError, match="is not an integer vector$"):
             q_twist(rep, shift)
     with pytest.raises(QuasiError, match="^shift vector has the wrong arity$"):
@@ -251,7 +251,7 @@ def test_v_sigma_and_fixed_part_match_the_reference(battery):
     # nonabelian groups and cyclic:1..6, every irreducible and the regular
     # character; in cyclic:7..12 every centralizer is the whole group, so
     # n = 2 repeats the restriction of n = 1 at other weights (and would add
-    # about 17 s of CPU on a 2-vCPU machine)
+    # about 17 s of CPU on a 2-vCPU machine).  Each restriction keeps chi(1).
     for G in battery:
         table = character_table(G)
         chars = [table.irreducible(i) for i in range(len(table.rows))]
@@ -262,6 +262,7 @@ def test_v_sigma_and_fixed_part_match_the_reference(battery):
                 d = lambda_desc(G, orbit.representative)
                 for chi in chars:
                     base, ref = v_sigma(chi, d), ref_v_sigma(chi, d)
+                    assert base.dimension() == chi.degree
                     fixed, ref_fixed = fixed_part_rep(chi, d), ref_fixed_part_rep(chi, d)
                     assert base == ref and fixed == ref_fixed
                     # the q and fixed constructions of the kernel workloads
@@ -421,6 +422,9 @@ def test_components_are_validated():
         (TwistedIrrep(7, (Fraction(1),)), "^irreducible index 7 is not in range\\(4\\)$"),
         (TwistedIrrep(0, (1.0,)), "^weight 1\\.0 is not an int or a Fraction$"),
         (TwistedIrrep(0, ("1",)), "^weight '1' is not an int or a Fraction$"),
+        # bools were kept: lam=True, and chi0's weight rendered as q^(True)
+        (TwistedIrrep(True, (HALF,)), "^irreducible index True is not in range\\(4\\)$"),
+        (TwistedIrrep(0, (True,)), "^weight True is not an int or a Fraction$"),
         # rejected before the merge dict hashes them
         (TwistedIrrep(1, [Fraction(1, 4)]), "is not a TwistedIrrep with a tuple weight$"),
         (TwistedIrrep(1, Fraction(1, 4)), "is not a TwistedIrrep with a tuple weight$"),
@@ -435,7 +439,7 @@ def test_multiplicities_are_integers():
     G = build_group("cyclic:4")
     d = lambda_desc(G, (G.index_of("g1"),))
     b = lambda_basis(d)
-    for mult in (HALF, 1.5, 2.0, "1"):
+    for mult in (HALF, 1.5, 2.0, "1", True):
         with pytest.raises(QuasiError, match="is not an integer$"):
             LambdaRep(d, [(b[1], mult)])
     with pytest.raises(QuasiError, match="^multiplicities must be non-negative$"):
@@ -659,13 +663,20 @@ def test_kernel_solver_matches_oracle_randomized():
         assert is_faithful(rep) == (ker.torus_rank == 0 and not points and not ker.full_group)
 
 
+def _external_sum(rep_g, rep_h):
+    """external_sum, with C_{GxH}((sigma_i, tau_i)) checked to be C_G(sigma) x C_H(tau) by size."""
+    total = external_sum(rep_g, rep_h)
+    assert len(total.desc.to_parent) == len(rep_g.desc.to_parent) * len(rep_h.desc.to_parent)
+    return total
+
+
 def test_external_sum_examples():
     z2 = cyclic_group(2)
     t2 = character_table(z2)
     sign = t2.irreducible(1)
     d = lambda_desc(z2, (1,))
     r = v_sigma(sign, d)
-    s = external_sum(r, r)
+    s = _external_sum(r, r)
     assert s.dimension() == 2
     assert sorted(c.weight[0] for c, _ in s.components) == [HALF, HALF]
 
@@ -682,7 +693,7 @@ def test_external_sum_examples():
     # regular (+) regular over Z/2 x Z/2
     reg = t2.regular_character()
     r_reg = v_sigma(reg, d)
-    s_reg = external_sum(r_reg, r_reg)
+    s_reg = _external_sum(r_reg, r_reg)
     assert s_reg.desc.group is P  # products are shared per factor pair
     vals = []
     for x in range(P.order):
@@ -695,7 +706,7 @@ def test_external_sum_examples():
     t1 = character_table(one)
     d1 = lambda_desc(one, (0,))
     empty_side = v_sigma(t1.irreducible(0), d1)
-    s2 = external_sum(r, empty_side)
+    s2 = _external_sum(r, empty_side)
     assert s2.dimension() == r.dimension() + 1
     assert sorted(c.weight[0] for c, _ in s2.components) == [HALF, 1]
 
@@ -716,7 +727,7 @@ def test_product_factor_irrep_matches_the_reference(s3, d4):
                     for lam in range(len(d.table.rows)):
                         one = LambdaRep(d, [(TwistedIrrep(lam, d.weights[lam]), 1)])
                         pair = (one, empty) if factor == 0 else (empty, one)
-                        ((comp, mult),) = external_sum(*pair).components
+                        ((comp, mult),) = _external_sum(*pair).components
                         want = ref_product_factor_irrep(
                             dp, d.table, d.to_parent, lam, factor == 0, H.order
                         )
@@ -871,7 +882,7 @@ def test_restriction_matrices_are_built_once(monkeypatch):
 
     def run():
         out = [restrict_lambda(phi, (t,), chi) for t in range(4) for chi in linear]
-        return out + [external_sum(a, b) for a, b in pairs]
+        return out + [_external_sum(a, b) for a, b in pairs]
 
     first = run()
     groups = [q8, z4, dq.cent_group, d2.cent_group]
@@ -879,7 +890,7 @@ def test_restriction_matrices_are_built_once(monkeypatch):
     groups += [lambda_desc(z4, (t,)).cent_group for t in range(4)]
     built = _branching_entries(*groups)
     assert any(k[1] is lambda_desc(z4, (1,)).table for _, k in built)  # along phi
-    assert any(k[1] is external_sum(*pairs[0]).desc.table for _, k in built)  # projections
+    assert any(k[1] is _external_sum(*pairs[0]).desc.table for _, k in built)  # projections
 
     def no_sums(*args):
         raise AssertionError("branching matrix rebuilt")
@@ -923,7 +934,7 @@ def test_restriction_takes_no_inner_product(monkeypatch):
     for case, want in zip(cases, wanted):
         assert restrict_lambda(*case) == want
     for rep_g, rep_h, want in sums:
-        assert external_sum(rep_g, rep_h) == want
+        assert _external_sum(rep_g, rep_h) == want
 
 
 def test_real_v_sigma_examples():

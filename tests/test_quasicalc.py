@@ -57,6 +57,14 @@ def test_total_rank_equals_pair_orbit_count(s3, d4, q8):
         assert quasi_coefficients(G, 2).total_rank == brute_tuple_orbit_count(G, 3)
 
 
+@pytest.mark.parametrize("n", [True, 2.0, 0, -1, "1"])
+def test_n_must_be_a_positive_int(s3, n):
+    # n = True was serialized as "n": true, which parse_quasi rejects, and 2.0
+    # and "1" raised a bare TypeError
+    with pytest.raises(ValueError, match="^n must be an int >= 1$"):
+        quasi_coefficients(s3, n)
+
+
 def test_all_ones_twist_count(s3, d4, q8):
     # the all-ones vector appears exactly once per irreducible on which the
     # whole tuple acts by trivial scalars, hence at least once in total

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from quasik.snf import smith_normal_form
 
 
@@ -73,3 +75,12 @@ def test_smith_normal_form_random():
         n = rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         _check(a)
+
+
+@pytest.mark.parametrize("matrix", [[[1.5, 2], [3, 4]], [[Fraction(3, 2)]], [[Fraction(2)]],
+                                    [[True, 0], [0, 1]], [["1"]]])
+def test_entries_must_be_ints(matrix):
+    # int() gave the Smith form of [[1, 2], [3, 4]] for the first; a non-int entry
+    # is a TypeError, as it is for Cyc
+    with pytest.raises(TypeError, match="^Smith normal form entries must be ints$"):
+        smith_normal_form(matrix)
