@@ -10,10 +10,10 @@ eigenvalue exponent times j, and the split skips the eigenspaces it spans.
 
 The lift's integers are kept: for each irreducible and class the table
 stores the multiplicity c of each eigenvalue zeta_e^x, e = exp(G), as a
-sparse vector ((x, c), ...).  Every finished table, conjugates included, is
-verified in Z[zeta_e] on these vectors, with integer arithmetic only, before
-it is returned: one row per class, and row orthogonality, which for a square
-table implies column orthogonality and the degree sum (see _verify_table).
+sparse vector ((x, c), ...), with one Cyc per distinct vector for the sort
+and the Cyc rows.  The CharacterTable constructor verifies these vectors in
+Z[zeta_e], with integer arithmetic only, before it derives anything from
+them (see _verify_table).
 An element acts as a scalar exactly when its vector has a single entry x,
 and then acts as zeta_e^x: each table reads these once, into the columns
 central_exponents[class][irrep] = x (or None) and, for a central class,
@@ -51,27 +51,28 @@ EigVector = tuple[tuple[int, int], ...]  # ((x, multiplicity of zeta_e^x), ...)
 class CharacterTable:
     """Irreducible characters of a finite group, one row per irreducible.
 
-    Rows are sorted by (degree, value vector) with the trivial character
-    first, so the layout is deterministic.  Columns follow the conjugacy
-    class order (sorted by least member).  eig[irrep][class] holds the
-    eigenvalue multiplicities ((x, c), ...) of that entry, sorted by x: the
-    value is the sum of c * zeta_e^x with e = exponent.
+    Built from the lifted eig rows in any order: they are sorted by (degree,
+    value vector), trivial character first, and verified before any column is
+    derived.  Columns follow the conjugacy class order (sorted by least
+    member).  eig[irrep][class] holds the eigenvalue multiplicities ((x, c),
+    ...) of that entry, sorted by x: the value is sum c * zeta_e^x, e = exponent.
     """
 
-    def __init__(
-        self,
-        group: GroupTable,
-        rows: Sequence[tuple[Cyc, ...]],
-        eig: Sequence[tuple[EigVector, ...]],
-    ):
+    def __init__(self, group: GroupTable, eig: Sequence[tuple[EigVector, ...]]):
         self.group = group
         self.classes = conjugacy_classes(group)
         self.class_of = class_index_map(group)
         self.id_class = self.class_of[group.identity]
         self.exponent = group.exponent()
-        self.rows = tuple(rows)
-        self.eig = tuple(eig)
-        self.degrees = tuple(int(r[self.id_class].rational_value()) for r in self.rows)
+        self.n_classes = len(self.classes)
+        # one Cyc per distinct vector, for the sort key and the Cyc rows
+        values = {v: conj_product_sum(((1, v, ((0, 1),)),), self.exponent)
+                  for v in {v for vecs in eig for v in vecs}}
+        self.eig = tuple(sorted(map(tuple, eig), key=lambda vecs: (
+            sum(c for _, c in vecs[self.id_class]), tuple(values[v].sort_key() for v in vecs))))
+        _verify_table(self)
+        self.rows = tuple(tuple(values[v] for v in vecs) for vecs in self.eig)
+        self.degrees = tuple(sum(c for _, c in vecs[self.id_class]) for vecs in self.eig)
         # central_exponents[cls][irrep] = x when cls acts on irrep as zeta_e^x, else None;
         # a central class also has its column of weights x/e in (0, 1], or 1 when x = 0
         self.central_exponents = tuple(tuple(v[0][0] if len(v) == 1 else None for v in col)
@@ -80,9 +81,7 @@ class CharacterTable:
         self.central_weights = tuple(None if None in xs else tuple(fracs[x] for x in xs)
                                      for xs in self.central_exponents)
         self.labels = tuple(f"chi{i}" for i in range(len(self.rows)))
-        self.n_classes = len(self.classes)
-        conj_of = {tuple(tuple(sorted(((-x) % self.exponent, c) for x, c in v)) for v in vecs): i
-                   for i, vecs in enumerate(self.eig)}
+        conj_of = {tuple(_scaled(v, -1, self.exponent) for v in vecs): i for i, vecs in enumerate(self.eig)}
         self._conj_rows = tuple(conj_of[vecs] for vecs in self.eig)
 
     def value_at_element(self, irrep: int, element: int) -> Cyc:
@@ -92,10 +91,8 @@ class CharacterTable:
         return ClassFunction(self, self.rows[irrep])
 
     def trivial_index(self) -> int:
-        for i, vecs in enumerate(self.eig):
-            if all(v == ((0, 1),) for v in vecs):
-                return i
-        raise QuasiError("table has no trivial character")  # unreachable
+        """The trivial character sorts first: degree 1, and rational 1 at every class."""
+        return 0
 
     def regular_character(self) -> "ClassFunction":
         vals = [Cyc(0)] * self.n_classes
@@ -175,11 +172,10 @@ class RepDecomposition(NamedTuple):
     entries: tuple[tuple[int, int], ...]  # (irreducible index, multiplicity)
 
     def reassemble(self) -> ClassFunction:
-        vals = [Cyc(0)] * self.table.n_classes
-        for i, m in self.entries:
-            row = self.table.rows[i]
-            vals = [v + row[c] * m for c, v in enumerate(vals)]
-        return ClassFunction(self.table, tuple(vals))
+        eig, e = self.table.eig, self.table.exponent
+        return ClassFunction(self.table, tuple(
+            conj_product_sum(((m, eig[i][c], ((0, 1),)) for i, m in self.entries), e)
+            for c in range(self.table.n_classes)))
 
     @property
     def dimension(self) -> int:
@@ -195,18 +191,9 @@ def character_table(G: GroupTable, limits: Limits = Limits()) -> CharacterTable:
     The order cap is checked on every call, memoized or not.
     """
     limits.check_order(G, "character table")
-    if "char_table" in G._memo:
-        return G._memo["char_table"]
-    lifted = _modular_character_rows(G)
-    id_class = class_index_map(G)[G.identity]
-    lifted.sort(key=lambda pair: (
-        pair[0][id_class].rational_value(),
-        tuple(v.sort_key() for v in pair[0]),
-    ))
-    table = CharacterTable(G, [row for row, _ in lifted], [vecs for _, vecs in lifted])
-    _verify_table(table)
-    G._memo["char_table"] = table
-    return table
+    if "char_table" not in G._memo:
+        G._memo["char_table"] = CharacterTable(G, _modular_character_rows(G))
+    return G._memo["char_table"]
 
 
 def _smallest_valid_prime(exponent: int, order: int) -> int:
@@ -295,8 +282,8 @@ def _scaled(vec: Sequence[tuple[int, int]], u: int, e: int) -> EigVector:
     return tuple(sorted(counts.items()))
 
 
-def _modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tuple[EigVector, ...]]]:
-    """Each irreducible as (values, eigenvalue vectors at conductor exp(G))."""
+def _modular_character_rows(G: GroupTable) -> list[tuple[EigVector, ...]]:
+    """Each irreducible as its eigenvalue vectors at conductor exp(G), unsorted."""
     classes, class_of, exponent = conjugacy_classes(G), class_index_map(G), G.exponent()
     k, id_class = len(classes), class_of[G.identity]
     p = _smallest_valid_prime(exponent, G.order)
@@ -348,6 +335,8 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tuple[
                         vecs[0] = [x * inv % p for x in vecs[0]]
                         known.update(conjugates(vecs[0]))
         spaces = new_spaces
+    # unreachable (p = 1 mod exp(G) does not divide |G|, so the class algebra splits over
+    # F_p); without it, the lift would read a vector that is no central character
     if any(len(basis) != 1 for basis, _, _ in spaces):
         raise QuasiError("class algebra failed to split into one-dimensional pieces")
 
@@ -367,7 +356,7 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tuple[
         denom = sum(omega[i] * omega[powers[i][-1]] * size_inv[i] for i in range(k)) % p
         d_sq = G.order * pow(denom, -1, p) % p
         d = next((d for d in range(1, isqrt(G.order) + 1) if d * d % p == d_sq), None)
-        if d is None:
+        if d is None:  # unreachable, as chi(1) <= sqrt|G|; without it, d * omega raises TypeError
             raise QuasiError("degree lift out of range")
         chi = [d * omega[c] * size_inv[c] % p for c in range(k)]
         vecs: list[Optional[EigVector]] = [None] * k
@@ -378,22 +367,18 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[tuple[Cyc, ...], tuple[
                 c_j = sum(chi[c] * zs[j * u % m] for u, c in enumerate(pw)) * m_inv % p
                 if c_j:
                     vec.append((j * (exponent // m), c_j))  # zeta_m^j = zeta_e^(j e/m)
-            if sum(c for _, c in vec) != d:
-                raise QuasiError("eigenvalue multiplicities do not sum to the degree")
             for u, c in enumerate(pw):
                 vecs[c] = vecs[c] or _scaled(vec, u, exponent)
         for j, conj in zip(units, conjugates(omega)):  # chi^(sigma_j)
             lifted.setdefault(conj, tuple(_scaled(vec, j, exponent) for vec in vecs))
-    rows = [lifted[omega] for omega in omegas]
-    values = {v: conj_product_sum(((1, v, ((0, 1),)),), exponent) for v in {v for vs in rows for v in vs}}
-    return [(tuple(values[v] for v in vecs), vecs) for vecs in rows]
+    return [lifted[omega] for omega in omegas]
 
 
 def _verify_table(table: CharacterTable) -> None:
-    """Check that the table is square and its rows orthogonal over Z[zeta_e].
-
-    With X[i][c] = chi_i(g_c) and D = diag(|C_c|), row orthogonality is
-    X D X* = |G| I.  As X is square, X* X = |G| D^-1: column orthogonality,
+    """Check that the table is square, and its rows orthogonal over Z[zeta_e] and
+    closed under complex conjugation (a row times a root of unity stays orthogonal
+    to the rest).  With X[i][c] = chi_i(g_c) and D = diag(|C_c|), row orthogonality
+    is X D X* = |G| I.  As X is square, X* X = |G| D^-1: column orthogonality,
     whose entry at the identity class is the degree sum (Isaacs, ch. 2).
     """
     G = table.group
@@ -404,6 +389,9 @@ def _verify_table(table: CharacterTable) -> None:
         terms = ((cls.size, eig[i][c], eig[j][c]) for c, cls in enumerate(table.classes))
         if conj_product_sum(terms, table.exponent) != (G.order if i == j else 0):
             raise QuasiError("row orthogonality failed")
+    rows = set(eig)
+    if any(tuple(_scaled(v, -1, table.exponent) for v in vecs) not in rows for vecs in eig):
+        raise QuasiError("rows are not closed under complex conjugation")
 
 
 # -- character-level services --------------------------------------------------

@@ -44,7 +44,7 @@ def _primes(n: int) -> tuple[int, ...]:
 
 
 def _polydiv_exact(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
-    # den is monic; division must be exact.
+    # den is monic and divides num: Phi_m(x^p) = Phi_pm(x) Phi_m(x) for a prime p not dividing m
     num = list(num)
     dd = len(den) - 1
     out = [0] * (len(num) - dd)
@@ -54,8 +54,6 @@ def _polydiv_exact(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
             out[i - dd] = c
             for j in range(dd + 1):
                 num[i - dd + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
     return tuple(out)
 
 

@@ -216,10 +216,10 @@ def fixed_space_dimension(chi: ClassFunction, d: LambdaDesc) -> int:
     gamma = subgroup_from_generators(d.group, d.sigma.entries)
     n = lcm(*(v.conductor for v in chi.values))
     terms = ((1, chi.value_at_element(x)._exponents_at(n), ((0, 1),)) for x in gamma.elements)
-    val = (conj_product_sum(terms, n) * Fraction(1, gamma.order)).rational_value()
-    if val.denominator != 1:
+    val = conj_product_sum(terms, n) * Fraction(1, gamma.order)
+    if not (val.is_rational and val.rational_value().denominator == 1):
         raise QuasiError("fixed-space dimension is not an integer")
-    return int(val)
+    return int(val.rational_value())
 
 
 # -- kernel solver ---------------------------------------------------------------

@@ -26,6 +26,7 @@ from cyc_reference import (
 )
 
 from quasik import (
+    CharacterTable,
     ClassFunction,
     Cyc,
     Limits,
@@ -49,6 +50,7 @@ from quasik import (
     restrict_character,
     subgroup_from_generators,
     symmetric_group,
+    v_sigma,
 )
 from quasik.chartable import _charpoly_mod_p, _coordinates, _roots_mod_p, _verify_table
 from quasik.groups import inclusion_hom
@@ -486,8 +488,9 @@ def _with_eig(table, eig):
     return mutant
 
 
-def _rejected_by_both(mutant):
-    for verify in (_verify_table, ref_verify_table):
+def _rejected_by_all(mutant):
+    # both verifiers, and the constructor, which verifies the rows it is given
+    for verify in (_verify_table, ref_verify_table, lambda t: CharacterTable(t.group, t.eig)):
         with pytest.raises(QuasiError):
             verify(mutant)
 
@@ -510,7 +513,7 @@ def test_moving_one_unit_of_multiplicity_fails_verification(oracle_tables):
                 counts[x] -= 1
                 counts[(x + 1) % e] = counts.get((x + 1) % e, 0) + 1
                 moved = tuple(sorted((y, m) for y, m in counts.items() if m))
-                _rejected_by_both(_with_eig(table, (
+                _rejected_by_all(_with_eig(table, (
                     vs[:c] + (moved,) + vs[c + 1:] if i == lam else vs
                     for i, vs in enumerate(table.eig)
                 )))
@@ -523,7 +526,7 @@ def test_a_repeated_row_fails_verification(oracle_tables):
             continue  # no second row to copy
         for lam in range(k):
             twin = table.eig[(lam + 1) % k]
-            _rejected_by_both(_with_eig(table, (twin if i == lam else vs
+            _rejected_by_all(_with_eig(table, (twin if i == lam else vs
                                                 for i, vs in enumerate(table.eig))))
 
 
@@ -535,6 +538,33 @@ def test_a_dropped_row_fails_the_count_check(oracle_tables):
             _verify_table(mutant)
         with pytest.raises(QuasiError, match="degree check failed"):
             ref_verify_table(mutant)
+        with pytest.raises(QuasiError, match=f"{k - 1} irreducibles for {k} classes"):
+            CharacterTable(table.group, mutant.eig)
+
+
+def test_a_row_times_a_root_of_unity_has_no_conjugate_row(oracle_tables):
+    # zeta_e chi is as orthonormal to the other rows as chi is, but its conjugate
+    # zeta_e^-1 conj(chi) is no row when e > 2: only the closure check catches this
+    for table in oracle_tables:
+        e = table.exponent
+        if e <= 2:
+            continue
+        turned = tuple(tuple(sorted(((x + 1) % e, c) for x, c in v)) for v in table.eig[0])
+        mutant = _with_eig(table, (turned,) + table.eig[1:])
+        assert ref_verify_table(mutant) is None
+        for verify in (_verify_table, lambda t: CharacterTable(t.group, t.eig)):
+            with pytest.raises(QuasiError, match="^rows are not closed under complex conjugation$"):
+                verify(mutant)
+
+
+def test_the_constructor_sorts_rows_given_in_any_order(oracle_tables):
+    rng = random.Random(21)
+    for table in oracle_tables:
+        shuffled = list(table.eig)
+        rng.shuffle(shuffled)
+        built = CharacterTable(table.group, shuffled)
+        assert (built.rows, built.eig, built.labels) == (table.rows, table.eig, table.labels)
+        assert built.trivial_index() == 0 and built.eig[0] == (((0, 1),),) * table.n_classes
 
 
 def test_character_sums_match_the_cyclotomic_chain(oracle_tables):
@@ -585,6 +615,34 @@ def test_class_functions_beyond_the_table_conductor(spec):
             v * Cyc.zeta(7) for v in table.irreducible(1).values))):
         want = [ref_inner_product(f, table.irreducible(i)) for i in range(len(table.rows))]
         assert list(_coordinates(f)) == want
+
+
+@pytest.mark.parametrize("value", [Cyc.zeta(7), Fraction(1, 2)], ids=["irrational", "half"])
+def test_a_fixed_space_dimension_that_is_no_integer_is_rejected(value):
+    # at sigma = (e) the average over <sigma> is the one value itself
+    G = build_group("symmetric:3")
+    chi = class_function_from_element_values(character_table(G), [value] * G.order)
+    with pytest.raises(QuasiError, match="^fixed-space dimension is not an integer$"):
+        fixed_space_dimension(chi, lambda_desc(G, (G.identity,)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a, b: a + b, "class functions live on different tables"),
+    (inner_product, "class functions live on different tables"),
+    (lambda a, b: class_function_from_element_values(b.table, [1] * 5), "need one value per group element"),
+    (lambda a, b: class_function_from_element_values(b.table, [1, 2, 1, 1, 1, 1]),
+     "values are not constant on conjugacy classes"),
+    (lambda a, b: restrict_character(a, hom_from_images(cyclic_group(1), [], [], b.table.group)),
+     "homomorphism target does not match the class function"),
+    (lambda a, b: v_sigma(a, lambda_desc(b.table.group, (0,))), "character does not live on the ambient group"),
+], ids=["add", "inner-product", "one-value-per-element", "constant-on-classes", "restrict-target",
+        "v-sigma-group"])
+def test_class_functions_are_checked_against_their_table(call, message):
+    # cyclic:3 and symmetric:3 both have three classes, so only these checks tell them apart
+    a = character_table(cyclic_group(3)).irreducible(1)
+    b = character_table(symmetric_group(3)).irreducible(1)
+    with pytest.raises(QuasiError, match=f"^{message}$"):
+        call(a, b)
 
 
 # -- the split and the lift against their references -----------------------------

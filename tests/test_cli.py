@@ -53,6 +53,13 @@ def test_max_order_out_of_range_is_usage_error(capsys, m):
     assert captured.err == "usage error: --max-order must be between 1 and 10000\n"
 
 
+def test_threads_below_one_is_usage_error(capsys):
+    assert main(["classes", "--group", "cyclic:3", "--threads", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --threads must be at least 1\n"
+
+
 @pytest.mark.parametrize("group", ["symmetric:8", "perm 8\n(1 2)\n(1 2 3 4 5 6 7 8)\n"],
                          ids=["builtin", "perm-file"])
 def test_a_large_max_order_keeps_the_closure_cap(tmp_path, group):

@@ -104,6 +104,14 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     for n in (1, 2, 3, 4, 8, 9, 12, 15):
         assert len(cyclotomic_polynomial(n)) == totient(n) + 1
+    # each division in cyclotomic_polynomial is exact: x^n - 1 is the product of
+    # Phi_d over the divisors d of n
+    for n in range(1, 61):
+        prod = (1,)
+        for phi in (cyclotomic_polynomial(d) for d in range(1, n + 1) if n % d == 0):
+            prod = tuple(sum(prod[i] * phi[k - i] for i in range(len(prod)) if 0 <= k - i < len(phi))
+                         for k in range(len(prod) + len(phi) - 1))
+        assert prod == (-1,) + (0,) * (n - 1) + (1,)
 
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)

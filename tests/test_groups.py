@@ -25,6 +25,7 @@ from quasik import (
     GroupTable,
     Limits,
     NonCommutingTupleError,
+    QuasiError,
     SizeLimitError,
     build_group,
     centralizer,
@@ -80,6 +81,32 @@ def test_table_entries_must_be_ints(table):
     with pytest.raises(GroupInputError, match="^multiplication table row 0 malformed$"):
         GroupTable(table)
     assert GroupTable([[0, 1], [1, 0]]).order == 2
+
+
+# a Latin square with an identity and inverses that is not associative
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GroupTable([]), "group must have at least one element"),
+    (lambda: GroupTable([[0, 1], [0, 1]]), "column 0 is not a permutation of the elements"),
+    (lambda: GroupTable([[0, 2, 1], [2, 1, 0], [1, 0, 2]]), "table has no two-sided identity"),
+    (lambda: GroupTable([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+                         [4, 2, 0, 1, 3]]), "element 2 has no two-sided inverse"),
+    (lambda: GroupTable(_LOOP5, validate=True), "table is not associative"),
+    (lambda: GroupTable([[0, 1], [1, 0]], labels=["a", "a"]), "labels must be distinct, one per element"),
+    (lambda: parse_permutation("(1 2"), "bad cycle notation: '(1 2'"),
+    (lambda: parse_permutation("(1 5)", 3), "cycle uses point 5 beyond degree 3"),
+    (lambda: parse_permutation("(1 2)(2 3)"), "cycles are not disjoint in '(1 2)(2 3)'"),
+    (lambda: group_from_generators([(1, 0, 2)], degree=2), "generator degree exceeds requested degree"),
+    (lambda: direct_product(cyclic_group(65), cyclic_group(64)), "product order 4160 exceeds cap 4096"),
+    (lambda: hom_from_images(cyclic_group(2), [1], [], cyclic_group(2)), "need one image per generator"),
+], ids=["empty", "column", "identity", "inverse", "associative", "labels", "cycle-notation",
+        "beyond-degree", "disjoint", "generator-degree", "product-order", "one-image-per-generator"])
+def test_malformed_group_input_is_rejected_with_its_message(build, message):
+    # each message is raised by one branch only, so each case fails without its branch
+    with pytest.raises(QuasiError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_closure_size_cap():
