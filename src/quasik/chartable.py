@@ -18,7 +18,7 @@ An element acts as a scalar exactly when its vector has a single entry x,
 and then acts as zeta_e^x: each table reads these once, into the columns
 central_exponents[class][irrep] = x (or None) and, for a central class,
 central_weights[class][irrep] = x/e, or 1 when x = 0.  lambdarep reads every
-scalar from these columns, and the kernel's b = -x den/e.
+scalar from these columns, and the kernel's b = -x.
 
 Every character sum here (table entries, orthogonality, inner products,
 Frobenius-Schur indicators) is one call to cyclotomic.conj_product_sum,
@@ -31,6 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, product
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import Cyc, _primes, conj_product_sum
@@ -65,6 +66,8 @@ class CharacterTable:
         self.id_class = self.class_of[group.identity]
         self.exponent = group.exponent()
         self.n_classes = len(self.classes)
+        if any(len(vecs) != self.n_classes for vecs in eig):  # the sort key reads every class
+            raise QuasiError("a row does not have one value per class")
         # one Cyc per distinct vector, for the sort key and the Cyc rows
         values = {v: conj_product_sum(((1, v, ((0, 1),)),), self.exponent)
                   for v in {v for vecs in eig for v in vecs}}
@@ -392,6 +395,9 @@ def _verify_table(table: CharacterTable) -> None:
     rows = set(eig)
     if any(tuple(_scaled(v, -1, table.exponent) for v in vecs) not in rows for vecs in eig):
         raise QuasiError("rows are not closed under complex conjugation")
+    # a real row times -1 passes both checks, and would sort first as the trivial row
+    if any(len(v := vecs[table.id_class]) != 1 or v[0][0] or v[0][1] < 1 for vecs in eig):
+        raise QuasiError("a row's value at the identity is not a positive degree")
 
 
 # -- character-level services --------------------------------------------------
@@ -472,8 +478,7 @@ def restriction_multiplicities(chi: ClassFunction, sub: CharacterTable, images: 
             raise QuasiError("branching multiplicities do not add up to the degrees")
         table.group._memo[key] = B
     coords, B = _coordinates(chi), table.group._memo[key]
-    return [_multiplicity(sum(a * row[j] for a, row in zip(coords, B) if a), label)
-            for j, label in enumerate(sub.labels)]
+    return [_multiplicity(sum(map(mul, coords, col)), label) for col, label in zip(zip(*B), sub.labels)]
 
 
 def central_scalar(table: CharacterTable, irrep: int, z: int, l: Optional[int] = None) -> tuple[int, int]:

@@ -16,7 +16,6 @@ normal form.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -43,7 +42,7 @@ from .groups import (
     subgroup_from_generators,
     subgroup_table,
 )
-from .snf import mat_vec, smith_normal_form
+from .snf import smith_normal_form
 
 KERNEL_ENUM_CAP = 1 << 20
 
@@ -92,16 +91,29 @@ class LambdaRep:
 
     def __init__(self, desc: LambdaDesc, components: Iterable[tuple[TwistedIrrep, int]]):
         self.desc = desc
-        merged: dict[TwistedIrrep, int] = {}
+        checked = []
         for comp, mult in components:
-            self._check_compatible(comp)  # before hashing: a list weight is unhashable
+            self._check_compatible(comp)  # before sorting: a list weight is not comparable
             if type(mult) not in (int, Fraction) or mult.denominator != 1:
                 raise QuasiError(f"multiplicity {mult!r} is not an integer")
             if mult < 0:
                 raise QuasiError("multiplicities must be non-negative")
-            if mult:
-                merged[comp] = merged.get(comp, 0) + int(mult)
-        self.components = tuple(sorted(merged.items()))
+            checked.append((comp, int(mult)))
+        self.components = self._merged(desc, checked).components
+
+    @classmethod
+    def _merged(cls, desc: LambdaDesc, components: Iterable[tuple[TwistedIrrep, int]]) -> "LambdaRep":
+        """The rep of components already checked against desc: sorted, with the
+        multiplicities of equal neighbours added and zeros dropped."""
+        rep = cls.__new__(cls)
+        rep.desc, merged = desc, []
+        for comp, mult in sorted(components):
+            if merged and merged[-1][0] == comp:
+                merged[-1] = (comp, merged[-1][1] + mult)
+            elif mult:
+                merged.append((comp, mult))
+        rep.components = tuple(merged)
+        return rep
 
     def _check_compatible(self, comp: TwistedIrrep) -> None:
         d = self.desc
@@ -131,7 +143,7 @@ class LambdaRep:
     def __add__(self, other: "LambdaRep") -> "LambdaRep":
         if self.desc != other.desc:
             raise QuasiError("representations live over different groups")
-        return LambdaRep(self.desc, self.components + other.components)
+        return LambdaRep._merged(self.desc, self.components + other.components)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LambdaRep):
@@ -169,7 +181,7 @@ def v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
         raise QuasiError("character does not live on the ambient group")
     # dimension chi(1): chi's coordinates in Irr(G) are exact, and each branching row sums to its degree
     mults = restriction_multiplicities(chi, d.table, d.to_parent)
-    return LambdaRep(d, [(TwistedIrrep(lam, d.weights[lam]), m) for lam, m in enumerate(mults) if m])
+    return LambdaRep._merged(d, [(TwistedIrrep(lam, d.weights[lam]), m) for lam, m in enumerate(mults) if m])
 
 
 def q_twist(rep: LambdaRep, shift: int | Fraction | Sequence[int | Fraction]) -> LambdaRep:
@@ -181,7 +193,7 @@ def q_twist(rep: LambdaRep, shift: int | Fraction | Sequence[int | Fraction]) ->
         raise QuasiError("shift vector has the wrong arity")
     if not all(type(s) in (int, Fraction) and s.denominator == 1 for s in vec):
         raise QuasiError(f"shift {shift!r} is not an integer vector")
-    return LambdaRep(
+    return LambdaRep._merged(
         rep.desc,
         [
             (TwistedIrrep(c.lam, tuple(w + s for w, s in zip(c.weight, vec))), m)
@@ -208,7 +220,7 @@ def fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     1, as a basis weight x/e in (0, 1] is 1 exactly when x = 0."""
     zero = (Fraction(0),) * d.sigma.n
     fixed = [(c, m) for c, m in v_sigma(chi, d).components if all(w == 1 for w in c.weight)]
-    return LambdaRep(d, [(TwistedIrrep(c.lam, zero), m) for c, m in fixed])
+    return LambdaRep._merged(d, [(TwistedIrrep(c.lam, zero), m) for c, m in fixed])
 
 
 def fixed_space_dimension(chi: ClassFunction, d: LambdaDesc) -> int:
@@ -249,24 +261,25 @@ def kernel(rep: LambdaRep) -> KernelDescription:
 
     An element [a, t] acts on a component (lam, w) by rho_lam(a) * e^(2 pi i w.t),
     so it is in the kernel iff a acts as a scalar on every component and the
-    congruences w_j . t = -arg_j(a) (mod 1) hold simultaneously.  Scaled by the
-    common denominator den they are integer congruences mod den, solved through
-    the Smith form U A V = S; with L the lcm of its diagonal, the candidates
-    L*t are integers, so only the reported points t in [0,1)^n are Fractions.
+    congruences w_j . t = -arg_j(a) (mod 1) hold simultaneously.  Every weight's
+    denominator divides e = exp(C), so scaled by e they are integer congruences
+    mod e, solved through the Smith form U A V = S.  With L the lcm of its
+    diagonal, the solutions L*t of one class are a coset of the lattice
+    V diag(L e/s_i) Z^n; its lower-triangular Hermite basis gives each
+    coordinate's range in [0, L) in turn, so every vector walked is a kernel
+    point, and only the reported points t in [0,1)^n are Fractions.
     """
     d = rep.desc
     n = d.sigma.n
     C = d.cent_group
     trivial_row = d.table.trivial_index()
-    zero = (Fraction(0),) * n
     comps = [c for c, _ in rep.components]
-    if not comps or all(c.lam == trivial_row and c.weight == zero for c in comps):
+    if not comps or all(c.lam == trivial_row and not any(c.weight) for c in comps):
         return KernelDescription(torus_rank=n, finite_points=(), full_group=True)
 
-    weights = [c.weight for c in comps]
     e = d.table.exponent
-    den = lcm(*(w.denominator for row in weights for w in row), e)
-    A = [[w.numerator * (den // w.denominator) for w in row] for row in weights]
+    # each weight has the denominator of its basis weight x/e, which divides e
+    A = [[w.numerator * (e // w.denominator) for w in c.weight] for c in comps]
     if len(A) < n:
         # rank A < n, read off the k x k Gram matrix A A^T (same rank over Q)
         # before the Smith transforms of A would build an n x n V
@@ -276,36 +289,36 @@ def kernel(rep: LambdaRep) -> KernelDescription:
     S, U, V = smith_normal_form(A)
     diag = [S[i][i] for i in range(n)]  # k >= n rows here
     torus_rank = diag.count(0)
-
-    points: list[tuple[int, tuple[Fraction, ...]]] = []
     if torus_rank > 0:
         # rank deficiency already decides non-faithfulness; points are not finite
         return KernelDescription(torus_rank=torus_rank, finite_points=())
     if prod(diag) * C.order > KERNEL_ENUM_CAP:
         raise SizeLimitError("kernel solution enumeration exceeds the cap")
     L = lcm(*diag)
-    period = L * den
-    kept = []  # (L * t0, members) for each class whose congruences are solvable
+    # a class acting on lam by zeta_e^x has b = -x; t0 = V (U b)_i / s_i, i < n,
+    # solves A t = b (mod e), and L t0 = P x
+    P = [[-sum(v * (L // s) * u for v, s, u in zip(row, diag, col)) for col in zip(*U[:n])]
+         for row in V]
+    # columns H[i] of a Hermite basis of V diag(L e/s_i) Z^n: H[i][j] = 0 for j < i
+    H = [[V[r][i] * (L * e // s) for r in range(n)] for i, s in enumerate(diag)]
+    for i in range(n):
+        while sum(1 for h in H[i:] if h[i]) > 1:  # Euclid along row i
+            H[i:] = sorted(H[i:], key=lambda h: (not h[i], abs(h[i])))
+            H[i + 1:] = [[x - h[i] // H[i][i] * y for x, y in zip(h, H[i])] for h in H[i + 1:]]
+        H[i:] = sorted(H[i:], key=lambda h: not h[i])
+        H[i] = [x if H[i][i] > 0 else -x for x in H[i]]
+    walk = []  # (members, L t0) of each class whose congruences are solvable
     for cls, col in zip(d.table.classes, d.table.central_exponents):
-        # the class acts on lam by zeta_e^x (e divides den); b = -x den/e, and with
-        # c = U b the particular solution is t0 = V (c_i / s_i), i < n
         xs = [col[c.lam] for c in comps]
-        if None in xs:
-            continue
-        b = [-x * (den // e) for x in xs]
-        t0 = mat_vec(V, [c * (L // s) for c, s in zip(mat_vec(U[:n], b), diag)])
-        # U is unimodular: A t0 = b (mod den) iff (U b)_i = 0 (mod den) for i >= n
-        if all((sum(map(mul, row, t0)) - L * bi) % period == 0 for row, bi in zip(A, b)):
-            kept.append((t0, cls.members))
-    # every solution is t0 + V h / L, with h_i = den k L / s_i over k < s_i
-    for h in product(*[range(0, period, period // s) for s in diag]):
-        Vh = mat_vec(V, h)
-        for t0, members in kept:
-            T = [(x + y) % period for x, y in zip(t0, Vh)]
-            if all(x < L for x in T):
-                t = tuple(Fraction(x, L) for x in T)
-                points += [(g, t) for g in members]
-    finite = tuple(sorted(p for p in points if p != (C.identity, zero)))
+        # U is unimodular: solvable iff (U b)_i = 0 (mod e) for i >= n
+        if None not in xs and not any(sum(map(mul, row, xs)) % e for row in U[n:]):
+            walk.append((cls.members, [sum(map(mul, row, xs)) for row in P]))
+    for i, h in enumerate(H):
+        walk = [(m, [x + (y - v[i]) // h[i] * z for x, z in zip(v, h)])
+                for m, v in walk for y in range(v[i] % h[i], L, h[i])]
+    points = sorted((g, tuple(T)) for m, T in walk for g in m)
+    points.remove((C.identity, (0,) * n))  # the identity class solves with t0 = 0
+    finite = tuple((g, tuple(Fraction(x, L) for x in T)) for g, T in points)
     return KernelDescription(torus_rank=0, finite_points=finite)
 
 

@@ -9,10 +9,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_vec(M: Sequence[Sequence[int]], v: Sequence) -> list:
-    return [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M))]
-
-
 def smith_normal_form(
     matrix: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

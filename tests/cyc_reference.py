@@ -14,7 +14,8 @@ read at each element's order l before lambda_desc and kernel read one
 exponent at exp(C), the kernel solver that enumerated Fraction candidates
 before lambdarep.kernel ran in integers, the per-class Smith-form solve
 that kernel made before it hoisted one particular solution per class out of
-a shared residue loop,
+a shared residue loop (both filtered every Smith residue for the points in
+[0,1)^n before kernel walked only kernel points) with the mat_vec they use,
 the commuting-tuple scan that groups.commuting_tuples ran before it
 descended through centralizers, the restrictions that v_sigma,
 fixed_part_rep, the external sum and restrict_lambda made by pulling a
@@ -74,7 +75,7 @@ from quasik.lambdarep import (
     TwistedIrrep,
     lambda_desc,
 )
-from quasik.snf import mat_vec, smith_normal_form
+from quasik.snf import smith_normal_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -336,6 +337,11 @@ def _scalar_argument(d: LambdaDesc, lam: int, a: int) -> Optional[Fraction]:
     return Fraction(m % la, la)
 
 
+# The matrix-vector product that quasik.snf exported while kernel still used it.
+def mat_vec(M: Sequence[Sequence[int]], v: Sequence) -> list:
+    return [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M))]
+
+
 def ref_kernel(rep: LambdaRep) -> KernelDescription:
     """Exact kernel of the action, by integer linear algebra.
 
@@ -397,8 +403,10 @@ def ref_kernel(rep: LambdaRep) -> KernelDescription:
 
 # The class loop that lambdarep.kernel ran before it read the table's
 # central_exponents columns: per class, the full U b over every row and its
-# own residue choices y, each multiplied by V.  The exponent x is read from
-# eig here, as CharacterTable.central_exponent read it.
+# own residue choices y, each multiplied by V, and the candidates outside
+# [0,1)^n thrown away, as kernel did until it walked a Hermite basis of the
+# solution lattice.  The exponent x is read from eig here, as
+# CharacterTable.central_exponent read it.
 def _eig_exponent(table: CharacterTable, irrep: int, cls: int) -> Optional[int]:
     vec = table.eig[irrep][cls]
     return vec[0][0] if len(vec) == 1 else None

@@ -557,6 +557,38 @@ def test_a_row_times_a_root_of_unity_has_no_conjugate_row(oracle_tables):
                 verify(mutant)
 
 
+def test_a_real_row_times_minus_one_is_rejected(oracle_tables):
+    # -chi for a real chi is orthonormal to the other rows and its own conjugate,
+    # so only the identity value catches it: with degree -1 it sorted first, and
+    # trivial_index, kernel and fs_indicator (-1 on symmetric:3) took it as trivial
+    negated = 0
+    for table in oracle_tables:
+        for lam, vecs in enumerate(table.eig):
+            if table.conjugate_row(lam) != lam:
+                continue
+            mutant = _with_eig(table, (tuple(tuple((x, -c) for x, c in v) for v in vs) if i == lam else vs
+                                       for i, vs in enumerate(table.eig)))
+            for verify in (_verify_table, lambda t: CharacterTable(t.group, t.eig)):
+                with pytest.raises(QuasiError, match="^a row's value at the identity is not a positive degree$"):
+                    verify(mutant)
+            negated += 1
+    assert negated > len(oracle_tables)  # the trivial row of each, and more
+
+
+@pytest.mark.parametrize("cut", ["every row", "the last row"])
+def test_a_short_row_is_rejected_before_the_sort(oracle_tables, cut):
+    # the sort key reads every class of every row: a short row raised IndexError there
+    for table in oracle_tables:
+        k = table.n_classes
+        if k == 1:
+            continue  # no class to cut
+        rows = [vecs[:-1] if cut == "every row" or i == k - 1 else vecs for i, vecs in enumerate(table.eig)]
+        with pytest.raises(QuasiError, match="^a row does not have one value per class$"):
+            CharacterTable(table.group, rows)
+    with pytest.raises(QuasiError, match="^a row does not have one value per class$"):
+        CharacterTable(cyclic_group(3), [vecs[:2] for vecs in character_table(cyclic_group(3)).eig])
+
+
 def test_the_constructor_sorts_rows_given_in_any_order(oracle_tables):
     rng = random.Random(21)
     for table in oracle_tables:

@@ -6,7 +6,7 @@ import copy
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -425,7 +425,7 @@ def test_components_are_validated():
         # bools were kept: lam=True, and chi0's weight rendered as q^(True)
         (TwistedIrrep(True, (HALF,)), "^irreducible index True is not in range\\(4\\)$"),
         (TwistedIrrep(0, (True,)), "^weight True is not an int or a Fraction$"),
-        # rejected before the merge dict hashes them
+        # rejected before the merge sorts them
         (TwistedIrrep(1, [Fraction(1, 4)]), "is not a TwistedIrrep with a tuple weight$"),
         (TwistedIrrep(1, Fraction(1, 4)), "is not a TwistedIrrep with a tuple weight$"),
         ((1, (Fraction(1, 4),)), "is not a TwistedIrrep with a tuple weight$"),
@@ -580,10 +580,11 @@ def test_kernel_per_class_matches_the_reference():
 
 
 def test_shared_residue_loop_matches_the_per_class_solve(battery):
-    # kernel takes one particular solution per class and walks the Smith
-    # residues once for all classes; the per-class solve and the Fraction
+    # kernel takes one particular solution per class and walks a Hermite
+    # basis of the solution lattice from it; the per-class solve, which
+    # filters every Smith residue for the points in [0,1)^n, and the Fraction
     # solver are its references.  n = 2 and 3 only: lib-session runs n = 1,
-    # where the residue loop has a single coordinate
+    # where the walk has a single coordinate
     coupled = []
 
     @settings(max_examples=100, deadline=None)
@@ -613,6 +614,43 @@ def test_shared_residue_loop_matches_the_per_class_solve(battery):
 
     check()
     assert coupled  # some case had two Smith entries > 1 and a non-identity V
+
+
+def test_kernel_walks_a_sheared_hermite_basis():
+    # cyclic:4 at sigma = (g1, g1): chi1 at weights (1/2, 1/2) and (3/2, -1/2).
+    # The solution lattice V diag(L e/s_i) Z^2 holds no (a, 0) with a the gcd
+    # of its first coordinates, so its lower-triangular Hermite basis has a
+    # nonzero entry below the diagonal, and the range of t_2 moves with t_1
+    G = cyclic_group(4)
+    d = lambda_desc(G, (1, 1))
+    base = v_sigma(character_table(G).irreducible(1), d)
+    rep = base + q_twist(base, (1, -1))
+    e = d.table.exponent
+    S, _, V = smith_normal_form([[int(w * e) for w in c.weight] for c, _ in rep.components])
+    diag = [S[0][0], S[1][1]]
+    L = lcm(*diag)
+    (p, q), (r, s) = [[V[j][i] * (L * e // diag[i]) for i in range(2)] for j in range(2)]
+    a, det = gcd(p, q), p * s - q * r
+    assert (a * s % det, a * r % det) != (0, 0)  # (a, 0) = B z has no integer z
+    ker = kernel(rep)
+    assert ker == ref_kernel_per_class(rep) == ref_kernel(rep)
+    assert ker.finite_points == ((1, (HALF, HALF)), (2, (0, 0)), (3, (HALF, HALF)))
+
+
+def test_library_sums_equal_the_checked_constructor(d4):
+    # + skips the component checks that the public constructor makes, and
+    # merges the same way: equal components, equal hash
+    table = character_table(d4)
+    for orbit in commuting_tuples(d4, 1):
+        d = lambda_desc(d4, orbit.representative)
+        for chi in (table.regular_character(), table.irreducible(4)):
+            base = v_sigma(chi, d)
+            for left, right in ((base, base), (q_twist(base, 1), base), (base, fixed_part_rep(chi, d))):
+                built, checked = left + right, LambdaRep(d, right.components + left.components)
+                assert (built.components, hash(built)) == (checked.components, hash(checked))
+            doubled = LambdaRep(d, base.components * 2)
+            assert ((base + base).components, hash(base + base)) == (doubled.components, hash(doubled))
+            assert [m for _, m in doubled.components] == [2 * m for _, m in base.components]
 
 
 def test_multi_index_twist_needs_coordinates():
