@@ -459,15 +459,17 @@ def decompose(chi: ClassFunction) -> RepDecomposition:
     return RepDecomposition(chi.table, tuple((i, m) for i, m in enumerate(mults) if m))
 
 
-def restriction_multiplicities(chi: ClassFunction, sub: CharacterTable, images: Sequence[int]) -> list[int]:
+def restriction_multiplicities(chi: ClassFunction, sub: CharacterTable, images: Sequence[int]) -> Sequence[int]:
     """Multiplicity of each irreducible lam of sub in chi o images, for a map images
     from sub's group into chi's that sends classes into classes: chi's coordinates
     times the branching matrix B[i][lam] = <chi_i o images, lam> (exact for every
-    class function, as Irr(G) is a basis).  B is summed at lcm(exp(G), exp(sub)),
-    checked once and memoized on G under (sub, images): maps from different groups
-    can share their images."""
+    class function, as Irr(G) is a basis), or the row B[i] itself when chi is
+    table.irreducible(i).  B is summed at lcm(exp(G), exp(sub)), checked once and
+    memoized on G under (sub, images): maps from different groups can share
+    their images."""
     table, key = chi.table, ("branching", sub, tuple(images))
-    if key not in table.group._memo:
+    B = table.group._memo.get(key)
+    if B is None:
         n = lcm(table.exponent, sub.exponent)  # exp(sub) need not divide exp(G)
         fuse = [table.class_of[images[cls.rep]] for cls in sub.classes]
         B = tuple(tuple(map(_multiplicity, _products(
@@ -477,7 +479,10 @@ def restriction_multiplicities(chi: ClassFunction, sub: CharacterTable, images: 
                for row, deg in zip(B, table.degrees)):
             raise QuasiError("branching multiplicities do not add up to the degrees")
         table.group._memo[key] = B
-    coords, B = _coordinates(chi), table.group._memo[key]
+    for i, values in enumerate(table.rows):  # table.irreducible(i) holds the row itself
+        if values is chi.values:
+            return B[i]
+    coords = _coordinates(chi)
     return [_multiplicity(sum(map(mul, coords, col)), label) for col, label in zip(zip(*B), sub.labels)]
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .chartable import (
@@ -36,6 +37,7 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Limits,
+    _check_elements,
     centralizer,
     direct_product,
     make_comm_tuple,
@@ -45,6 +47,7 @@ from .groups import (
 from .snf import smith_normal_form
 
 KERNEL_ENUM_CAP = 1 << 20
+_ZERO = Fraction(0)
 
 
 class LambdaDesc(NamedTuple):
@@ -67,9 +70,24 @@ class LambdaDesc(NamedTuple):
 def lambda_desc(
     G: GroupTable, sigma: CommTuple | Sequence[int], limits: Limits = Limits()
 ) -> LambdaDesc:
-    """Build the centralizer, its character table, and the twist data for sigma."""
-    if not isinstance(sigma, CommTuple):
-        sigma = make_comm_tuple(G, sigma)
+    """The centralizer, its character table, and the twist data for sigma,
+    memoized on G by the tuple's entries.
+
+    The entries and both caps are checked on every call, memoized or not;
+    commutation is checked, and the descriptor built, once per tuple.
+    """
+    entries = _check_elements(G, sigma.entries if isinstance(sigma, CommTuple) else sigma)
+    desc = G._memo.get(("lambda_desc", entries))
+    if desc is None:
+        desc = G._memo["lambda_desc", entries] = _lambda_desc(G, make_comm_tuple(G, entries), limits)
+    limits.check_tuples(1, len(entries))
+    limits.check_order(desc.cent_group, "character table")
+    return desc
+
+
+def _lambda_desc(G: GroupTable, sigma: CommTuple, limits: Limits) -> LambdaDesc:
+    """lambda_desc unmemoized, for a tuple known to commute: quasi_coefficients
+    reads each orbit's descriptor once."""
     # n itself is capped as in commuting_tuples: the kernel solve is n x n
     limits.check_tuples(1, sigma.n)
     C, to_parent = subgroup_table(centralizer(G, sigma))
@@ -102,18 +120,25 @@ class LambdaRep:
         self.components = self._merged(desc, checked).components
 
     @classmethod
+    def _of(cls, desc: LambdaDesc, components: Iterable[tuple[TwistedIrrep, int]]) -> "LambdaRep":
+        """The rep of components already checked against desc and canonical:
+        sorted, distinct, with nonzero multiplicities."""
+        rep = cls.__new__(cls)
+        rep.desc, rep.components = desc, tuple(components)
+        return rep
+
+    @classmethod
     def _merged(cls, desc: LambdaDesc, components: Iterable[tuple[TwistedIrrep, int]]) -> "LambdaRep":
         """The rep of components already checked against desc: sorted, with the
-        multiplicities of equal neighbours added and zeros dropped."""
-        rep = cls.__new__(cls)
-        rep.desc, merged = desc, []
-        for comp, mult in sorted(components):
-            if merged and merged[-1][0] == comp:
-                merged[-1] = (comp, merged[-1][1] + mult)
-            elif mult:
-                merged.append((comp, mult))
-        rep.components = tuple(merged)
-        return rep
+        multiplicities of equal components added and zeros dropped.  The weights
+        of one lam share their denominators, so (lam, weight numerators) orders
+        and identifies the components as (lam, weight) does."""
+        merged: dict = {}
+        for comp, mult in components:
+            key = (comp.lam, tuple([w.numerator for w in comp.weight]))
+            kept = merged.get(key)
+            merged[key] = (comp, mult) if kept is None else (kept[0], kept[1] + mult)
+        return cls._of(desc, [cm for _, cm in sorted(merged.items()) if cm[1]])
 
     def _check_compatible(self, comp: TwistedIrrep) -> None:
         d = self.desc
@@ -181,19 +206,21 @@ def v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
         raise QuasiError("character does not live on the ambient group")
     # dimension chi(1): chi's coordinates in Irr(G) are exact, and each branching row sums to its degree
     mults = restriction_multiplicities(chi, d.table, d.to_parent)
-    return LambdaRep._merged(d, [(TwistedIrrep(lam, d.weights[lam]), m) for lam, m in enumerate(mults) if m])
+    return LambdaRep._of(d, [(TwistedIrrep(lam, d.weights[lam]), m) for lam, m in enumerate(mults) if m])
 
 
 def q_twist(rep: LambdaRep, shift: int | Fraction | Sequence[int | Fraction]) -> LambdaRep:
     """Tensor by an integer character of the torus: shift every weight by an int
     or a Fraction with denominator 1."""
     n = rep.desc.sigma.n
-    vec = tuple(shift) if isinstance(shift, Iterable) else (shift,) * n
+    scalar = type(shift) in (int, Fraction) or not isinstance(shift, Iterable)
+    vec = (shift,) * n if scalar else tuple(shift)
     if len(vec) != n:
         raise QuasiError("shift vector has the wrong arity")
     if not all(type(s) in (int, Fraction) and s.denominator == 1 for s in vec):
         raise QuasiError(f"shift {shift!r} is not an integer vector")
-    return LambdaRep._merged(
+    # the same shift for every component keeps them sorted and distinct
+    return LambdaRep._of(
         rep.desc,
         [
             (TwistedIrrep(c.lam, tuple(w + s for w, s in zip(c.weight, vec))), m)
@@ -218,9 +245,10 @@ def fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     """The subrepresentation on which every tuple entry acts as the scalar 1,
     placed at weight zero: the components of (V)_sigma whose weights are all
     1, as a basis weight x/e in (0, 1] is 1 exactly when x = 0."""
-    zero = (Fraction(0),) * d.sigma.n
-    fixed = [(c, m) for c, m in v_sigma(chi, d).components if all(w == 1 for w in c.weight)]
-    return LambdaRep._merged(d, [(TwistedIrrep(c.lam, zero), m) for c, m in fixed])
+    zero = (_ZERO,) * d.sigma.n
+    fixed = [(c, m) for c, m in v_sigma(chi, d).components
+             if all(w.numerator == w.denominator for w in c.weight)]
+    return LambdaRep._of(d, [(TwistedIrrep(c.lam, zero), m) for c, m in fixed])
 
 
 def fixed_space_dimension(chi: ClassFunction, d: LambdaDesc) -> int:
@@ -264,10 +292,12 @@ def kernel(rep: LambdaRep) -> KernelDescription:
     congruences w_j . t = -arg_j(a) (mod 1) hold simultaneously.  Every weight's
     denominator divides e = exp(C), so scaled by e they are integer congruences
     mod e, solved through the Smith form U A V = S.  With L the lcm of its
-    diagonal, the solutions L*t of one class are a coset of the lattice
-    V diag(L e/s_i) Z^n; its lower-triangular Hermite basis gives each
-    coordinate's range in [0, L) in turn, so every vector walked is a kernel
-    point, and only the reported points t in [0,1)^n are Fractions.
+    diagonal and W = V diag(L/s_i), the solutions L*t for a class acting on the
+    components as zeta_e^xs are the coset -W (U xs)_{i<n} + W e Z^n; its
+    lower-triangular Hermite basis gives each coordinate's range in [0, L) in
+    turn, so every vector walked is a kernel point.  Classes with equal xs
+    share one solve and one walk, and only the reported points t in [0,1)^n
+    are Fractions, one tuple per distinct vector L*t.
     """
     d = rep.desc
     n = d.sigma.n
@@ -295,31 +325,35 @@ def kernel(rep: LambdaRep) -> KernelDescription:
     if prod(diag) * C.order > KERNEL_ENUM_CAP:
         raise SizeLimitError("kernel solution enumeration exceeds the cap")
     L = lcm(*diag)
-    # a class acting on lam by zeta_e^x has b = -x; t0 = V (U b)_i / s_i, i < n,
-    # solves A t = b (mod e), and L t0 = P x
-    P = [[-sum(v * (L // s) * u for v, s, u in zip(row, diag, col)) for col in zip(*U[:n])]
-         for row in V]
-    # columns H[i] of a Hermite basis of V diag(L e/s_i) Z^n: H[i][j] = 0 for j < i
-    H = [[V[r][i] * (L * e // s) for r in range(n)] for i, s in enumerate(diag)]
+    W = [[v * (L // s) for v, s in zip(row, diag)] for row in V]
+    # columns H[i] of a Hermite basis of W e Z^n: H[i][j] = 0 for j < i, H[i][i] > 0
+    H = [[row[i] * e for row in W] for i in range(n)]
     for i in range(n):
-        while sum(1 for h in H[i:] if h[i]) > 1:  # Euclid along row i
+        while True:  # Euclid along row i: the least nonzero entry first, then the zeros
             H[i:] = sorted(H[i:], key=lambda h: (not h[i], abs(h[i])))
+            if i + 1 == n or not H[i + 1][i]:
+                break
             H[i + 1:] = [[x - h[i] // H[i][i] * y for x, y in zip(h, H[i])] for h in H[i + 1:]]
-        H[i:] = sorted(H[i:], key=lambda h: not h[i])
-        H[i] = [x if H[i][i] > 0 else -x for x in H[i]]
-    walk = []  # (members, L t0) of each class whose congruences are solvable
-    for cls, col in zip(d.table.classes, d.table.central_exponents):
-        xs = [col[c.lam] for c in comps]
-        # U is unimodular: solvable iff (U b)_i = 0 (mod e) for i >= n
+        if H[i][i] < 0:
+            H[i] = [-x for x in H[i]]
+    # L t0 = P x solves A t = -x (mod e), with P = -W U[:n]
+    P = [[-sum(map(mul, row, col)) for col in zip(*U[:n])] for row in W]
+    xs_of = itemgetter(*(c.lam for c in comps), comps[0].lam)  # a tuple even for one component
+    members: dict = {}  # xs -> the members of the classes acting as zeta_e^xs
+    for cls, xs in zip(d.table.classes, map(xs_of, d.table.central_exponents)):
+        members.setdefault(xs, []).extend(cls.members)
+    walk = []  # (members, L t0) for each xs whose congruences are solvable
+    for xs, m in members.items():
+        # U is unimodular: solvable iff (U x)_i = 0 (mod e) for i >= n
         if None not in xs and not any(sum(map(mul, row, xs)) % e for row in U[n:]):
-            walk.append((cls.members, [sum(map(mul, row, xs)) for row in P]))
+            walk.append((m, tuple([sum(map(mul, row, xs)) for row in P])))
     for i, h in enumerate(H):
-        walk = [(m, [x + (y - v[i]) // h[i] * z for x, z in zip(v, h)])
-                for m, v in walk for y in range(v[i] % h[i], L, h[i])]
-    points = sorted((g, tuple(T)) for m, T in walk for g in m)
+        walk = [(m, tuple(map(add, v, map(mul, h, repeat(q)))))
+                for m, v in walk for q in range(-(v[i] // h[i]), (L - 1 - v[i]) // h[i] + 1)]
+    points = sorted((g, T) for m, T in walk for g in m)
     points.remove((C.identity, (0,) * n))  # the identity class solves with t0 = 0
-    finite = tuple((g, tuple(Fraction(x, L) for x in T)) for g, T in points)
-    return KernelDescription(torus_rank=0, finite_points=finite)
+    fracs = {T: tuple(map(Fraction, T, repeat(L))) for _, T in walk}
+    return KernelDescription(torus_rank=0, finite_points=tuple([(g, fracs[T]) for g, T in points]))
 
 
 def is_faithful(rep: LambdaRep) -> bool:

@@ -23,7 +23,7 @@ from .groups import (
     contains_conjugate,
     subgroup_from_generators,
 )
-from .lambdarep import lambda_desc
+from .lambdarep import _lambda_desc
 
 
 class QuasiRecord(NamedTuple):
@@ -51,7 +51,7 @@ def quasi_coefficients(G: GroupTable, n: int, limits: Limits = Limits()) -> Quas
     total = 0
     for orbit in commuting_tuples(G, n, limits):
         sigma = orbit.representative
-        desc = lambda_desc(G, sigma, limits)
+        desc = _lambda_desc(G, sigma, limits)
         rank = len(desc.weights)
         total += rank
         records.append(

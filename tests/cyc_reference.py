@@ -29,7 +29,9 @@ lifted one character per Galois class.  Last, the checks that were made
 once too often: the table verification that also checked the degree sum and
 column orthogonality, which row orthogonality of a square table implies, and
 hom_from_images with its pass over all pairs of elements, which its
-generator-edge check already implies.
+generator-edge check already implies.  And the Smith normal form with one
+closure per row and column operation that quasik.snf computed before it
+made each operation in place.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ from quasik.lambdarep import (
     TwistedIrrep,
     lambda_desc,
 )
-from quasik.snf import smith_normal_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -362,7 +363,7 @@ def ref_kernel(rep: LambdaRep) -> KernelDescription:
     weights = [c.weight for c in comps]
     den = lcm(*(w.denominator for row in weights for w in row), C.exponent())
     A = [[int(w * den) for w in row] for row in weights]
-    S, U, V = smith_normal_form(A)
+    S, U, V = ref_smith_normal_form(A)
     diag = [S[i][i] for i in range(min(len(S), n))]
     rank = sum(1 for s in diag if s)
     torus_rank = n - rank
@@ -430,10 +431,10 @@ def ref_kernel_per_class(rep: LambdaRep) -> KernelDescription:
     if len(A) < n:
         # rank A < n, read off the k x k Gram matrix A A^T (same rank over Q)
         # before the Smith transforms of A would build an n x n V
-        S = smith_normal_form([[sum(map(mul, r, s)) for s in A] for r in A])[0]
+        S = ref_smith_normal_form([[sum(map(mul, r, s)) for s in A] for r in A])[0]
         rank = sum(1 for i, row in enumerate(S) if row[i])
         return KernelDescription(torus_rank=n - rank, finite_points=())
-    S, U, V = smith_normal_form(A)
+    S, U, V = ref_smith_normal_form(A)
     diag = [S[i][i] for i in range(min(len(S), n))]
     rank = sum(1 for s in diag if s)
     torus_rank = n - rank
@@ -804,3 +805,94 @@ def ref_hom_from_images(
             if imgs[source.mul(a, b)] != target.mul(imgs[a], imgs[b]):
                 raise HomomorphismError("images do not define a homomorphism")
     return Homomorphism(source=source, target=target, images=imgs)
+
+
+# The Smith normal form that quasik.snf computed before it made each operation
+# in place: one closure per row and column operation, and the identity
+# matrices that quasik.snf exported for it.  smith_normal_form must return
+# the same (S, U, V) as this one, and the kernel references solve with it.
+def identity_matrix(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def ref_smith_normal_form(
+    matrix: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    a = [list(row) for row in matrix]
+    if any(type(x) is not int for row in a for x in row):
+        raise TypeError("Smith normal form entries must be ints")
+    m = len(a)
+    n = len(a[0]) if m else 0
+    U = identity_matrix(m)
+    V = identity_matrix(n)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # row dst += q * row src
+        for k in range(n):
+            a[dst][k] += q * a[src][k]
+        for k in range(m):
+            U[dst][k] += q * U[src][k]
+
+    def add_col(src, dst, q):
+        for row in a:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        U[i] = [-x for x in U[i]]
+
+    for s in range(min(m, n)):
+        while True:
+            # move a least-magnitude nonzero entry of the trailing block to (s, s)
+            best = None
+            for i in range(s, m):
+                for j in range(s, n):
+                    if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            if best[0] != s:
+                swap_rows(s, best[0])
+            if best[1] != s:
+                swap_cols(s, best[1])
+            if a[s][s] < 0:
+                negate_row(s)
+            done = True
+            for i in range(s + 1, m):
+                if a[i][s]:
+                    add_row(s, i, -(a[i][s] // a[s][s]))
+                    if a[i][s]:
+                        done = False
+            for j in range(s + 1, n):
+                if a[s][j]:
+                    add_col(s, j, -(a[s][j] // a[s][s]))
+                    if a[s][j]:
+                        done = False
+            if not done:
+                continue
+            # force divisibility of the trailing block by the pivot
+            offender = None
+            for i in range(s + 1, m):
+                for j in range(s + 1, n):
+                    if a[i][j] % a[s][s]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, s, 1)
+
+    return a, U, V

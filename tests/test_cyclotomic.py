@@ -72,8 +72,17 @@ def test_inverse_of_roots_and_rationals():
     with pytest.raises(ZeroDivisionError):
         ref_inv(Cyc(0))
     assert ref_pow(Cyc.zeta(8), -3) == Cyc.zeta(8) ** 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^only non-negative powers are defined$"):
         Cyc.zeta(8) ** -1  # the library keeps only k >= 0
+
+
+def test_rejections_have_exact_messages():
+    with pytest.raises(ValueError, match="^conductor must be positive$"):
+        Cyc.zeta(0)
+    with pytest.raises(ValueError, match=r"^Cyc\(E\(7\)\) is not rational$"):
+        Cyc.zeta(7).rational_value()
+    with pytest.raises(ValueError, match="^galois exponent must be coprime to the conductor$"):
+        Cyc.zeta(12).galois(2)
 
 
 def test_division():

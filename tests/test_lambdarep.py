@@ -19,6 +19,7 @@ from conftest import (
     random_lambda_reps,
 )
 from cyc_reference import (
+    identity_matrix,
     ref_decompose,
     ref_fixed_part_rep,
     ref_kernel,
@@ -31,9 +32,12 @@ from cyc_reference import (
 
 from quasik import (
     Cyc,
+    GroupInputError,
     Homomorphism,
     build_group,
     LambdaRep,
+    Limits,
+    NonCommutingTupleError,
     NotRealizableError,
     QuasiError,
     SizeLimitError,
@@ -54,17 +58,19 @@ from quasik import (
     kernel,
     lambda_basis,
     lambda_desc,
+    make_comm_tuple,
     q_twist,
+    quasi_coefficients,
     real_basis,
     real_v_sigma,
     restrict_character,
     restrict_lambda,
     smith_normal_form,
+    symmetric_group,
     v_sigma,
 )
 from quasik import chartable, lambdarep
 from quasik.chartable import restriction_multiplicities
-from quasik.snf import identity_matrix
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -90,6 +96,35 @@ def test_lambda_desc_examples(s3):
     assert d12.cent_group.order == 2
     d123 = lambda_desc(s3, (s3.index_of("(123)"),))
     assert d123.cent_group.order == 3
+
+
+def test_lambda_desc_is_memoized_and_checks_every_call():
+    # one descriptor per tuple of entries, however the tuple is given; the
+    # caps and the element checks still reject on every call, commutation
+    # errors are never memoized, and quasi_coefficients bypasses the memo
+    G = symmetric_group(3)
+    t, u = G.index_of("(12)"), G.index_of("(13)")
+    d = lambda_desc(G, (t,))
+    assert lambda_desc(G, [t]) is d and lambda_desc(G, make_comm_tuple(G, (t,))) is d
+    whole = lambda_desc(G, (G.identity,))
+    pair = lambda_desc(G, (t, t))
+    one = lambda_desc(G, (1,))  # (True,) is equal to (1,) as a key
+    for _ in range(2):
+        with pytest.raises(SizeLimitError, match="^character table capped at order 5, group has 6$"):
+            lambda_desc(G, (G.identity,), Limits(order=5))
+        with pytest.raises(SizeLimitError, match="^n = 2 exceeds the tuple scan cap 1$"):
+            lambda_desc(G, (t, t), Limits(tuples=1))
+        with pytest.raises(GroupInputError, match="^element index True is not an int$"):
+            lambda_desc(G, (True,))
+        with pytest.raises(GroupInputError, match="^element index 6 out of range$"):
+            lambda_desc(G, (6,))
+        with pytest.raises(NonCommutingTupleError, match="^.* do not commute in symmetric:3$"):
+            lambda_desc(G, (t, u))
+    assert lambda_desc(G, (G.identity,)) is whole and lambda_desc(G, (t, t)) is pair
+    assert lambda_desc(G, [1]) is one
+    fresh = symmetric_group(3)
+    quasi_coefficients(fresh, 2)
+    assert not any(isinstance(k, tuple) and k[0] == "lambda_desc" for k in fresh._memo)
 
 
 def test_lambda_basis_examples(s3):
@@ -635,6 +670,23 @@ def test_kernel_walks_a_sheared_hermite_basis():
     ker = kernel(rep)
     assert ker == ref_kernel_per_class(rep) == ref_kernel(rep)
     assert ker.finite_points == ((1, (HALF, HALF)), (2, (0, 0)), (3, (HALF, HALF)))
+
+
+def test_kernel_solves_each_shared_scalar_vector_once(d4):
+    # dihedral:4 at sigma = (): chi1 at weights 0 and 1.  chi1 is +-1, so at
+    # e = 4 three classes act on both components as (0, 0) and two as (2, 2);
+    # (2, 2) asks 0 = -2/4 (mod 1) of the weight-0 component, which no t solves
+    d = lambda_desc(d4, (d4.identity,))
+    base = v_sigma(character_table(d4).irreducible(1), d)
+    rep = base + q_twist(base, -1)
+    shared: dict = {}
+    for cls, col in zip(d.table.classes, d.table.central_exponents):
+        shared.setdefault(tuple(col[c.lam] for c, _ in rep.components), []).append(cls)
+    assert {xs: len(m) for xs, m in shared.items()} == {(0, 0): 3, (2, 2): 2}
+    ker = kernel(rep)
+    assert ker == ref_kernel_per_class(rep) == ref_kernel(rep)
+    members = sorted(g for cls in shared[(0, 0)] for g in cls.members if g != d4.identity)
+    assert ker.finite_points == tuple((g, (0,)) for g in members)
 
 
 def test_library_sums_equal_the_checked_constructor(d4):

@@ -26,6 +26,7 @@ from quasik import (
     kernel,
     lambda_desc,
     make_comm_tuple,
+    q_twist,
     quasi_coefficients,
     real_basis,
     s_fixed_predicate,
@@ -80,7 +81,8 @@ def _record_pairs():
         ("RepDecomposition", decompose(table.regular_character()),
          decompose(table.regular_character()), "entries"),
         ("TwistedIrrep", TwistedIrrep(1, half), TwistedIrrep(1, half), "weight"),
-        ("LambdaDesc", desc, lambda_desc(G, (t,)), "weights"),
+        # lambda_desc is memoized on G: a distinct, equal record is a copy
+        ("LambdaDesc", desc, LambdaDesc._make(desc), "weights"),
         ("KernelDescription", kernel(rep), kernel(rep), "torus_rank"),
         ("RealBasisEntry", real_basis(desc)[0], real_basis(desc)[0], "indicator"),
         ("QuasiRecord", quasi_coefficients(G, 1).records[1],
@@ -121,7 +123,8 @@ def test_reps_over_separately_built_descriptors_are_one_value():
     regular = character_table(G).regular_character()
     for label in ("()", "(12)", "(123)"):
         t = G.index_of(label)
-        a, b = v_sigma(regular, lambda_desc(G, (t,))), v_sigma(regular, lambda_desc(G, [t]))
+        desc = lambda_desc(G, (t,))
+        a, b = v_sigma(regular, desc), v_sigma(regular, LambdaDesc._make(desc))
         assert a.desc is not b.desc and a.desc == b.desc, label
         assert a == b and hash(a) == hash(b), label
         assert (a + b).components == LambdaRep(a.desc, a.components * 2).components, label
@@ -137,6 +140,22 @@ def test_twisted_irreps_sort_by_lam_then_weight():
     comps = [TwistedIrrep(2, (w(0),)), TwistedIrrep(1, (w(1, 2),)), TwistedIrrep(1, (w(0),))]
     assert sorted(comps) == sorted(comps, key=lambda c: (c.lam, c.weight))
     assert [(c.lam, c.weight) for c in sorted(comps)] == [(1, (0,)), (1, (w(1, 2),)), (2, (0,))]
+
+
+def test_merged_components_keep_the_twisted_irrep_order():
+    # sums and the checked constructor order components by (lam, weight
+    # numerators), which is the TwistedIrrep order: the weights of one lam
+    # share their denominators, an int weight 0 or 1 included
+    G = symmetric_group(3)
+    desc = lambda_desc(G, (G.index_of("(123)"),))
+    base = v_sigma(character_table(G).regular_character(), desc)
+    rep = base + q_twist(base, -1) + q_twist(base, 2) + q_twist(base, -3)
+    comps = [c for c, _ in rep.components]
+    assert comps == sorted(comps) and len(set(comps)) == len(comps)
+    mixed = [(TwistedIrrep(0, (2,)), 1), (TwistedIrrep(0, (Fraction(0),)), 1), (TwistedIrrep(0, (1,)), 2),
+             (TwistedIrrep(0, (Fraction(2),)), 1)]
+    checked = LambdaRep(desc, mixed)
+    assert [(c.weight, m) for c, m in checked.components] == [((0,), 1), ((1,), 2), ((2,), 2)]
 
 
 def test_class_function_checks_length_and_has_no_scalar_product():

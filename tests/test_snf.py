@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyc_reference import ref_smith_normal_form
 from quasik.snf import smith_normal_form
 
 
@@ -84,3 +87,27 @@ def test_entries_must_be_ints(matrix):
     # is a TypeError, as it is for Cyc
     with pytest.raises(TypeError, match="^Smith normal form entries must be ints$"):
         smith_normal_form(matrix)
+
+
+@st.composite
+def _matrices_with_zero_lines(draw):
+    """Up to 5 x 5, entries in [-30, 30], with some rows and columns zeroed."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=m, max_size=m))
+    zero_rows, zero_cols = draw(st.sets(st.integers(0, m - 1))), draw(st.sets(st.integers(0, n - 1)))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices_with_zero_lines())
+def test_smith_normal_form_matches_the_reference(matrix):
+    # the in-place elimination makes the same moves as the reference with
+    # one closure per row and column operation: the same (S, U, V)
+    assert smith_normal_form(matrix) == ref_smith_normal_form(matrix)
+
+
+@pytest.mark.parametrize("matrix", [[[0]], [[1]], [[-7]], [[12]], [[0], [0]], [[0, 0, 0]],
+                                    [[0, 5], [0, 0]], [[-4], [6], [0], [-9]]])
+def test_small_and_zero_shapes_match_the_reference(matrix):
+    assert smith_normal_form(matrix) == ref_smith_normal_form(matrix)
