@@ -88,6 +88,6 @@ from .quasicalc import (
     serialize_quasi,
     tate_rank_report,
 )
-from .snf import smith_normal_form
+from .snf import hermite_form
 
 __version__ = "0.1.0"

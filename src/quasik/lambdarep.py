@@ -9,15 +9,15 @@ scalar (Schur's lemma), which must be e^(2 pi i w_i).
 
 Everything is decided at character level with exact cyclotomic numbers:
 restriction, isotypic decomposition, q-twists, duals, fixed parts, real
-forms, and an exact kernel/faithfulness solver based on integer Smith
-normal form.
+forms, and an exact kernel/faithfulness solver based on one integer
+Hermite (row-echelon) form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from itertools import repeat
+from itertools import combinations_with_replacement, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,7 +44,7 @@ from .groups import (
     subgroup_from_generators,
     subgroup_table,
 )
-from .snf import smith_normal_form
+from .snf import hermite_form
 
 KERNEL_ENUM_CAP = 1 << 20
 _ZERO = Fraction(0)
@@ -291,13 +291,13 @@ def kernel(rep: LambdaRep) -> KernelDescription:
     so it is in the kernel iff a acts as a scalar on every component and the
     congruences w_j . t = -arg_j(a) (mod 1) hold simultaneously.  Every weight's
     denominator divides e = exp(C), so scaled by e they are integer congruences
-    mod e, solved through the Smith form U A V = S.  With L the lcm of its
-    diagonal and W = V diag(L/s_i), the solutions L*t for a class acting on the
-    components as zeta_e^xs are the coset -W (U xs)_{i<n} + W e Z^n; its
-    lower-triangular Hermite basis gives each coordinate's range in [0, L) in
-    turn, so every vector walked is a kernel point.  Classes with equal xs
-    share one solve and one walk, and only the reported points t in [0,1)^n
-    are Fractions, one tuple per distinct vector L*t.
+    mod e, solved through one Hermite form U A = R.  With D the product of its
+    pivots and Y = D R[:n]^-1, the solutions D*t for a class acting on the
+    components as zeta_e^xs are the coset -Y (U xs)_{i<n} + Y e Z^n; Y is
+    upper-triangular, so each coordinate's range in [0, D) follows from the
+    ones after it, and every vector walked is a kernel point.  Classes with
+    equal xs share one solve and one walk, and only the reported points t in
+    [0,1)^n are Fractions, one tuple per distinct vector D*t.
     """
     d = rep.desc
     n = d.sigma.n
@@ -310,49 +310,34 @@ def kernel(rep: LambdaRep) -> KernelDescription:
     e = d.table.exponent
     # each weight has the denominator of its basis weight x/e, which divides e
     A = [[w.numerator * (e // w.denominator) for w in c.weight] for c in comps]
-    if len(A) < n:
-        # rank A < n, read off the k x k Gram matrix A A^T (same rank over Q)
-        # before the Smith transforms of A would build an n x n V
-        S = smith_normal_form([[sum(map(mul, r, s)) for s in A] for r in A])[0]
-        rank = sum(1 for i, row in enumerate(S) if row[i])
+    R, U, rank = hermite_form(A)
+    if rank < n:  # rank deficiency decides non-faithfulness; points are not finite
         return KernelDescription(torus_rank=n - rank, finite_points=())
-    S, U, V = smith_normal_form(A)
-    diag = [S[i][i] for i in range(n)]  # k >= n rows here
-    torus_rank = diag.count(0)
-    if torus_rank > 0:
-        # rank deficiency already decides non-faithfulness; points are not finite
-        return KernelDescription(torus_rank=torus_rank, finite_points=())
-    if prod(diag) * C.order > KERNEL_ENUM_CAP:
+    D = prod(R[i][i] for i in range(n))
+    if D * C.order > KERNEL_ENUM_CAP:
         raise SizeLimitError("kernel solution enumeration exceeds the cap")
-    L = lcm(*diag)
-    W = [[v * (L // s) for v, s in zip(row, diag)] for row in V]
-    # columns H[i] of a Hermite basis of W e Z^n: H[i][j] = 0 for j < i, H[i][i] > 0
-    H = [[row[i] * e for row in W] for i in range(n)]
-    for i in range(n):
-        while True:  # Euclid along row i: the least nonzero entry first, then the zeros
-            H[i:] = sorted(H[i:], key=lambda h: (not h[i], abs(h[i])))
-            if i + 1 == n or not H[i + 1][i]:
-                break
-            H[i + 1:] = [[x - h[i] // H[i][i] * y for x, y in zip(h, H[i])] for h in H[i + 1:]]
-        if H[i][i] < 0:
-            H[i] = [-x for x in H[i]]
-    # L t0 = P x solves A t = -x (mod e), with P = -W U[:n]
-    P = [[-sum(map(mul, row, col)) for col in zip(*U[:n])] for row in W]
+    # Y = D R[:n]^-1 from Y R = D I, row by row: upper-triangular, Y[i][i] = D / R[i][i] > 0
+    Y = [[0] * n for _ in range(n)]
+    for i, j in combinations_with_replacement(range(n), 2):
+        Y[i][j] = ((D if i == j else 0) - sum(Y[i][m] * R[m][j] for m in range(i, j))) // R[j][j]
+    # D t0 = P x solves A t = -x (mod e), with P = -Y U[:n]
+    P = [[-sum(map(mul, row, col)) for col in zip(*U[:n])] for row in Y]
     xs_of = itemgetter(*(c.lam for c in comps), comps[0].lam)  # a tuple even for one component
     members: dict = {}  # xs -> the members of the classes acting as zeta_e^xs
     for cls, xs in zip(d.table.classes, map(xs_of, d.table.central_exponents)):
         members.setdefault(xs, []).extend(cls.members)
-    walk = []  # (members, L t0) for each xs whose congruences are solvable
-    for xs, m in members.items():
-        # U is unimodular: solvable iff (U x)_i = 0 (mod e) for i >= n
-        if None not in xs and not any(sum(map(mul, row, xs)) % e for row in U[n:]):
-            walk.append((m, tuple([sum(map(mul, row, xs)) for row in P])))
-    for i, h in enumerate(H):
+    # (members, D t0) for each xs whose congruences are solvable; as U is
+    # unimodular, they are iff (U xs)_i = 0 (mod e) for every i >= n
+    walk = [(m, tuple([sum(map(mul, row, xs)) for row in P])) for xs, m in members.items()
+            if None not in xs and not any(sum(map(mul, row, xs)) % e for row in U[n:])]
+    for i in range(n - 1, -1, -1):
+        # column i of e Y moves no coordinate after i, so D t_i is placed in [0, D) last to first
+        h = [e * row[i] for row in Y]
         walk = [(m, tuple(map(add, v, map(mul, h, repeat(q)))))
-                for m, v in walk for q in range(-(v[i] // h[i]), (L - 1 - v[i]) // h[i] + 1)]
+                for m, v in walk for q in range(-(v[i] // h[i]), (D - 1 - v[i]) // h[i] + 1)]
     points = sorted((g, T) for m, T in walk for g in m)
     points.remove((C.identity, (0,) * n))  # the identity class solves with t0 = 0
-    fracs = {T: tuple(map(Fraction, T, repeat(L))) for _, T in walk}
+    fracs = {T: tuple(map(Fraction, T, repeat(D))) for _, T in walk}
     return KernelDescription(torus_rank=0, finite_points=tuple([(g, fracs[T]) for g, T in points]))
 
 

@@ -31,7 +31,8 @@ column orthogonality, which row orthogonality of a square table implies, and
 hom_from_images with its pass over all pairs of elements, which its
 generator-edge check already implies.  And the Smith normal form with one
 closure per row and column operation that quasik.snf computed before it
-made each operation in place.
+made each operation in place, and the Smith-form kernel solve that
+lambdarep.kernel made before it row-reduced once to a Hermite form.
 """
 
 from __future__ import annotations
@@ -468,6 +469,62 @@ def ref_kernel_per_class(rep: LambdaRep) -> KernelDescription:
     return KernelDescription(torus_rank=0, finite_points=finite)
 
 
+# The solve that lambdarep.kernel made before one Hermite form replaced the
+# Smith form: the k x k Gram matrix's rank when k < n, then U A V = S, the
+# coset -W (U xs)_{i<n} + W e Z^n with W = V diag(L/s_i), and a walk along
+# a lower-triangular Hermite basis of W e Z^n found by Euclid with a sign fix.
+def ref_kernel_smith(rep: LambdaRep) -> KernelDescription:
+    """Exact kernel of the action, walked from the Smith form of the weights."""
+    d = rep.desc
+    n = d.sigma.n
+    C = d.cent_group
+    trivial_row = d.table.trivial_index()
+    comps = [c for c, _ in rep.components]
+    if not comps or all(c.lam == trivial_row and not any(c.weight) for c in comps):
+        return KernelDescription(torus_rank=n, finite_points=(), full_group=True)
+
+    e = d.table.exponent
+    A = [[w.numerator * (e // w.denominator) for w in c.weight] for c in comps]
+    if len(A) < n:
+        S = ref_smith_normal_form([[sum(map(mul, r, s)) for s in A] for r in A])[0]
+        rank = sum(1 for i, row in enumerate(S) if row[i])
+        return KernelDescription(torus_rank=n - rank, finite_points=())
+    S, U, V = ref_smith_normal_form(A)
+    diag = [S[i][i] for i in range(n)]
+    torus_rank = diag.count(0)
+    if torus_rank > 0:
+        return KernelDescription(torus_rank=torus_rank, finite_points=())
+    if prod(diag) * C.order > KERNEL_ENUM_CAP:
+        raise SizeLimitError("kernel solution enumeration exceeds the cap")
+    L = lcm(*diag)
+    W = [[v * (L // s) for v, s in zip(row, diag)] for row in V]
+    # columns H[i] of a Hermite basis of W e Z^n: H[i][j] = 0 for j < i, H[i][i] > 0
+    H = [[row[i] * e for row in W] for i in range(n)]
+    for i in range(n):
+        while True:  # Euclid along row i: the least nonzero entry first, then the zeros
+            H[i:] = sorted(H[i:], key=lambda h: (not h[i], abs(h[i])))
+            if i + 1 == n or not H[i + 1][i]:
+                break
+            H[i + 1:] = [[x - h[i] // H[i][i] * y for x, y in zip(h, H[i])] for h in H[i + 1:]]
+        if H[i][i] < 0:
+            H[i] = [-x for x in H[i]]
+    P = [[-sum(map(mul, row, col)) for col in zip(*U[:n])] for row in W]
+    members: dict = {}
+    for cls, col in zip(d.table.classes, d.table.central_exponents):
+        members.setdefault(tuple(col[c.lam] for c in comps), []).extend(cls.members)
+    walk = []
+    for xs, m in members.items():
+        if None not in xs and not any(sum(map(mul, row, xs)) % e for row in U[n:]):
+            walk.append((m, tuple(sum(map(mul, row, xs)) for row in P)))
+    for i, h in enumerate(H):
+        walk = [(m, tuple(v + q * x for v, x in zip(v, h)))
+                for m, v in walk for q in range(-(v[i] // h[i]), (L - 1 - v[i]) // h[i] + 1)]
+    points = sorted((g, T) for m, T in walk for g in m)
+    points.remove((C.identity, (0,) * n))
+    return KernelDescription(
+        torus_rank=0, finite_points=tuple((g, tuple(Fraction(x, L) for x in T)) for g, T in points))
+
+
 # The scan that groups.commuting_tuples ran before the centralizer descent:
 # it lists every commuting n-tuple depth first and conjugates each new
 # representative by all of G.
@@ -809,8 +866,9 @@ def ref_hom_from_images(
 
 # The Smith normal form that quasik.snf computed before it made each operation
 # in place: one closure per row and column operation, and the identity
-# matrices that quasik.snf exported for it.  smith_normal_form must return
-# the same (S, U, V) as this one, and the kernel references solve with it.
+# matrices that quasik.snf exported for it.  quasik.snf now computes a
+# Hermite form only; the kernel references solve with this Smith form, and
+# test_snf checks the Hermite form's rank and pivot product against it.
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -87,6 +87,22 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--sigma", "-1,i"], ["--sigma", "-i"]])
+def test_a_selector_list_after_a_space_cannot_begin_with_a_dash(capsys, argv):
+    # argparse reads "-1,i" and "-i" as flags, not as the value of --sigma
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["faithful", "--group", "quaternion8", "--rep", "regular", *argv])
+    assert exc.value.code == 2
+    assert "argument --sigma: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--sigma=-1,i"], ["--sigma=-i"], ["--sigma", "-1"]])
+def test_a_dash_selector_is_read_after_an_equals_sign_or_as_a_number(argv):
+    # "-1" alone reads as a negative number, so argparse takes it as a value
+    code, out, err = _run(["faithful", "--group", "quaternion8", "--rep", "regular", *argv])
+    assert (code, err) == (0, "") and out.endswith("torus_rank: 0\nfaithful\n")
+
+
 def test_missing_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         parse_args([])

@@ -24,9 +24,11 @@ from cyc_reference import (
     ref_fixed_part_rep,
     ref_kernel,
     ref_kernel_per_class,
+    ref_kernel_smith,
     ref_lambda_weights,
     ref_product_factor_irrep,
     ref_restrict_lambda,
+    ref_smith_normal_form,
     ref_v_sigma,
 )
 
@@ -53,6 +55,7 @@ from quasik import (
     fixed_part_rep,
     fixed_space_dimension,
     fs_indicator,
+    hermite_form,
     hom_from_images,
     is_faithful,
     kernel,
@@ -65,7 +68,6 @@ from quasik import (
     real_v_sigma,
     restrict_character,
     restrict_lambda,
-    smith_normal_form,
     symmetric_group,
     v_sigma,
 )
@@ -524,7 +526,7 @@ def test_kernel_scales_by_the_smith_lcm():
     d = lambda_desc(z4, (0, 1))
     base = v_sigma(t4.irreducible(t4.labels.index("chi3")), d)
     rep = base + q_twist(base, -1)
-    S, _, _ = smith_normal_form([[int(w * 4) for w in c.weight] for c, _ in rep.components])
+    S, _, _ = ref_smith_normal_form([[int(w * 4) for w in c.weight] for c, _ in rep.components])
     assert [S[0][0], S[1][1]] == [1, 12]
     ker = kernel(rep)
     assert ker == ref_kernel(rep)
@@ -574,8 +576,9 @@ def test_wide_kernels_match_the_reference(d4, q8):
 
 
 def test_wide_kernel_skips_the_full_smith_form():
-    # 512 copies of g2 in Z/4: one component, so the torus rank is 511
-    # without the 512 x 512 transform the full Smith form would build
+    # 512 copies of g2 in Z/4: one component, so the torus rank is 511,
+    # read from a Hermite form whose row transform is 1 x 1, without the
+    # 512 x 512 column transform a full Smith form would build
     z4 = cyclic_group(4)
     rep = v_sigma(character_table(z4).irreducible(1), lambda_desc(z4, (2,) * 512))
     tracemalloc.start()
@@ -615,10 +618,11 @@ def test_kernel_per_class_matches_the_reference():
 
 
 def test_shared_residue_loop_matches_the_per_class_solve(battery):
-    # kernel takes one particular solution per class and walks a Hermite
-    # basis of the solution lattice from it; the per-class solve, which
-    # filters every Smith residue for the points in [0,1)^n, and the Fraction
-    # solver are its references.  n = 2 and 3 only: lib-session runs n = 1,
+    # kernel takes one particular solution per class and walks the triangular
+    # basis of the solution lattice that its Hermite form gives; the Smith-form
+    # walk it replaced, the per-class solve, which filters every Smith residue
+    # for the points in [0,1)^n, and the Fraction solver are its references.
+    # n = 2 and 3 only: lib-session runs n = 1,
     # where the walk has a single coordinate
     coupled = []
 
@@ -640,12 +644,12 @@ def test_shared_residue_loop_matches_the_per_class_solve(battery):
         comps = [c for c, _ in rep.components]
         if len(comps) >= n:
             den = lcm(*(w.denominator for c in comps for w in c.weight), d.table.exponent)
-            S, _, V = smith_normal_form([[int(w * den) for w in c.weight] for c in comps])
+            S, _, V = ref_smith_normal_form([[int(w * den) for w in c.weight] for c in comps])
             diag = [S[i][i] for i in range(n)]
             assume(prod(diag) * d.cent_group.order <= 20_000)  # keeps the references quick
             if sum(s > 1 for s in diag) >= 2 and V != identity_matrix(n):
                 coupled.append(rep)
-        assert kernel(rep) == ref_kernel_per_class(rep) == ref_kernel(rep)
+        assert kernel(rep) == ref_kernel_smith(rep) == ref_kernel_per_class(rep) == ref_kernel(rep)
 
     check()
     assert coupled  # some case had two Smith entries > 1 and a non-identity V
@@ -655,20 +659,25 @@ def test_kernel_walks_a_sheared_hermite_basis():
     # cyclic:4 at sigma = (g1, g1): chi1 at weights (1/2, 1/2) and (3/2, -1/2).
     # The solution lattice V diag(L e/s_i) Z^2 holds no (a, 0) with a the gcd
     # of its first coordinates, so its lower-triangular Hermite basis has a
-    # nonzero entry below the diagonal, and the range of t_2 moves with t_1
+    # nonzero entry below the diagonal, and the range of t_2 moves with t_1.
+    # kernel's row-echelon form R has R[0][1] != 0, so Y = D R^-1 = [[8, -2],
+    # [0, 2]] is sheared too, and the range of t_1 moves with t_2
     G = cyclic_group(4)
     d = lambda_desc(G, (1, 1))
     base = v_sigma(character_table(G).irreducible(1), d)
     rep = base + q_twist(base, (1, -1))
     e = d.table.exponent
-    S, _, V = smith_normal_form([[int(w * e) for w in c.weight] for c, _ in rep.components])
+    A = [[int(w * e) for w in c.weight] for c, _ in rep.components]
+    R, _, rank = hermite_form(A)
+    assert (R, rank) == ([[2, 2], [0, 8]], 2) and R[0][1] != 0
+    S, _, V = ref_smith_normal_form(A)
     diag = [S[0][0], S[1][1]]
     L = lcm(*diag)
     (p, q), (r, s) = [[V[j][i] * (L * e // diag[i]) for i in range(2)] for j in range(2)]
     a, det = gcd(p, q), p * s - q * r
     assert (a * s % det, a * r % det) != (0, 0)  # (a, 0) = B z has no integer z
     ker = kernel(rep)
-    assert ker == ref_kernel_per_class(rep) == ref_kernel(rep)
+    assert ker == ref_kernel_smith(rep) == ref_kernel_per_class(rep) == ref_kernel(rep)
     assert ker.finite_points == ((1, (HALF, HALF)), (2, (0, 0)), (3, (HALF, HALF)))
 
 
@@ -684,7 +693,7 @@ def test_kernel_solves_each_shared_scalar_vector_once(d4):
         shared.setdefault(tuple(col[c.lam] for c, _ in rep.components), []).append(cls)
     assert {xs: len(m) for xs, m in shared.items()} == {(0, 0): 3, (2, 2): 2}
     ker = kernel(rep)
-    assert ker == ref_kernel_per_class(rep) == ref_kernel(rep)
+    assert ker == ref_kernel_smith(rep) == ref_kernel_per_class(rep) == ref_kernel(rep)
     members = sorted(g for cls in shared[(0, 0)] for g in cls.members if g != d4.identity)
     assert ker.finite_points == tuple((g, (0,)) for g in members)
 

@@ -1,16 +1,21 @@
-"""Smith normal form: known forms, transformation identities, unimodularity."""
+"""Hermite form: row-echelon shape, a unimodular transform and the rank.
+
+Also the Smith normal form that the kernel references solve with: known
+forms, transformation identities, unimodularity.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyc_reference import ref_smith_normal_form
-from quasik.snf import smith_normal_form
+from quasik.snf import hermite_form
 
 
 def _matmul(a, b):
@@ -37,8 +42,23 @@ def _det(m):
     return det
 
 
+def _rank(m):
+    rows = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def _check(a):
-    s, u, v = smith_normal_form(a)
+    s, u, v = ref_smith_normal_form(a)
     m, n = len(a), len(a[0])
     assert _matmul(_matmul(u, [list(r) for r in a]), v) == s
     assert abs(_det(u)) == 1
@@ -85,8 +105,10 @@ def test_smith_normal_form_random():
 def test_entries_must_be_ints(matrix):
     # int() gave the Smith form of [[1, 2], [3, 4]] for the first; a non-int entry
     # is a TypeError, as it is for Cyc
+    with pytest.raises(TypeError, match="^Hermite form entries must be ints$"):
+        hermite_form(matrix)
     with pytest.raises(TypeError, match="^Smith normal form entries must be ints$"):
-        smith_normal_form(matrix)
+        ref_smith_normal_form(matrix)
 
 
 @st.composite
@@ -99,15 +121,34 @@ def _matrices_with_zero_lines(draw):
             for i, row in enumerate(rows)]
 
 
+def _check_hermite(a):
+    r, u, rank = hermite_form(a)
+    assert _matmul(u, a) == r
+    assert abs(_det(u)) == 1
+    assert rank == _rank(a)
+    assert not any(any(row) for row in r[rank:])
+    pivots = [next(j for j, x in enumerate(row) if x) for row in r[:rank]]
+    assert pivots == sorted(set(pivots))  # each pivot right of the one above
+    assert all(r[i][j] > 0 for i, j in enumerate(pivots))
+    # the pivot product is the covolume of the row lattice, as is the product
+    # of the Smith diagonal: kernel's enumeration cap reads one for the other
+    s = ref_smith_normal_form(a)[0]
+    diag = [s[i][i] for i in range(min(len(a), len(a[0])))]
+    assert rank == sum(1 for x in diag if x)
+    if rank == len(a[0]):
+        assert prod(r[i][j] for i, j in enumerate(pivots)) == prod(diag)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_matrices_with_zero_lines())
-def test_smith_normal_form_matches_the_reference(matrix):
-    # the in-place elimination makes the same moves as the reference with
-    # one closure per row and column operation: the same (S, U, V)
-    assert smith_normal_form(matrix) == ref_smith_normal_form(matrix)
+def test_hermite_form_matches_the_reference(matrix):
+    _check_hermite(matrix)
 
 
 @pytest.mark.parametrize("matrix", [[[0]], [[1]], [[-7]], [[12]], [[0], [0]], [[0, 0, 0]],
-                                    [[0, 5], [0, 0]], [[-4], [6], [0], [-9]]])
+                                    [[0, 5], [0, 0]], [[-4], [6], [0], [-9]],
+                                    # wide, k < n: the rank, with no n x n transform
+                                    [[0, 0, -3]], [[6, 10, 15]], [[2, 4, 6], [1, 3, 5]],
+                                    [[0, 2, 0, 4], [0, -3, 0, -6]]])
 def test_small_and_zero_shapes_match_the_reference(matrix):
-    assert smith_normal_form(matrix) == ref_smith_normal_form(matrix)
+    _check_hermite(matrix)
