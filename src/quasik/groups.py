@@ -9,12 +9,16 @@ classes, centralizers, the character table, subgroup tables and direct
 products) is memoized in a dict owned by the group it is computed from,
 and is freed with that group.  Every size cap is a field of one Limits
 value, and every table entry and element index is an exact int.
+
+One generating set per group, of at most log2 |G| elements, gives the classes
+(orbits under conjugation by it) and Light's associativity test for a table
+file.  Element orders come from one walk per cyclic subgroup.
 """
 
 from __future__ import annotations
 
 import re
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -84,46 +88,40 @@ class GroupTable:
         n = len(mul_table)
         if n == 0:
             raise GroupInputError("group must have at least one element")
-        table = tuple(map(tuple, mul_table))
-        for i, row in enumerate(table):  # exact ints only: int() would pass 1.7, "1" and True
+        elements = tuple(range(n))  # every cell refers to one of these n int objects
+        table = []
+        for i, row in enumerate(mul_table):  # exact ints only: int() would pass 1.7, "1" and True
             if len(row) != n or {*map(type, row)} != {int} or min(row) < 0 or max(row) >= n:
                 raise GroupInputError(f"multiplication table row {i} malformed")
             if len(set(row)) != n:
                 raise GroupInputError(f"row {i} is not a permutation of the elements")
-        for j in range(n):
-            if len({table[i][j] for i in range(n)}) != n:
+            table.append(tuple(map(elements.__getitem__, row)))
+        for j, column in enumerate(zip(*table)):
+            if len(set(column)) != n:
                 raise GroupInputError(f"column {j} is not a permutation of the elements")
         self.order = n
-        self._mul = table
-        identity = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        self._mul = table = tuple(table)
+        self._memo: dict = {}
+        identity = table[0].index(0)  # row 0 is a permutation: the one e with 0 * e = 0
+        if table[identity] != elements or any(row[identity] != x for x, row in enumerate(table)):
             raise GroupInputError("table has no two-sided identity")
         self.identity = identity
-        inv = []
-        for a in range(n):
-            b = table[a].index(identity)
+        self._inv = tuple(row.index(identity) for row in table)
+        for a, b in enumerate(self._inv):
             if table[b][a] != identity:
                 raise GroupInputError(f"element {a} has no two-sided inverse")
-            inv.append(b)
-        self._inv = tuple(inv)
-        if validate:
-            for a in range(n):
-                for b in range(n):
-                    ab = table[a][b]
-                    for c in range(n):
-                        if table[ab][c] != table[a][table[b][c]]:
-                            raise GroupInputError("table is not associative")
-        orders = []
-        for a in range(n):
-            k, x = 1, a
-            while x != identity:
-                x = table[x][a]
-                k += 1
-            orders.append(k)
+        if validate:  # Light: the g with (x g) y = x (g y) for all x, y are closed under products
+            if any(table[table[x][g]] != tuple(map(table[x].__getitem__, table[g]))
+                   for g in _generators(self) for x in elements):
+                raise GroupInputError("table is not associative")
+        orders = [0] * n
+        for a in elements:  # one walk per cyclic subgroup: |a^k| = |a| / gcd(k, |a|)
+            if not orders[a]:
+                powers = [a]
+                while powers[-1] != identity:
+                    powers.append(table[powers[-1]][a])
+                for k, x in enumerate(powers, 1):
+                    orders[x] = len(powers) // gcd(k, len(powers))
         self.elem_orders = tuple(orders)
         if labels is None:
             labels = [f"x{i}" for i in range(n)]
@@ -133,7 +131,6 @@ class GroupTable:
         self.name = name or f"group{n}"
         self.perms = tuple(perms) if perms is not None else None
         self._label_index = {s: i for i, s in enumerate(self.labels)}
-        self._memo: dict = {}
 
     # -- element operations ------------------------------------------------
 
@@ -172,11 +169,8 @@ class GroupTable:
     # -- whole-group queries -------------------------------------------------
 
     def is_abelian(self) -> bool:
-        return all(
-            self._mul[a][b] == self._mul[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        gens = _generators(self)
+        return all(self.commutes(a, b) for a in gens for b in gens)
 
     def exponent(self) -> int:
         return lcm(*self.elem_orders) if self.order > 1 else 1
@@ -275,17 +269,14 @@ def group_from_generators(
         padded.append(tuple(g) + tuple(range(len(g), degree)))
     ident = tuple(range(degree))
     found = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in padded:
-                q = _compose(p, g)
-                if q not in found:
-                    limits.check_closure(len(found))
-                    found.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    queue = [ident]
+    for p in queue:  # grows until it holds the closure
+        for g in padded:
+            q = _compose(p, g)
+            if q not in found:
+                limits.check_closure(len(found))
+                found.add(q)
+                queue.append(q)
     perms = sorted(found)
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[_compose(p, q)] for q in perms] for p in perms]
@@ -299,7 +290,8 @@ def group_from_generators(
 def cyclic_group(k: int) -> GroupTable:
     if k < 1:
         raise GroupInputError("cyclic order must be positive")
-    table = [[(i + j) % k for j in range(k)] for i in range(k)]
+    elements = list(range(k))
+    table = [elements[i:] + elements[:i] for i in range(k)]
     labels = ["e"] + [f"g{i}" for i in range(1, k)]
     return GroupTable(table, labels=labels, name=f"cyclic:{k}")
 
@@ -438,23 +430,23 @@ def conjugacy_classes(G: GroupTable) -> tuple[ConjugacyClass, ...]:
     """Conjugacy classes, sorted by their least element (the representative)."""
     if "classes" in G._memo:
         return G._memo["classes"]
-    seen = [False] * G.order
+    gens = _generators(G)
+    class_of: list[Optional[int]] = [None] * G.order
     classes = []
     for a in range(G.order):
-        if seen[a]:
-            continue
-        members = sorted({G.conjugate(g, a) for g in range(G.order)})
-        for x in members:
-            seen[x] = True
-        classes.append(ConjugacyClass(rep=members[0], members=tuple(members)))
-    result = tuple(classes)
-    class_of = [0] * G.order
-    for ci, cls in enumerate(result):
-        for x in cls.members:
-            class_of[x] = ci
+        if class_of[a] is None:
+            class_of[a] = len(classes)
+            members = [a]
+            for x in members:  # grows until it holds the class of a
+                for g in gens:
+                    y = G.conjugate(g, x)
+                    if class_of[y] is None:
+                        class_of[y] = len(classes)
+                        members.append(y)
+            classes.append(ConjugacyClass(rep=a, members=tuple(sorted(members))))
     G._memo["class_of"] = tuple(class_of)
-    G._memo["classes"] = result
-    return result
+    G._memo["classes"] = tuple(classes)
+    return G._memo["classes"]
 
 
 def class_index_map(G: GroupTable) -> tuple[int, ...]:
@@ -475,25 +467,34 @@ class Subgroup(NamedTuple):
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
-
-def _closure(G: GroupTable, gens: Iterable[int]) -> tuple[int, ...]:
+def _closure(G: GroupTable, gens: Sequence[int]) -> tuple[int, ...]:
     found = {G.identity}
-    frontier = [G.identity]
-    gens = sorted(set(gens))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in found:
-                    found.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    queue = [G.identity]
+    for x in queue:  # grows until it holds the closure
+        for g in gens:
+            y = G.mul(x, g)
+            if y not in found:
+                found.add(y)
+                queue.append(y)
     return tuple(sorted(found))
+
+
+def _generators(G: GroupTable) -> tuple[int, ...]:
+    """Each element not yet generated by those before it, memoized on G.  Each
+    one at least doubles the subgroup generated so far (Lagrange), so a group
+    of order n has at most log2(n), and a table that needs more is no group."""
+    if "generators" not in G._memo:
+        gens: list[int] = []
+        inside = {G.identity}
+        for a in range(G.order):
+            if a not in inside:
+                if len(gens) == G.order.bit_length() - 1:
+                    raise GroupInputError("table is not associative")
+                gens.append(a)
+                inside = set(_closure(G, gens))
+        G._memo["generators"] = tuple(gens)
+    return G._memo["generators"]
 
 
 def _check_elements(G: GroupTable, elements: Iterable[int]) -> tuple[int, ...]:
@@ -685,21 +686,18 @@ def hom_from_images(
     _check_elements(target, images)
     full: list[Optional[int]] = [None] * source.order
     full[source.identity] = target.identity
-    frontier = [source.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = full[x]
-            assert fx is not None
-            for g, img in zip(gens, images):
-                y = source.mul(x, g)
-                fy = target.mul(fx, img)
-                if full[y] is None:
-                    full[y] = fy
-                    nxt.append(y)
-                elif full[y] != fy:
-                    raise HomomorphismError("generator images are inconsistent")
-        frontier = nxt
+    queue = [source.identity]
+    for x in queue:  # grows until it holds every element reached
+        fx = full[x]
+        assert fx is not None
+        for g, img in zip(gens, images):
+            y = source.mul(x, g)
+            fy = target.mul(fx, img)
+            if full[y] is None:
+                full[y] = fy
+                queue.append(y)
+            elif full[y] != fy:
+                raise HomomorphismError("generator images are inconsistent")
     if any(v is None for v in full):
         raise HomomorphismError("generators do not generate the source group")
     return Homomorphism(source=source, target=target, images=tuple(full))  # type: ignore[arg-type]

@@ -244,7 +244,9 @@ def dual(rep: LambdaRep) -> LambdaRep:
 def fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     """The subrepresentation on which every tuple entry acts as the scalar 1,
     placed at weight zero: the components of (V)_sigma whose weights are all
-    1, as a basis weight x/e in (0, 1] is 1 exactly when x = 0."""
+    1, as a basis weight x/e in (0, 1] is 1 exactly when x = 0.  It restricts
+    chi itself, one memoized branching-row read, so that bench/session.py and
+    the CLI, which also hold v_sigma(chi, d), call it with chi and d alone."""
     zero = (_ZERO,) * d.sigma.n
     fixed = [(c, m) for c, m in v_sigma(chi, d).components
              if all(w.numerator == w.denominator for w in c.weight)]

@@ -32,7 +32,10 @@ hom_from_images with its pass over all pairs of elements, which its
 generator-edge check already implies.  And the Smith normal form with one
 closure per row and column operation that quasik.snf computed before it
 made each operation in place, and the Smith-form kernel solve that
-lambdarep.kernel made before it row-reduced once to a Hermite form.
+lambdarep.kernel made before it row-reduced once to a Hermite form.  And
+the group scans that one generating set per group replaced: the identity
+scan over every candidate, the cubic associativity loop, the per-element
+order walk, the all-pairs is_abelian and the all-element class loop.
 """
 
 from __future__ import annotations
@@ -58,9 +61,16 @@ from quasik.chartable import (
     inner_product,
 )
 from quasik.cyclotomic import _reduce, conj_product_sum
-from quasik.errors import HomomorphismError, QuasiError, SizeLimitError, VirtualCharacterError
+from quasik.errors import (
+    GroupInputError,
+    HomomorphismError,
+    QuasiError,
+    SizeLimitError,
+    VirtualCharacterError,
+)
 from quasik.groups import (
     CommTuple,
+    ConjugacyClass,
     GroupTable,
     Homomorphism,
     Limits,
@@ -954,3 +964,60 @@ def ref_smith_normal_form(
             add_row(offender, s, 1)
 
     return a, U, V
+
+
+# The scans that GroupTable and conjugacy_classes made before they read one
+# generating set per group (groups._generators): the identity found by trying
+# every candidate e, the cubic associativity loop, one power walk per
+# element, the all-pairs is_abelian, and the class loop that conjugated each
+# class representative by every element, then filled class_of in a second
+# pass over the classes.
+def ref_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
+    n = len(table)
+    for e in range(n):
+        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            return e
+    return None
+
+
+def ref_check_associative(table: Sequence[Sequence[int]]) -> None:
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise GroupInputError("table is not associative")
+
+
+def ref_element_orders(G: GroupTable) -> tuple[int, ...]:
+    orders = []
+    for a in range(G.order):
+        k, x = 1, a
+        while x != G.identity:
+            x = G.mul(x, a)
+            k += 1
+        orders.append(k)
+    return tuple(orders)
+
+
+def ref_is_abelian(G: GroupTable) -> bool:
+    return all(G.commutes(a, b) for a in range(G.order) for b in range(a + 1, G.order))
+
+
+def ref_conjugacy_classes(G: GroupTable) -> tuple[tuple[ConjugacyClass, ...], tuple[int, ...]]:
+    """The classes sorted by their least element, and the element -> class index map."""
+    seen = [False] * G.order
+    classes = []
+    for a in range(G.order):
+        if seen[a]:
+            continue
+        members = sorted({G.conjugate(g, a) for g in range(G.order)})
+        for x in members:
+            seen[x] = True
+        classes.append(ConjugacyClass(rep=members[0], members=tuple(members)))
+    class_of = [0] * G.order
+    for ci, cls in enumerate(classes):
+        for x in cls.members:
+            class_of[x] = ci
+    return tuple(classes), tuple(class_of)

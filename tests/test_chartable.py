@@ -149,6 +149,13 @@ def test_inner_products(s3):
     assert inner_product(perm_char, table.irreducible(table.trivial_index())) == Cyc(1)
 
 
+def test_class_functions_equal_only_class_functions(s3):
+    chi = character_table(s3).irreducible(0)
+    for other in ("x", 1, chi.values):
+        assert chi != other and not chi == other
+    assert chi == character_table(s3).irreducible(0)
+
+
 def test_decompose(s3):
     table = character_table(s3)
     reg = table.regular_character()

@@ -187,6 +187,22 @@ def test_faithful_kernel_points_at_the_smith_denominator():
     ]
 
 
+def test_faithful_fixed_adds_the_fixed_part_at_weight_zero():
+    code, out, _ = _run(
+        ["faithful", "--group", "symmetric:4", "--sigma", "(12)", "--rep", "chi4",
+         "--construction", "fixed"]
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "(chi1, q^(1/2)) x 1",
+        "(chi2, q^(0)) x 1",  # the fixed part: chi2 has weight 1 in the plain construction
+        "(chi2, q^(1)) x 1",
+        "(chi3, q^(1/2)) x 1",
+        "torus_rank: 0",
+        "faithful",
+    ]
+
+
 def test_faithful_regular_real():
     code, out, _ = _run(
         ["faithful", "--group", "quaternion8", "--sigma", "-1", "--rep", "regular",

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import operator
+import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -54,6 +56,23 @@ def test_rationals_normalize_to_conductor_one():
         with pytest.raises(TypeError, match="int or a Fraction"):
             Cyc(bad)
     assert (Cyc.zeta(8) * Cyc.zeta(8) ** 7).rational_value() == 1
+
+
+def test_operands_that_are_not_exact_numbers_are_refused():
+    # each operator returns NotImplemented for them, so Python names the
+    # operator in its TypeError, and == is False instead of reading ._n
+    z = Cyc.zeta(3)
+    assert z != "x" and not z == "x"
+    for other in (None, 0.5, object()):
+        assert z != other and not z == other
+        for op, sym in ((operator.add, "+"), (operator.sub, "-"), (operator.mul, "*")):
+            for a, b in ((z, other), (other, z)):
+                message = rf"^unsupported operand type\(s\) for {re.escape(sym)}: "
+                with pytest.raises(TypeError, match=message):
+                    op(a, b)
+    assert 1 - z == Cyc(1) - z and Fraction(1, 2) - z == Cyc(Fraction(1, 2)) - z
+    assert not Cyc(0) and not Cyc.zeta(4) + Cyc.zeta(4) ** 3
+    assert Cyc.zeta(3) and Cyc(Fraction(-1, 2))
 
 
 def test_conductor_is_minimized():

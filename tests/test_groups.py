@@ -6,11 +6,21 @@ import gc
 import itertools
 import re
 import weakref
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from cyc_reference import ref_commuting_tuples, ref_hom_from_images
+from cyc_reference import (
+    ref_check_associative,
+    ref_commuting_tuples,
+    ref_conjugacy_classes,
+    ref_element_orders,
+    ref_hom_from_images,
+    ref_identity,
+    ref_is_abelian,
+)
 from conftest import (
     battery_groups,
     brute_commuting_pair_count,
@@ -49,7 +59,14 @@ from quasik import (
     trivial_subgroup,
 )
 from quasik.errors import HomomorphismError
-from quasik.groups import Homomorphism, cycle_label, parse_permutation
+from quasik.groups import (
+    Homomorphism,
+    _closure,
+    _generators,
+    class_index_map,
+    cycle_label,
+    parse_permutation,
+)
 
 
 def test_group_from_generators_s3():
@@ -107,6 +124,119 @@ def test_malformed_group_input_is_rejected_with_its_message(build, message):
     # each message is raised by one branch only, so each case fails without its branch
     with pytest.raises(QuasiError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_loop5_is_rejected_by_the_cubic_reference_too():
+    with pytest.raises(GroupInputError, match="^table is not associative$"):
+        ref_check_associative(_LOOP5)
+
+
+def _latin_squares(n: int, reduced: bool):
+    """Every Latin square of order n, or every one whose row 0 and column 0
+    are in order (so that 0 is its identity), filled cell by cell."""
+    cells = [[-1] * n for _ in range(n)]
+
+    def fill(k):
+        if k == n * n:
+            yield [list(row) for row in cells]
+            return
+        i, j = divmod(k, n)
+        for v in [i + j] if reduced and i * j == 0 else range(n):
+            if v not in cells[i][:j] and all(cells[r][j] != v for r in range(i)):
+                cells[i][j] = v
+                yield from fill(k + 1)
+        cells[i][j] = -1
+
+    return fill(0)
+
+
+def _reference_verdict(square) -> str:
+    """The old constructor's checks in its order: identity, inverses, associativity."""
+    e = ref_identity(square)
+    if e is None:
+        return "table has no two-sided identity"
+    for a, row in enumerate(square):
+        if square[row.index(e)][a] != e:
+            return f"element {a} has no two-sided inverse"
+    verdict = outcome(ref_check_associative, square)
+    return "group" if verdict is None else verdict[1]
+
+
+@pytest.mark.parametrize("n, reduced, loops_not_associative", [
+    (1, False, 0), (2, False, 0), (3, False, 0), (4, False, 0), (5, True, 2), (6, True, 1728),
+])
+def test_table_checks_match_the_scans_they_replaced(n, reduced, loops_not_associative):
+    # every Latin square of order <= 4, with or without an identity, and every
+    # one of order 5 and 6 with identity 0, among them the non-associative loops
+    verdicts: Counter = Counter()
+    for square in _latin_squares(n, reduced):
+        G = outcome(lambda t: GroupTable(t, validate=True), square)
+        verdict = "group" if isinstance(G, GroupTable) else G[1]
+        assert verdict == _reference_verdict(square), square
+        if isinstance(G, GroupTable):
+            assert G.identity == ref_identity(square)
+            assert G.elem_orders == ref_element_orders(G)
+            assert G.is_abelian() == ref_is_abelian(G)
+            assert (conjugacy_classes(G), class_index_map(G)) == ref_conjugacy_classes(G)
+        verdicts[verdict] += 1
+    assert verdicts["table is not associative"] == loops_not_associative
+
+
+@pytest.fixture(scope="module")
+def reference_battery(tmp_path_factory):
+    """The builtins within the default caps, two direct products, the
+    centralizer tables of the orbit descent and a table file."""
+    specs = [f"cyclic:{k}" for k in range(1, 61)] + [f"dihedral:{k}" for k in range(3, 31)]
+    specs += ["symmetric:3", "symmetric:4", "symmetric:5", "alternating:4", "alternating:5", "quaternion8"]
+    groups = [build_group(spec) for spec in specs]
+    groups.append(direct_product(cyclic_group(2), symmetric_group(3)))
+    groups.append(direct_product(quaternion_group(), cyclic_group(3)))
+    for spec in ("symmetric:4", "dihedral:6", "quaternion8", "alternating:5"):
+        G = build_group(spec)
+        commuting_tuples(G, 2)
+        groups += [H for k, H in G._memo.items() if isinstance(k, tuple) and k[0] == "subgroup"]
+    # D_5 with its elements reversed, so that the identity is its last element
+    D = dihedral_group(5)
+    flip = [D.order - 1 - a for a in range(D.order)]
+    path = tmp_path_factory.mktemp("groups") / "d5.grp"
+    rows = [[flip[D.mul(flip[a], flip[b])] for b in range(D.order)] for a in range(D.order)]
+    path.write_text(f"table {D.order}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    groups.append(load_group_file(path))
+    assert groups[-1].identity == D.order - 1
+    return groups
+
+
+def test_group_scans_match_the_references(reference_battery):
+    for G in reference_battery:
+        assert (conjugacy_classes(G), class_index_map(G)) == ref_conjugacy_classes(G), G.name
+        assert G.elem_orders == ref_element_orders(G), G.name
+        assert G.is_abelian() == ref_is_abelian(G), G.name
+        ref_check_associative(G._mul)
+        assert GroupTable(G._mul, validate=True).elem_orders == G.elem_orders
+
+
+def test_generating_sets_are_short_and_generate(reference_battery):
+    for G in reference_battery:
+        gens = _generators(G)
+        assert len(gens) <= G.order.bit_length() - 1  # floor(log2 |G|)
+        assert _closure(G, gens) == tuple(range(G.order)), G.name
+        assert _generators(G) is gens  # memoized on G
+
+
+def test_a_table_that_needs_too_many_generators_is_no_group():
+    # x * g is g for x = 0 and x otherwise, so the closure of a set is the set
+    # and 0: each of the 7 other elements would be a generator, and the search
+    # stops when it would add a fourth, one more than floor(log2 8)
+    calls = []
+
+    def mul(x, g):
+        calls.append((x, g))
+        return g if x == 0 else x
+
+    fake = SimpleNamespace(order=8, identity=0, _memo={}, mul=mul)
+    with pytest.raises(GroupInputError, match="^table is not associative$"):
+        _generators(fake)
+    assert {g for _, g in calls} == {1, 2, 3}
 
 
 def test_closure_size_cap():
@@ -278,6 +408,11 @@ def test_commuting_tuples_cap():
         commuting_tuples(symmetric_group(4), 3, Limits(tuples=4096))
 
 
+def test_make_comm_tuple_rejects_the_empty_tuple(s3):
+    with pytest.raises(NonCommutingTupleError, match="^a commuting tuple needs at least one entry$"):
+        make_comm_tuple(s3, ())
+
+
 def test_make_comm_tuple_rejects_non_commuting(s3):
     with pytest.raises(NonCommutingTupleError):
         make_comm_tuple(s3, (s3.index_of("(12)"), s3.index_of("(13)")))
@@ -427,7 +562,7 @@ def test_contains_conjugate_brute_force(s3, d4):
                 )
             # whole group always contains a conjugate; trivial target iff trivial
             assert contains_conjugate(G, gamma, subs[-1])
-            assert contains_conjugate(G, gamma, subs[0]) == gamma.is_trivial
+            assert contains_conjugate(G, gamma, subs[0]) == (gamma.order == 1)
 
 
 def test_group_files(tmp_path):
@@ -446,6 +581,9 @@ def test_group_files(tmp_path):
     bad = tmp_path / "bad.grp"
     bad.write_text("table 2\n0 1\n1 1\n")
     with pytest.raises(GroupInputError):
+        load_group_file(bad)
+    bad.write_text("table 2\n0 1\n# a comment line\n1 x\n")
+    with pytest.raises(GroupInputError, match=f"^{re.escape(str(bad))}:4: expected integers, got '1 x'$"):
         load_group_file(bad)
 
 

@@ -472,6 +472,15 @@ def test_components_are_validated():
             LambdaRep(d, [(comp, 1)])
 
 
+def test_reps_equal_only_reps():
+    G = build_group("cyclic:4")
+    d = lambda_desc(G, (G.index_of("g1"),))
+    rep = LambdaRep(d, [(TwistedIrrep(3, (Fraction(1, 4),)), 1)])
+    for other in ("x", None, rep.components):
+        assert rep != other and not rep == other
+    assert rep == LambdaRep(d, [(TwistedIrrep(3, (Fraction(1, 4),)), 1)])
+
+
 def test_multiplicities_are_integers():
     G = build_group("cyclic:4")
     d = lambda_desc(G, (G.index_of("g1"),))
