@@ -31,7 +31,7 @@ from .lambdarep import (
     real_v_sigma,
     v_sigma,
 )
-from .quasicalc import quasi_coefficients, quasi_document, render_quasi_text, s_fixed_predicate
+from .quasicalc import quasi_coefficients, s_fixed_predicate, serialize_quasi
 
 CONSTRUCTIONS = ("plain", "q", "fixed", "real")
 
@@ -138,7 +138,8 @@ def _lookup_rep(G: GroupTable, label: str, limits: Limits):
 
 def run(cfg: CliConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
     """Dispatch a parsed configuration; returns the process exit code.  Each
-    handler returns only the format asked for: a JSON document or text lines."""
+    handler returns only the format asked for: a JSON document or text lines
+    (quasi's lines are serialize_quasi's text in either format)."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
@@ -147,7 +148,7 @@ def run(cfg: CliConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = No
     except QuasiError as exc:
         print(f"error: {exc}", file=err)
         return 1
-    if cfg.fmt == "json":
+    if isinstance(answer, dict):
         import json  # here only: a text run never loads json
         answer = [json.dumps(answer, indent=2)]
     out.write("\n".join(answer) + "\n")
@@ -258,8 +259,8 @@ def _cmd_sfixed(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
 
 
 def _cmd_quasi(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
-    table = quasi_coefficients(G, cfg.n, cfg.limits)
-    return quasi_document(table) if cfg.fmt == "json" else [render_quasi_text(table)]
+    # serialize_quasi's text in either format, less the newline that run adds
+    return [serialize_quasi(quasi_coefficients(G, cfg.n, cfg.limits), cfg.fmt).decode()[:-1]]
 
 
 _HANDLERS = {

@@ -720,14 +720,10 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     if key in G._memo:
         return G._memo[key]
     n_h = H.order
-    table = []
-    for a1 in range(G.order):
-        for b1 in range(n_h):
-            row = []
-            for a2 in range(G.order):
-                for b2 in range(n_h):
-                    row.append(G.mul(a1, a2) * n_h + H.mul(b1, b2))
-            table.append(row)
+    cells = tuple(range(G.order * n_h))  # one shared int per element, not per cell
+    blocks = [cells[a * n_h:(a + 1) * n_h] for a in range(G.order)]  # a*|H| + b is blocks[a][b]
+    table = [[c for a in ga for c in map(blocks[a].__getitem__, hb)]
+             for ga in G._mul for hb in H._mul]
     labels = [f"({G.label(a)},{H.label(b)})" for a in range(G.order) for b in range(n_h)]
     G._memo[key] = GroupTable(table, labels=labels, name=f"{G.name}x{H.name}")
     return G._memo[key]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import QuasiError
 from .groups import (
@@ -113,42 +113,57 @@ def render_tate_report(report: dict) -> str:
 # -- serialization ------------------------------------------------------------------
 
 
-def quasi_document(table: QuasiTable) -> dict:
-    """The JSON document of a coefficient table, as serialize_quasi writes it."""
-    return {
-        "group": table.group,
-        "n": table.n,
-        "E": table.theory,
-        "records": [
-            {
-                "sigma": list(rec.sigma_labels),
-                "orbit_size": rec.orbit_size,
-                "centralizer_order": rec.centralizer_order,
-                "rank": rec.rank,
-                "twists": [[str(w) for w in twist] for twist in rec.twists],
-            }
-            for rec in table.records
-        ],
-        "total_rank": table.total_rank,
-    }
+def _weight_strings(table: QuasiTable, render: Callable[[str], str]) -> dict[int, str]:
+    """render(str(w)) for each distinct weight object w of the table, by id(w).
+    Every record reads its centralizer's weight columns, so few are distinct.
+    Keyed by identity, as equal weights such as 1/2 and 0.5 may print
+    differently; the table holds each w for as long as the result is used."""
+    out = {}
+    for rec in table.records:
+        for twist in rec.twists:
+            for w in twist:
+                if id(w) not in out:
+                    out[id(w)] = render(str(w))
+    return out
 
 
 def serialize_quasi(table: QuasiTable, fmt: str = "json") -> bytes:
-    """Deterministic byte serialization in 'json' or 'text' format."""
-    if fmt == "json":
-        import json  # here and in parse_quasi only: a text run never loads json
-        return (json.dumps(quasi_document(table), indent=2) + "\n").encode("utf-8")
+    """Deterministic byte serialization in 'json' or 'text' format.  The JSON
+    is written in one pass, as json.dumps(document, indent=2) would write it."""
     if fmt == "text":
         return (render_quasi_text(table) + "\n").encode("utf-8")
-    raise QuasiError(f"unknown serialization format {fmt!r}")
+    if fmt != "json":
+        raise QuasiError(f"unknown serialization format {fmt!r}")
+    # json.dumps's C string escape, loaded here and in parse_quasi only: a text run never loads json
+    from json.encoder import encode_basestring_ascii as q
+
+    def array(items: list[str], pad: str) -> str:  # as indent=2 writes it: one item a line at pad
+        return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[2:] + "]" if items else "[]"
+
+    ws = _weight_strings(table, q)
+    records = [
+        '{\n      "sigma": ' + array([q(s) for s in rec.sigma_labels], " " * 8)
+        + f',\n      "orbit_size": {_json(rec.orbit_size, int)}'
+        + f',\n      "centralizer_order": {_json(rec.centralizer_order, int)}'
+        + f',\n      "rank": {_json(rec.rank, int)}'
+        + ',\n      "twists": '
+        + array([("[\n          " + ",\n          ".join([ws[id(w)] for w in t]) + "\n        ]")
+                 if t else "[]" for t in rec.twists], " " * 8)
+        + "\n    }"
+        for rec in table.records
+    ]
+    return (f'{{\n  "group": {q(table.group)},\n  "n": {_json(table.n, int)},'
+            f'\n  "E": {q(table.theory)},\n  "records": {array(records, "    ")},'
+            f'\n  "total_rank": {_json(table.total_rank, int)}\n}}\n').encode("utf-8")
 
 
 def render_quasi_text(table: QuasiTable) -> str:
     header = f"coefficients of Q{table.theory}^0_{{{table.n},G}}(pt) for G = {table.group}"
     cols = ["sigma", "orbit", "|C|", "rank", "twists"]
     rows = []
+    ws = _weight_strings(table, str)
     for rec in table.records:
-        twists = " ".join("(" + ",".join(str(w) for w in t) + ")" for t in rec.twists)
+        twists = " ".join(["(" + ",".join([ws[id(w)] for w in t]) + ")" for t in rec.twists])
         rows.append(
             [
                 "(" + ",".join(rec.sigma_labels) + ")",
@@ -168,7 +183,7 @@ def render_quasi_text(table: QuasiTable) -> str:
 
 
 def _json(value: object, kind: type):
-    # the exact type: int() would truncate 1.9, and a JSON true is a Python int
+    # the exact type, read or written: int() would truncate 1.9, and a JSON true is a Python int
     if type(value) is not kind:
         raise TypeError(f"expected a {kind.__name__}, got {value!r}")
     return value

@@ -35,11 +35,16 @@ made each operation in place, and the Smith-form kernel solve that
 lambdarep.kernel made before it row-reduced once to a Hermite form.  And
 the group scans that one generating set per group replaced: the identity
 scan over every candidate, the cubic associativity loop, the per-element
-order walk, the all-pairs is_abelian and the all-element class loop.
+order walk, the all-pairs is_abelian and the all-element class loop.  And
+the direct product that built each cell by two GroupTable.mul calls before
+groups.direct_product read rows of its factors' tables, and the quasi JSON
+document that serialize_quasi encoded with json.dumps(indent=2) before it
+wrote the same bytes in one pass.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -88,6 +93,7 @@ from quasik.lambdarep import (
     TwistedIrrep,
     lambda_desc,
 )
+from quasik.quasicalc import QuasiTable
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -1021,3 +1027,45 @@ def ref_conjugacy_classes(G: GroupTable) -> tuple[tuple[ConjugacyClass, ...], tu
         for x in cls.members:
             class_of[x] = ci
     return tuple(classes), tuple(class_of)
+
+
+# groups.direct_product before it read rows of G._mul and H._mul: two method
+# calls and a fresh int per cell, and no memo on G.
+def ref_direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
+    n_h = H.order
+    table = []
+    for a1 in range(G.order):
+        for b1 in range(n_h):
+            row = []
+            for a2 in range(G.order):
+                for b2 in range(n_h):
+                    row.append(G.mul(a1, a2) * n_h + H.mul(b1, b2))
+            table.append(row)
+    labels = [f"({G.label(a)},{H.label(b)})" for a in range(G.order) for b in range(n_h)]
+    return GroupTable(table, labels=labels, name=f"{G.name}x{H.name}")
+
+
+# quasicalc.serialize_quasi before it wrote JSON itself: the document as a
+# dict, encoded by json.dumps(indent=2), CPython's pure-Python encoder.
+def quasi_document(table: QuasiTable) -> dict:
+    """The JSON document of a coefficient table, as serialize_quasi writes it."""
+    return {
+        "group": table.group,
+        "n": table.n,
+        "E": table.theory,
+        "records": [
+            {
+                "sigma": list(rec.sigma_labels),
+                "orbit_size": rec.orbit_size,
+                "centralizer_order": rec.centralizer_order,
+                "rank": rec.rank,
+                "twists": [[str(w) for w in twist] for twist in rec.twists],
+            }
+            for rec in table.records
+        ],
+        "total_rank": table.total_rank,
+    }
+
+
+def ref_serialize_quasi(table: QuasiTable) -> bytes:
+    return (json.dumps(quasi_document(table), indent=2) + "\n").encode("utf-8")

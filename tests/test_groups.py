@@ -16,6 +16,7 @@ from cyc_reference import (
     ref_check_associative,
     ref_commuting_tuples,
     ref_conjugacy_classes,
+    ref_direct_product,
     ref_element_orders,
     ref_hom_from_images,
     ref_identity,
@@ -213,6 +214,20 @@ def test_group_scans_match_the_references(reference_battery):
         assert G.is_abelian() == ref_is_abelian(G), G.name
         ref_check_associative(G._mul)
         assert GroupTable(G._mul, validate=True).elem_orders == G.elem_orders
+
+
+def test_direct_products_match_the_reference(reference_battery):
+    # the factor pairs that the tests take products of, a trivial factor on
+    # each side, and the table file whose identity is its last element
+    d5 = reference_battery[-1]
+    c1, c2, c3 = cyclic_group(1), cyclic_group(2), cyclic_group(3)
+    s3, q8 = symmetric_group(3), quaternion_group()
+    pairs = [(c2, s3), (q8, c3), (s3, c2), (dihedral_group(4), c2), (s3, s3), (q8, c2), (c2, c2),
+             (c1, c3), (c3, c1), (c1, c1), (d5, c3), (c3, d5), (cyclic_group(4), cyclic_group(6)),
+             (symmetric_group(4), dihedral_group(5))]
+    for G, H in pairs:
+        P, R = direct_product(G, H), ref_direct_product(G, H)
+        assert (P._mul, P.labels, P.name) == (R._mul, R.labels, R.name), R.name
 
 
 def test_generating_sets_are_short_and_generate(reference_battery):

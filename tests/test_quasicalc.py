@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from conftest import brute_contains_conjugate, brute_tuple_orbit_count, class_count_checksum
+from cyc_reference import ref_serialize_quasi
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasik import (
     QuasiError,
+    QuasiRecord,
+    QuasiTable,
+    build_group,
     cyclic_group,
     make_comm_tuple,
     parse_quasi,
     quasi_coefficients,
+    render_quasi_text,
     s_fixed_predicate,
     serialize_quasi,
     subgroup_from_generators,
@@ -256,3 +264,86 @@ def test_parse_accepts_the_valid_base_document():
     # each malformed document above differs from this one in a single field
     table = parse_quasi(_VALID)
     assert table.records[0].sigma_labels == ("e",) and table.total_rank == 1
+
+
+# -- the JSON writer against json.dumps -----------------------------------------------
+
+# the quasi ops of the lib-session benchmark: n = 1..3 with |G|^n at most 1024
+LIB_SESSION_GROUPS = ("symmetric:3", "symmetric:4", "alternating:4", "dihedral:4", "dihedral:6",
+                      "quaternion8", "cyclic:6", "cyclic:8", "cyclic:12")
+
+
+@pytest.fixture(scope="module")
+def lib_session_tables():
+    groups = [build_group(spec) for spec in LIB_SESSION_GROUPS]
+    return [quasi_coefficients(G, n) for G in groups for n in (1, 2, 3) if G.order**n <= 1024]
+
+
+def _with_string_weights(table: QuasiTable) -> QuasiTable:
+    # each weight replaced by its string, which prints as itself: a writer that
+    # prints one weight for another, equal one gives the table other text
+    return table._replace(records=tuple(
+        rec._replace(twists=tuple(tuple(str(w) for w in t) for t in rec.twists))
+        for rec in table.records))
+
+
+def test_the_writer_matches_json_dumps_on_the_lib_session_tables(lib_session_tables):
+    assert len(lib_session_tables) == 23
+    for table in lib_session_tables:
+        written = serialize_quasi(table, "json")
+        assert written == ref_serialize_quasi(table), (table.group, table.n)
+        parsed = parse_quasi(written)
+        assert serialize_quasi(parsed, "json") == ref_serialize_quasi(parsed) == written
+        text = serialize_quasi(table, "text")
+        assert serialize_quasi(parsed, "text") == text
+        assert serialize_quasi(_with_string_weights(table), "text") == text
+
+
+_LABELS = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800e\xe9')),
+                  max_size=4)
+# equal weights that print differently (1, 1.0, True) and fresh equal objects
+# on every draw, so a memo keyed by value shows
+_WEIGHTS = st.one_of(st.fractions(max_denominator=4), st.integers(-3, 3),
+                     st.sampled_from([0.5, -0.25, 1.0, 0.0, True, False, Decimal("0.50")]))
+_RECORDS = st.builds(
+    QuasiRecord,
+    sigma_labels=st.lists(_LABELS, max_size=3).map(tuple),
+    orbit_size=st.integers(),
+    centralizer_order=st.integers(),
+    rank=st.integers(-1, 3),
+    twists=st.lists(st.lists(_WEIGHTS, max_size=3).map(tuple), max_size=4).map(tuple),
+)
+_TABLES = st.builds(QuasiTable, group=_LABELS, n=st.integers(),
+                    records=st.lists(_RECORDS, max_size=4).map(tuple),
+                    total_rank=st.integers(), theory=_LABELS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TABLES)
+def test_the_writer_matches_json_dumps_on_any_table(table):
+    assert serialize_quasi(table, "json") == ref_serialize_quasi(table)
+    assert render_quasi_text(table) == render_quasi_text(_with_string_weights(table))
+
+
+_S3 = parse_quasi((GOLDEN / "s3_n1.json").read_bytes())
+_REC = _S3.records[0]
+
+
+@pytest.mark.parametrize("table", [
+    _S3._replace(records=(_REC._replace(orbit_size=True),)),
+    _S3._replace(records=(_REC._replace(rank=1.0),)),
+    _S3._replace(records=(_REC._replace(centralizer_order=None),)),
+    _S3._replace(records=(_REC._replace(sigma_labels=(3,)),)),
+    _S3._replace(records=(_REC._replace(sigma_labels="ab"),)),
+    _S3._replace(records=(_REC._replace(twists=[[Fraction(1, 2), 2]]),)),
+    _S3._replace(n=False), _S3._replace(total_rank=2.5), _S3._replace(group=5),
+    _S3._replace(theory=None), _S3._replace(records=list(_S3.records)),
+], ids=["bool-orbit-size", "float-rank", "none-centralizer-order", "int-label", "string-sigma",
+        "list-twists", "bool-n", "float-total-rank", "int-group", "none-theory", "list-records"])
+def test_the_writer_gives_the_reference_bytes_or_refuses(table):
+    # fields of types that neither quasi_coefficients nor parse_quasi makes
+    try:
+        written = serialize_quasi(table, "json")
+    except TypeError:
+        return
+    assert written == ref_serialize_quasi(table)
