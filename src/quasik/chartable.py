@@ -20,9 +20,9 @@ central_exponents[class][irrep] = x (or None) and, for a central class,
 central_weights[class][irrep] = x/e, or 1 when x = 0.  lambdarep reads every
 scalar from these columns, and the kernel's b = -x.
 
-Every character sum here (table entries, orthogonality, inner products,
-Frobenius-Schur indicators) is one call to cyclotomic.conj_product_sum,
-which reduces the whole sum once.
+Every character sum here (table entries, orthogonality, the values of a class
+function, Frobenius-Schur indicators) is one call to cyclotomic.conj_product_sum,
+which reduces the whole sum once.  A ClassFunction holds its coordinates in Irr(G).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, product
 from math import gcd, isqrt, lcm
-from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from operator import add, mul
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cyclotomic import Cyc, _primes, conj_product_sum
 from .errors import NonScalarError, QuasiError, VirtualCharacterError
@@ -91,16 +91,16 @@ class CharacterTable:
         return self.rows[irrep][self.class_of[element]]
 
     def irreducible(self, irrep: int) -> "ClassFunction":
-        return ClassFunction(self, self.rows[irrep])
+        coords = [0] * len(self.eig)
+        coords[irrep] = 1
+        return ClassFunction._of(self, coords)
 
     def trivial_index(self) -> int:
         """The trivial character sorts first: degree 1, and rational 1 at every class."""
         return 0
 
     def regular_character(self) -> "ClassFunction":
-        vals = [Cyc(0)] * self.n_classes
-        vals[self.id_class] = Cyc(self.group.order)
-        return ClassFunction(self, tuple(vals))
+        return ClassFunction._of(self, self.degrees)
 
     def conjugate_row(self, irrep: int) -> int:
         """Index of the complex-conjugate irreducible."""
@@ -111,15 +111,23 @@ class CharacterTable:
 
 
 class ClassFunction:
-    """One value per conjugacy class of a table; immutable, compared by value."""
+    """A class function on a table, held as its coordinates in Irr(G): coords[i] =
+    <f, chi_i>, an int, a Fraction or an irrational Cyc.  Immutable, compared by value."""
 
-    __slots__ = ("table", "values")
+    __slots__ = ("table", "coords")
 
-    def __init__(self, table: CharacterTable, values: tuple[Cyc, ...]):
-        if len(values) != table.n_classes:
-            raise QuasiError("class function has the wrong number of values")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "values", values)
+    def __new__(cls, table: CharacterTable, values: Sequence[Cyc]) -> "ClassFunction":
+        if len(values) != table.n_classes or not all(isinstance(v, Cyc) for v in values):
+            raise QuasiError("a class function takes one Cyc value per class")
+        n = lcm(table.exponent, *(v.conductor for v in values))
+        return cls._of(table, _products(table, [v._exponents_at(n) for v in values], n))
+
+    @classmethod
+    def _of(cls, table: CharacterTable, coords: Iterable[Cyc | Fraction | int]) -> "ClassFunction":
+        f = object.__new__(cls)
+        object.__setattr__(f, "table", table)
+        object.__setattr__(f, "coords", tuple(map(_plain, coords)))
+        return f
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -127,31 +135,49 @@ class ClassFunction:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.table == other.table and self.values == other.values
+        return self.table == other.table and self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash((self.table, self.values))
+        return hash((self.table, self.coords))
 
     def __repr__(self) -> str:
         return f"ClassFunction(table={self.table!r}, values={self.values!r})"
 
+    def _value(self, c: int) -> Cyc:  # sum_i coords[i] * chi_i(g_c), as one sum
+        n = lcm(e := self.table.exponent, *(a.conductor for a in self.coords if isinstance(a, Cyc)))
+        return conj_product_sum(((1, (a if isinstance(a, Cyc) else Cyc(a))._exponents_at(n),
+                                  tuple((-x * (n // e), m) for x, m in vecs[c]))
+                                 for a, vecs in zip(self.coords, self.table.eig) if a), n)
+
+    @property
+    def values(self) -> tuple[Cyc, ...]:
+        return tuple(map(self._value, range(self.table.n_classes)))
+
     @property
     def degree(self) -> Cyc:
-        return self.values[self.table.id_class]
+        return self._value(self.table.id_class)
 
     def value_at_element(self, element: int) -> Cyc:
-        return self.values[self.table.class_of[element]]
+        return self._value(self.table.class_of[element])
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if other.table is not self.table:
             raise QuasiError("class functions live on different tables")
-        return ClassFunction(self.table, tuple(a + b for a, b in zip(self.values, other.values)))
+        return ClassFunction._of(self.table, map(add, self.coords, other.coords))
 
     def scale(self, k: int) -> "ClassFunction":
-        return ClassFunction(self.table, tuple(v * k for v in self.values))
+        return ClassFunction._of(self.table, (a * k for a in self.coords))
 
     def conj(self) -> "ClassFunction":
-        return ClassFunction(self.table, tuple(v.conj() for v in self.values))
+        # conj(chi_i) is the irreducible conjugate_row(i), an involution on the rows
+        return ClassFunction._of(self.table, (self.coords[i].conjugate() for i in self.table._conj_rows))
+
+
+def _plain(a: Cyc | Fraction | int) -> Cyc | Fraction | int:
+    """One type per value, so equal coordinates hash alike: an int, a Fraction or an irrational Cyc."""
+    if isinstance(a, Cyc) and a.is_rational:
+        a = a.rational_value()
+    return a if isinstance(a, Cyc) or a.denominator != 1 else int(a)
 
 
 def class_function_from_element_values(
@@ -161,13 +187,9 @@ def class_function_from_element_values(
     vals = [Cyc(v) if not isinstance(v, Cyc) else v for v in values]
     if len(vals) != table.group.order:
         raise QuasiError("need one value per group element")
-    out = []
-    for cls in table.classes:
-        v = vals[cls.rep]
-        if any(vals[x] != v for x in cls.members):
-            raise QuasiError("values are not constant on conjugacy classes")
-        out.append(v)
-    return ClassFunction(table, tuple(out))
+    if any(vals[x] != vals[cls.rep] for cls in table.classes for x in cls.members):
+        raise QuasiError("values are not constant on conjugacy classes")
+    return ClassFunction(table, tuple(vals[cls.rep] for cls in table.classes))
 
 
 class RepDecomposition(NamedTuple):
@@ -175,10 +197,8 @@ class RepDecomposition(NamedTuple):
     entries: tuple[tuple[int, int], ...]  # (irreducible index, multiplicity)
 
     def reassemble(self) -> ClassFunction:
-        eig, e = self.table.eig, self.table.exponent
-        return ClassFunction(self.table, tuple(
-            conj_product_sum(((m, eig[i][c], ((0, 1),)) for i, m in self.entries), e)
-            for c in range(self.table.n_classes)))
+        return ClassFunction._of(self.table, (sum(m for i, m in self.entries if i == j)
+                                              for j in range(len(self.table.eig))))
 
     @property
     def dimension(self) -> int:
@@ -372,8 +392,8 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[EigVector, ...]]:
                     vec.append((j * (exponent // m), c_j))  # zeta_m^j = zeta_e^(j e/m)
             for u, c in enumerate(pw):
                 vecs[c] = vecs[c] or _scaled(vec, u, exponent)
-        for j, conj in zip(units, conjugates(omega)):  # chi^(sigma_j)
-            lifted.setdefault(conj, tuple(_scaled(vec, j, exponent) for vec in vecs))
+        for conj, j in dict(zip(conjugates(omega), units)).items():  # chi^(sigma_j), once per row
+            lifted[conj] = tuple(_scaled(vec, j, exponent) for vec in vecs)
     return [lifted[omega] for omega in omegas]
 
 
@@ -404,16 +424,10 @@ def _verify_table(table: CharacterTable) -> None:
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyc:
-    """(1/|G|) sum_g chi(g) * conj(psi(g)), computed classwise."""
+    """(1/|G|) sum_g chi(g) * conj(psi(g)) = sum_i a_i * conj(b_i), as Irr(G) is orthonormal."""
     if chi.table is not psi.table:
         raise QuasiError("class functions live on different tables")
-    table = chi.table
-    n = lcm(*(v.conductor for v in chi.values + psi.values))
-    terms = (
-        (cls.size, a._exponents_at(n), b._exponents_at(n))
-        for cls, a, b in zip(table.classes, chi.values, psi.values)
-    )
-    return conj_product_sum(terms, n) * Fraction(1, table.group.order)
+    return sum((a * b.conjugate() for a, b in zip(chi.coords, psi.coords) if a and b), Cyc(0))
 
 
 def _products(table: CharacterTable, vals: Sequence[EigVector], n: int) -> list[Cyc]:
@@ -428,24 +442,9 @@ def _products(table: CharacterTable, vals: Sequence[EigVector], n: int) -> list[
     ]
 
 
-def _coordinates(chi: ClassFunction) -> Sequence[Cyc | int]:
-    """<chi, chi_i> for every irreducible, unchecked: the unit vector of a row,
-    the degrees for the regular character, else chi expanded once at
-    lcm(exp(G), its conductors)."""
-    table = chi.table
-    if chi.values in table.rows:
-        return [int(row == chi.values) for row in table.rows]
-    if chi == table.regular_character():
-        return table.degrees
-    n = lcm(table.exponent, *(v.conductor for v in chi.values))
-    return _products(table, [v._exponents_at(n) for v in chi.values], n)
-
-
-def _multiplicity(m: Cyc | int, label: str) -> int:
-    if isinstance(m, Cyc):
-        if not m.is_rational:
-            raise VirtualCharacterError("multiplicity is not rational")
-        m = m.rational_value()
+def _multiplicity(m: Cyc | Fraction | int, label: str) -> int:
+    if isinstance(m := _plain(m), Cyc):  # irrational
+        raise VirtualCharacterError("multiplicity is not rational")
     if m.denominator != 1 or m < 0:
         raise VirtualCharacterError(f"multiplicity of {label} is {m}, not a non-negative integer")
     return int(m)
@@ -453,20 +452,18 @@ def _multiplicity(m: Cyc | int, label: str) -> int:
 
 def decompose(chi: ClassFunction) -> RepDecomposition:
     """Isotypic multiplicities of a genuine character."""
-    mults = map(_multiplicity, _coordinates(chi), chi.table.labels)
-    # A verified table's rows are an orthonormal basis of the class functions,
-    # so chi is the sum of these multiples of them.
+    mults = map(_multiplicity, chi.coords, chi.table.labels)
+    # a verified table's rows are an orthonormal basis, so chi's coordinates are its multiplicities
     return RepDecomposition(chi.table, tuple((i, m) for i, m in enumerate(mults) if m))
 
 
 def restriction_multiplicities(chi: ClassFunction, sub: CharacterTable, images: Sequence[int]) -> Sequence[int]:
     """Multiplicity of each irreducible lam of sub in chi o images, for a map images
     from sub's group into chi's that sends classes into classes: chi's coordinates
-    times the branching matrix B[i][lam] = <chi_i o images, lam> (exact for every
-    class function, as Irr(G) is a basis), or the row B[i] itself when chi is
-    table.irreducible(i).  B is summed at lcm(exp(G), exp(sub)), checked once and
-    memoized on G under (sub, images): maps from different groups can share
-    their images."""
+    times the branching matrix B[i][lam] = <chi_i o images, lam>, so the row B[i]
+    itself for the unit vector table.irreducible(i).  B is summed at lcm(exp(G),
+    exp(sub)), checked once and memoized on G under (sub, images): maps from
+    different groups can share their images."""
     table, key = chi.table, ("branching", sub, tuple(images))
     B = table.group._memo.get(key)
     if B is None:
@@ -479,11 +476,9 @@ def restriction_multiplicities(chi: ClassFunction, sub: CharacterTable, images: 
                for row, deg in zip(B, table.degrees)):
             raise QuasiError("branching multiplicities do not add up to the degrees")
         table.group._memo[key] = B
-    for i, values in enumerate(table.rows):  # table.irreducible(i) holds the row itself
-        if values is chi.values:
-            return B[i]
-    coords = _coordinates(chi)
-    return [_multiplicity(sum(map(mul, coords, col)), label) for col, label in zip(zip(*B), sub.labels)]
+    if chi.coords.count(0) == len(B) - 1 and 1 in chi.coords:  # chi is table.irreducible(i)
+        return B[chi.coords.index(1)]
+    return [_multiplicity(sum(map(mul, chi.coords, col)), label) for col, label in zip(zip(*B), sub.labels)]
 
 
 def central_scalar(table: CharacterTable, irrep: int, z: int, l: Optional[int] = None) -> tuple[int, int]:
@@ -513,8 +508,8 @@ def restrict_character(chi: ClassFunction, phi: Homomorphism) -> ClassFunction:
     """Pull a class function on the target group back along a homomorphism."""
     if phi.target is not chi.table.group:
         raise QuasiError("homomorphism target does not match the class function")
-    table = character_table(phi.source)
-    return ClassFunction(table, tuple(chi.value_at_element(phi.images[c.rep]) for c in table.classes))
+    table, values = character_table(phi.source), chi.values
+    return ClassFunction(table, tuple(values[chi.table.class_of[phi.images[c.rep]]] for c in table.classes))
 
 
 def fs_indicator(table: CharacterTable, irrep: int) -> int:

@@ -31,7 +31,7 @@ from .lambdarep import (
     real_v_sigma,
     v_sigma,
 )
-from .quasicalc import quasi_coefficients, s_fixed_predicate, serialize_quasi
+from .quasicalc import quasi_coefficients, render_quasi_text, s_fixed_predicate, serialize_quasi
 
 CONSTRUCTIONS = ("plain", "q", "fixed", "real")
 
@@ -139,7 +139,7 @@ def _lookup_rep(G: GroupTable, label: str, limits: Limits):
 def run(cfg: CliConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
     """Dispatch a parsed configuration; returns the process exit code.  Each
     handler returns only the format asked for: a JSON document or text lines
-    (quasi's lines are serialize_quasi's text in either format)."""
+    (quasi's are render_quasi_text's text, or serialize_quasi's JSON)."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
@@ -259,8 +259,9 @@ def _cmd_sfixed(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
 
 
 def _cmd_quasi(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
-    # serialize_quasi's text in either format, less the newline that run adds
-    return [serialize_quasi(quasi_coefficients(G, cfg.n, cfg.limits), cfg.fmt).decode()[:-1]]
+    # text as classes prints it, a group name from a non-UTF-8 path included; JSON less run's newline
+    table = quasi_coefficients(G, cfg.n, cfg.limits)
+    return [render_quasi_text(table) if cfg.fmt == "text" else serialize_quasi(table, "json").decode()[:-1]]
 
 
 _HANDLERS = {

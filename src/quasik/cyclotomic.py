@@ -271,6 +271,8 @@ class Cyc:
             return self
         return self.galois(self._n - 1)
 
+    conjugate = conj  # the name int and Fraction give it, so that any exact number conjugates alike
+
     def __pow__(self, k: int) -> "Cyc":
         if k < 0:
             raise ValueError("only non-negative powers are defined")

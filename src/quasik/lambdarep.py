@@ -16,7 +16,7 @@ Hermite (row-echelon) form.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from itertools import combinations_with_replacement, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -30,7 +30,7 @@ from .chartable import (
     restrict_character,
     restriction_multiplicities,
 )
-from .cyclotomic import conj_product_sum
+from .cyclotomic import Cyc
 from .errors import NotRealizableError, QuasiError, SizeLimitError
 from .groups import (
     CommTuple,
@@ -256,9 +256,8 @@ def fixed_part_rep(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
 def fixed_space_dimension(chi: ClassFunction, d: LambdaDesc) -> int:
     """dim V^sigma via averaging the character over the subgroup the tuple generates."""
     gamma = subgroup_from_generators(d.group, d.sigma.entries)
-    n = lcm(*(v.conductor for v in chi.values))
-    terms = ((1, chi.value_at_element(x)._exponents_at(n), ((0, 1),)) for x in gamma.elements)
-    val = conj_product_sum(terms, n) * Fraction(1, gamma.order)
+    values, class_of = chi.values, chi.table.class_of
+    val = sum((values[class_of[x]] for x in gamma.elements), Cyc(0)) * Fraction(1, gamma.order)
     if not (val.is_rational and val.rational_value().denominator == 1):
         raise QuasiError("fixed-space dimension is not an integer")
     return int(val.rational_value())
@@ -406,7 +405,7 @@ def real_v_sigma(chi: ClassFunction, d: LambdaDesc) -> LambdaRep:
     """Twist of a complexified real representation: the twisted restriction
     plus its complex dual; complex dimension doubles."""
     table = chi.table
-    if chi.conj().values != chi.values:
+    if chi.conj() != chi:
         raise NotRealizableError("character is not self-dual")
     dec = decompose(chi)
     for lam, m in dec.entries:

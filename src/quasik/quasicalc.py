@@ -131,7 +131,10 @@ def serialize_quasi(table: QuasiTable, fmt: str = "json") -> bytes:
     """Deterministic byte serialization in 'json' or 'text' format.  The JSON
     is written in one pass, as json.dumps(document, indent=2) would write it."""
     if fmt == "text":
-        return (render_quasi_text(table) + "\n").encode("utf-8")
+        try:
+            return (render_quasi_text(table) + "\n").encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, which the JSON escapes
+            raise QuasiError(f"the text format cannot encode {exc.object[exc.start:exc.end]!r}") from None
     if fmt != "json":
         raise QuasiError(f"unknown serialization format {fmt!r}")
     # json.dumps's C string escape, loaded here and in parse_quasi only: a text run never loads json

@@ -39,7 +39,10 @@ order walk, the all-pairs is_abelian and the all-element class loop.  And
 the direct product that built each cell by two GroupTable.mul calls before
 groups.direct_product read rows of its factors' tables, and the quasi JSON
 document that serialize_quasi encoded with json.dumps(indent=2) before it
-wrote the same bytes in one pass.
+wrote the same bytes in one pass.  And the coordinates that
+chartable._coordinates recovered from a class function's values, by row
+identity, the regular character or a class sum, before ClassFunction held
+its coordinates in Irr(G).
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from quasik.chartable import (
     EigVector,
     RepDecomposition,
     _primitive_root,
+    _products,
     _smallest_valid_prime,
     central_scalar,
     character_table,
@@ -290,10 +294,10 @@ def ref_conj(a: Cyc) -> Cyc:
 
 def ref_inner_product(chi, psi) -> Cyc:
     """(1/|G|) sum over classes of |class| * chi * conj(psi), one Cyc op per term."""
-    table = chi.table
+    table, a, b = chi.table, chi.values, psi.values
     acc = Cyc(0)
     for c, cls in enumerate(table.classes):
-        term = ref_mul(ref_mul(chi.values[c], ref_conj(psi.values[c])), Cyc(cls.size))
+        term = ref_mul(ref_mul(a[c], ref_conj(b[c])), Cyc(cls.size))
         acc = ref_add(acc, term)
     return ref_mul(acc, Cyc(Fraction(1, table.group.order)))
 
@@ -590,6 +594,20 @@ def ref_decompose(chi: ClassFunction) -> RepDecomposition:
         if q:
             entries.append((i, int(q)))
     return RepDecomposition(table, tuple(entries))
+
+
+# The coordinates <chi, chi_i> that chartable._coordinates recovered from a
+# class function's values before ClassFunction held them: a table row found
+# among the rows, the regular character found by its values, else chi
+# expanded once at lcm(exp(G), its conductors).
+def ref_coordinates(chi: ClassFunction) -> Sequence[Cyc | int]:
+    table, values = chi.table, chi.values
+    if values in table.rows:
+        return [int(row == values) for row in table.rows]
+    if values == tuple(Cyc(table.group.order * (c == table.id_class)) for c in range(table.n_classes)):
+        return table.degrees
+    n = lcm(table.exponent, *(v.conductor for v in values))
+    return _products(table, [v._exponents_at(n) for v in values], n)
 
 
 # The restrictions that lambdarep wrote out by hand before chartable.pull_back:

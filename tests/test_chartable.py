@@ -15,6 +15,7 @@ from cyc_reference import (
     ref_abs_squared,
     ref_add,
     ref_conj,
+    ref_coordinates,
     ref_decompose,
     ref_fixed_space_dimension,
     ref_fs_indicator,
@@ -22,8 +23,11 @@ from cyc_reference import (
     ref_modular_character_rows,
     ref_mul,
     ref_scalar_exponent,
+    ref_v_sigma,
     ref_verify_table,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasik import (
     CharacterTable,
@@ -52,7 +56,7 @@ from quasik import (
     symmetric_group,
     v_sigma,
 )
-from quasik.chartable import _charpoly_mod_p, _coordinates, _roots_mod_p, _verify_table
+from quasik.chartable import _charpoly_mod_p, _roots_mod_p, _scaled, _verify_table
 from quasik.groups import inclusion_hom
 
 
@@ -653,7 +657,94 @@ def test_class_functions_beyond_the_table_conductor(spec):
     for f in (chi, chi + table.irreducible(1), ClassFunction(table, tuple(
             v * Cyc.zeta(7) for v in table.irreducible(1).values))):
         want = [ref_inner_product(f, table.irreducible(i)) for i in range(len(table.rows))]
-        assert list(_coordinates(f)) == want
+        assert list(f.coords) == want
+
+
+@pytest.fixture(scope="module")
+def battery_tables():
+    return [character_table(G) for G in battery_groups()]
+
+
+def _values(e):
+    """Rationals, halves, and roots of unity in Q(zeta_e) and beyond it: of order 7
+    when e <= 4, else of the least odd prime order p not dividing e (the sums
+    are taken at lcm(e, p), at most 60 on the battery)."""
+    p = 7 if e <= 4 else next(p for p in (3, 5, 7) if e % p)
+    return st.builds(lambda q, n, k: ref_mul(Cyc(q), Cyc.zeta(n, k)),
+                     st.sampled_from((1, -1, 2, Fraction(-1, 2))),
+                     st.sampled_from((1, p, e)), st.integers(0, e * p))
+
+
+def _draw_class_function(draw, table, depth):
+    """A class function built by the ClassFunction operations, with its values
+    built alongside by the reference Cyc operations, class by class."""
+    k = table.n_classes
+    kind = draw(st.sampled_from(("row", "regular", "values") + ("sum", "scale", "conj", "half") * (depth > 0)))
+    if kind == "row":
+        i = draw(st.integers(0, k - 1))
+        return table.irreducible(i), table.rows[i]
+    if kind == "regular":
+        return table.regular_character(), tuple(Cyc(table.group.order * (c == table.id_class)) for c in range(k))
+    if kind == "values":
+        values = draw(st.lists(st.lists(_values(table.exponent), max_size=2), min_size=k, max_size=k))
+        values = tuple(ref_add(*v) if len(v) == 2 else v[0] if v else Cyc(0) for v in values)
+        return ClassFunction(table, values), values
+    f, values = _draw_class_function(draw, table, depth - 1)
+    if kind == "sum":
+        g, other = _draw_class_function(draw, table, depth - 1)
+        return f + g, tuple(map(ref_add, values, other))
+    if kind == "scale":
+        m = draw(st.integers(-3, 3))
+        return f.scale(m), tuple(ref_mul(v, Cyc(m)) for v in values)
+    if kind == "conj":
+        return f.conj(), tuple(map(ref_conj, values))
+    halves = tuple(ref_mul(v, Cyc(Fraction(1, 2))) for v in values)
+    return ClassFunction(table, halves), halves
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coordinates_agree_with_the_values_and_the_reference(battery_tables, data):
+    # sums, scalings and conjugates act on the coordinates; the values read
+    # back from them are the classwise results, and a class function built from
+    # those values is the same value, hashing alike
+    table = data.draw(st.sampled_from(battery_tables))
+    f, values = _draw_class_function(data.draw, table, 2)
+    assert all(type(a) is int or (type(a) is Fraction and a.denominator > 1)
+               or (type(a) is Cyc and not a.is_rational) for a in f.coords)
+    assert f.values == values  # equal on each read, built afresh from the coordinates
+    assert (f.degree, f.value_at_element(table.group.order - 1)) == (
+        values[table.id_class], values[table.class_of[table.group.order - 1]])
+    assert list(f.coords) == list(ref_coordinates(f))
+    g = ClassFunction(table, values)
+    assert g == f and hash(g) == hash(f) and g.coords == f.coords
+    assert f.conj().conj() == f and hash(f.scale(2)) == hash(f + f)
+    psi, _ = _draw_class_function(data.draw, table, 1)
+    assert inner_product(f, psi) == ref_inner_product(f, psi)
+    # the restriction reads a unit vector's branching row, else multiplies the coordinates out
+    G = table.group
+    d = lambda_desc(G, (data.draw(st.sampled_from([c.rep for c in table.classes])),))
+    assert outcome(v_sigma, f, d) == outcome(ref_v_sigma, f, d)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:24", "dihedral:12", "symmetric:4", "quaternion8"])
+def test_the_galois_step_builds_one_row_per_irreducible(monkeypatch, spec):
+    # each lifted character fills its k classes from the powers of the class
+    # representatives, once per Galois class; then each of the k rows of k
+    # vectors is built once, however many units map a character onto it
+    import quasik.chartable as chartable
+
+    G = build_group(spec)
+    table = character_table(G)
+    k, e = table.n_classes, table.exponent
+    units = [j for j in range(1, e + 1) if gcd(j, e) == 1]
+    galois_classes = {min(tuple(_scaled(v, j, e) for v in vecs) for j in units) for vecs in table.eig}
+    calls = []
+    real = chartable._scaled
+    monkeypatch.setattr(chartable, "_scaled", lambda *args: calls.append(args) or real(*args))
+    rows = chartable._modular_character_rows(G)
+    assert sorted(rows) == sorted(table.eig)
+    assert len(calls) == k * len(galois_classes) + k * k
 
 
 @pytest.mark.parametrize("value", [Cyc.zeta(7), Fraction(1, 2)], ids=["irrational", "half"])

@@ -319,6 +319,44 @@ def test_malformed_group_file_is_domain_error(tmp_path, content):
     assert proc.stderr.startswith(f"error: {path}")
 
 
+def test_a_group_file_with_an_unknown_first_line_is_rejected(tmp_path):
+    import subprocess
+    import sys
+
+    path = tmp_path / "bad.grp"
+    path.write_text("group 3\n")
+    proc = subprocess.run([sys.executable, "-m", "quasik.cli", "classes", "--group", str(path)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {path}: first line must be 'perm <degree>' or 'table <n>'\n"
+
+
+@pytest.mark.parametrize("locale", [None, "C.UTF-8"], ids=["default", "C.UTF-8"])
+def test_quasi_answers_a_group_file_whose_name_is_not_utf8(tmp_path, locale):
+    # the group is named by the file's stem, which holds the byte 0xff; every
+    # command writes that byte back as classes does, and JSON escapes it
+    import os
+    import subprocess
+    import sys
+
+    path = os.path.join(os.fsencode(tmp_path), b"\xff.grp")
+    with open(path, "wb") as fh:
+        fh.write(b"table 2\n0 1\n1 0\n")
+    env = dict(os.environ, **({"LC_ALL": locale} if locale else {}))
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "quasik", *argv, "--group", path],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+        return proc.stdout.splitlines()
+
+    assert run("classes")[0] == b"2 conjugacy classes of \xff (order 2)"
+    text = run("quasi", "-n", "1")
+    assert text[0] == b"coefficients of QK^0_{1,G}(pt) for G = \xff"
+    assert text[-1] == b"total rank: 4"
+    assert run("quasi", "-n", "1", "--format", "json")[1] == b'  "group": "\\udcff",'
+
+
 @pytest.mark.parametrize(
     "group",
     ["perm 3000000\n(1 2)\n", "cyclic:10001"],

@@ -347,3 +347,13 @@ def test_the_writer_gives_the_reference_bytes_or_refuses(table):
     except TypeError:
         return
     assert written == ref_serialize_quasi(table)
+
+
+def test_the_text_format_refuses_a_string_utf8_cannot_encode():
+    # parse_quasi reads the JSON escape \ud800, a lone surrogate; the JSON writer
+    # escapes it again, and the text writer, which encodes UTF-8, refuses it
+    table = parse_quasi(b'{"group": "g", "n": 0, "records": [], "total_rank": 0, "E": "\\ud800"}')
+    assert table.theory == "\ud800"
+    assert b'"E": "\\ud800"' in serialize_quasi(table, "json")
+    with pytest.raises(QuasiError, match=r"^the text format cannot encode '\\ud800'$"):
+        serialize_quasi(table, "text")
