@@ -132,6 +132,9 @@ class ClassFunction:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild from the coordinates
+        return ClassFunction._of, (self.table, self.coords)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -311,12 +314,6 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[EigVector, ...]]:
     k, id_class = len(classes), class_of[G.identity]
     p = _smallest_valid_prime(exponent, G.order)
 
-    # class-sum structure matrices: (A_i)[j][t] = #{x in C_i : x^-1 * z_t in C_j}
-    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i, t in product(range(k), range(k)):
-        for x in classes[i].members:
-            mats[i][class_of[G.mul(G.inverse(x), classes[t].rep)]][t] += 1
-
     # powers[t][u] is the class of g_t^u for u < |g_t|.  For a unit j mod exp(G),
     # the Galois conjugate chi^(sigma_j) takes chi's values at the classes of g^j.
     powers = [[class_of[x] for x in accumulate(range(1, G.order_of(c.rep)),
@@ -332,7 +329,12 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[EigVector, ...]]:
     # at the other pivots, and omega lies in it iff omega[:i] == signature.
     known: set[tuple[int, ...]] = set()  # central characters split off, and their conjugates
     spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)), ())]
-    for mi, mat in enumerate(mats):
+    for mi in range(k):  # one class-sum matrix at a time, until every space is a line
+        if all(len(basis) == 1 for basis, _, _ in spaces):
+            break
+        mat = [[0] * k for _ in range(k)]  # (A_mi)[j][t] = #{x in C_mi : x^-1 * z_t in C_j}
+        for t, x in product(range(k), classes[mi].members):
+            mat[class_of[G.mul(G.inverse(x), classes[t].rep)]][t] += 1
         new_spaces = []
         for basis, piv, sig in spaces:
             if len(basis) == 1:

@@ -12,7 +12,8 @@ value, and every table entry and element index is an exact int.
 
 One generating set per group, of at most log2 |G| elements, gives the classes
 (orbits under conjugation by it) and Light's associativity test for a table
-file.  Element orders come from one walk per cyclic subgroup.
+file.  Element orders come from one walk per cyclic subgroup.  A permutation
+group's table is read off its generators' rows, one int lookup per cell.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def cycle_label(perm: Sequence[int]) -> str:
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # (p*q)(x) = p(q(x))
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def group_from_generators(
@@ -255,6 +256,9 @@ def group_from_generators(
 
     Generators are 0-based permutation tuples on a common point set; the
     closure is capped at limits.closure elements, and so is the degree.
+    Each element records the (p, g) with p * g that first reached it (a
+    Schreier vector).  Only the generators' rows are permutation products;
+    row(p * g) is row(p) read at row(g), as (p g) q = p (g q).
     """
     gens = [tuple(g) for g in generators]
     if degree is None:
@@ -268,20 +272,24 @@ def group_from_generators(
             raise GroupInputError("generator degree exceeds requested degree")
         padded.append(tuple(g) + tuple(range(len(g), degree)))
     ident = tuple(range(degree))
-    found = {ident}
+    found: dict = {ident: None}
     queue = [ident]
-    for p in queue:  # grows until it holds the closure
+    for p in queue:  # grows until it holds the closure, in breadth-first order
         for g in padded:
             q = _compose(p, g)
             if q not in found:
                 limits.check_closure(len(found))
-                found.add(q)
+                found[q] = (p, g)
                 queue.append(q)
     perms = sorted(found)
     index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_compose(p, q)] for q in perms] for p in perms]
+    rows = {g: [index[_compose(g, q)] for q in perms] for g in {ident, *padded}}
+    for q in queue:  # p comes before p * g in the queue
+        if q not in rows:
+            p, g = found[q]
+            rows[q] = list(map(rows[p].__getitem__, rows[g]))  # bound once: rows[p] per cell rehashes p
     labels = [cycle_label(p) for p in perms]
-    return GroupTable(table, labels=labels, name=name or f"perm{degree}", perms=perms)
+    return GroupTable([rows[p] for p in perms], labels=labels, name=name or f"perm{degree}", perms=perms)
 
 
 # -- builtin groups ----------------------------------------------------------
@@ -322,27 +330,12 @@ def dihedral_group(k: int, limits: Limits = Limits()) -> GroupTable:
 
 
 def quaternion_group() -> GroupTable:
-    """The quaternion group of order 8 on units {±1, ±i, ±j, ±k}."""
-    units = ["1", "i", "j", "k"]
-    # ax * bx -> (sign, unit) for the unit parts
-    rule = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-    elems = [(s, u) for u in units for s in (1, -1)]
-    elems.sort(key=lambda e: (units.index(e[1]), -e[0]))
-    index = {e: i for i, e in enumerate(elems)}
-    table = []
-    for sa, ua in elems:
-        row = []
-        for sb, ub in elems:
-            s, u = rule[(ua, ub)]
-            row.append(index[(sa * sb * s, u)])
-        table.append(row)
-    labels = [("" if s > 0 else "-") + u for s, u in elems]
-    return GroupTable(table, labels=labels, name="quaternion8")
+    """The quaternion group of order 8 on units {±1, ±i, ±j, ±k}, as left
+    multiplication by i and j on the points 1..8 = 1, -1, i, -i, j, -j, k, -k.
+    Each element sends point 1 to its own unit, so sorting keeps that order."""
+    units = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    gens = [parse_permutation("(1324)(5768)"), parse_permutation("(1526)(3847)")]
+    return GroupTable(group_from_generators(gens)._mul, labels=units, name="quaternion8")
 
 
 _BUILTIN_RE = re.compile(r"(cyclic|symmetric|alternating|dihedral):(\d+)$")

@@ -42,7 +42,10 @@ document that serialize_quasi encoded with json.dumps(indent=2) before it
 wrote the same bytes in one pass.  And the coordinates that
 chartable._coordinates recovered from a class function's values, by row
 identity, the regular character or a class sum, before ClassFunction held
-its coordinates in Irr(G).
+its coordinates in Irr(G).  And the permutation group closure that formed
+one permutation product per table cell before group_from_generators built
+each row from a generator's row, with the quaternion group's unit-product
+rule table.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from quasik import Cyc, subgroup_from_generators
 from quasik.chartable import (
@@ -87,6 +90,7 @@ from quasik.groups import (
     _check_elements,
     class_index_map,
     conjugacy_classes,
+    cycle_label,
     make_comm_tuple,
 )
 from quasik.lambdarep import (
@@ -1061,6 +1065,69 @@ def ref_direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
             table.append(row)
     labels = [f"({G.label(a)},{H.label(b)})" for a in range(G.order) for b in range(n_h)]
     return GroupTable(table, labels=labels, name=f"{G.name}x{H.name}")
+
+
+# groups.group_from_generators before it built the table by rows: one
+# degree-d permutation product per cell, n^2 d in all, and the quaternion
+# group built from its 16 unit products before it became two permutations.
+def ref_group_from_generators(
+    generators: Iterable[Sequence[int]],
+    degree: Optional[int] = None,
+    name: str = "",
+    limits: Limits = Limits(),
+) -> GroupTable:
+    def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(p[q[x]] for x in range(len(p)))
+
+    gens = [tuple(g) for g in generators]
+    if degree is None:
+        degree = max((len(g) for g in gens), default=1)
+    limits.check_size(degree)
+    padded = []
+    for g in gens:
+        if any(type(x) is not int for x in g) or sorted(g) != list(range(len(g))):
+            raise GroupInputError(f"generator {g} is not a bijection")
+        if len(g) > degree:
+            raise GroupInputError("generator degree exceeds requested degree")
+        padded.append(tuple(g) + tuple(range(len(g), degree)))
+    ident = tuple(range(degree))
+    found = {ident}
+    queue = [ident]
+    for p in queue:
+        for g in padded:
+            q = compose(p, g)
+            if q not in found:
+                limits.check_closure(len(found))
+                found.add(q)
+                queue.append(q)
+    perms = sorted(found)
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[compose(p, q)] for q in perms] for p in perms]
+    labels = [cycle_label(p) for p in perms]
+    return GroupTable(table, labels=labels, name=name or f"perm{degree}", perms=perms)
+
+
+def ref_quaternion_group() -> GroupTable:
+    units = ["1", "i", "j", "k"]
+    # ax * bx -> (sign, unit) for the unit parts
+    rule = {
+        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
+        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
+        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
+    }
+    elems = [(s, u) for u in units for s in (1, -1)]
+    elems.sort(key=lambda e: (units.index(e[1]), -e[0]))
+    index = {e: i for i, e in enumerate(elems)}
+    table = []
+    for sa, ua in elems:
+        row = []
+        for sb, ub in elems:
+            s, u = rule[(ua, ub)]
+            row.append(index[(sa * sb * s, u)])
+        table.append(row)
+    labels = [("" if s > 0 else "-") + u for s, u in elems]
+    return GroupTable(table, labels=labels, name="quaternion8")
 
 
 # quasicalc.serialize_quasi before it wrote JSON itself: the document as a

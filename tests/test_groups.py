@@ -10,7 +10,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from cyc_reference import (
     ref_check_associative,
@@ -18,9 +18,11 @@ from cyc_reference import (
     ref_conjugacy_classes,
     ref_direct_product,
     ref_element_orders,
+    ref_group_from_generators,
     ref_hom_from_images,
     ref_identity,
     ref_is_abelian,
+    ref_quaternion_group,
 )
 from conftest import (
     battery_groups,
@@ -228,6 +230,60 @@ def test_direct_products_match_the_reference(reference_battery):
     for G, H in pairs:
         P, R = direct_product(G, H), ref_direct_product(G, H)
         assert (P._mul, P.labels, P.name) == (R._mul, R.labels, R.name), R.name
+
+
+def _same_group(G, R) -> bool:
+    return (G._mul, G.labels, G.perms, G.name) == (R._mul, R.labels, R.perms, R.name)
+
+
+@st.composite
+def _generator_lists(draw):
+    """Up to 4 generators on at most 7 points, some shorter than the degree,
+    among them the identity and repeats, with the degree given or left out."""
+    degree = draw(st.integers(1, 7))
+    gen = st.one_of(st.just(tuple(range(degree))),
+                    st.integers(0, degree).flatmap(lambda m: st.permutations(range(m))).map(tuple))
+    gens = draw(st.lists(gen, max_size=4))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    return gens, draw(st.sampled_from([None, degree]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generator_lists(), st.sampled_from(["", "G"]))
+@example(([], None), "")
+@example(([(), (1, 0), (1, 0)], 3), "")
+@example(([(1, 2, 0), (1, 0), (0, 1, 2)], None), "")
+def test_permutation_closures_match_the_per_cell_reference(gens_degree, name):
+    # the closure cap stops both builds at the same element, so large closures
+    # compare by their error and the per-cell reference stays cheap
+    gens, degree = gens_degree
+    limits = Limits(closure=120)
+    got = outcome(lambda: group_from_generators(gens, degree, name, limits))
+    want = outcome(lambda: ref_group_from_generators(gens, degree, name, limits))
+    if isinstance(want, GroupTable):
+        assert isinstance(got, GroupTable) and _same_group(got, want)
+    else:
+        assert got == want
+
+
+def test_builtin_permutation_groups_match_the_per_cell_reference(monkeypatch, tmp_path):
+    # a non-abelian group of order 192 on 12 points, with the identity and a repeat
+    path = tmp_path / "p12.grp"
+    path.write_text("perm 12\n(1 2)(3 4)\n(1 3 5 7 9 11)(2 4 6 8 10 12)\n()\n(1 2)(3 4)\n")
+    specs = [f"symmetric:{k}" for k in range(1, 7)] + [f"alternating:{k}" for k in range(3, 7)]
+    specs += [f"dihedral:{k}" for k in range(3, 41)] + [str(path)]
+    groups = [build_group(spec) for spec in specs]
+    assert groups[-1].order == 192 and not groups[-1].is_abelian()
+    monkeypatch.setattr("quasik.groups.group_from_generators", ref_group_from_generators)
+    for spec, G in zip(specs, groups):
+        assert _same_group(G, build_group(spec)), spec
+
+
+def test_quaternion_group_matches_its_unit_product_rule():
+    Q, R = quaternion_group(), ref_quaternion_group()
+    assert (Q._mul, Q.labels, Q.name) == (R._mul, R.labels, R.name)
+    assert Q.perms is None
 
 
 def test_generating_sets_are_short_and_generate(reference_battery):
