@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from math import gcd, lcm
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     GroupInputError,
@@ -35,7 +35,8 @@ class Limits(NamedTuple):
     """The size caps, each checked before the work it bounds.
 
     order bounds character tables and subgroup lattices; tuples bounds |G|^n
-    and n in the commuting-tuple scan, and the order of a direct product;
+    in the commuting-tuple scan, n by its bit length, and the order of a
+    direct product;
     closure bounds the element count and permutation degree of a built group,
     so a multiplication table has at most closure**2 cells.
     """
@@ -62,13 +63,13 @@ class Limits(NamedTuple):
             raise SizeLimitError(f"{what} capped at order {self.order}, group has {G.order}")
 
     def check_tuples(self, order: int, n: int) -> None:
-        cap = self.tuples
-        # For order >= 2, n > cap.bit_length() already gives order^n >= 2^n > cap,
-        # so the power is only formed when it is small.
-        if order > 1 and (n > cap.bit_length() or order**n > cap):
+        cap, bound = self.tuples, self.tuples.bit_length()
+        # for order >= 2, n > bound gives order^n >= 2^n > cap, so the power is only
+        # formed when it is small; the trivial group is held to n <= bound alone
+        if order > 1 and (n > bound or order**n > cap):
             raise SizeLimitError(f"|G|^n = {order}^{n} exceeds the tuple scan cap {cap}")
-        if n > cap:
-            raise SizeLimitError(f"n = {n} exceeds the tuple scan cap {cap}")
+        if n > bound:
+            raise SizeLimitError(f"n = {n} exceeds {bound}, the bit length of the tuple scan cap {cap}")
 
     def check_product(self, order: int) -> None:
         if order > self.tuples:
@@ -602,30 +603,35 @@ def commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tuple[
     The orbits with first entry conjugate to s are those of C(s) on commuting
     (n-1)-tuples in C(s), so the classes of the centralizers C_G(prefix), each
     sorted by least element in G's order, give the representatives in lex
-    order, and the orbit of sigma has |G| / |C(sigma)| members.
-    Raises SizeLimitError when |G|^n or n itself exceeds limits.tuples.
+    order, and the orbit of sigma has |G| / |C(sigma)| members.  Raises
+    SizeLimitError when |G|^n exceeds limits.tuples, or n its bit length.
     """
+    return tuple(orbit for orbit, _, _ in _descent(G, n, limits))
+
+
+def _descent(G: GroupTable, n: int, limits: Limits) -> Iterator[tuple[TupleOrbit, GroupTable, tuple]]:
+    """(orbit, C, to_G) for each orbit of commuting_tuples, in its order: C is
+    C_G(sigma) as its own table, to_G its sorted inclusion into G."""
     if type(n) is not int or n < 1:
         raise ValueError("n must be an int >= 1")
     limits.check_tuples(G.order, n)
-    orbits: list[TupleOrbit] = []
 
-    def descend(prefix: tuple[int, ...]) -> None:
-        # H is C_G(prefix) as its own table, to_G maps its indices into G.  For
-        # s in H, C_H(s) = C_G(prefix + (s,)), so every centralizer is taken in
-        # G and memoized there.  H is trivial only when G is; filling in the
-        # identity keeps depth 0 for any n.
-        H, to_G = subgroup_table(centralizer(G, prefix))
+    def descend(prefix: tuple[int, ...], H: GroupTable, to_G: tuple[int, ...]) -> Iterator:
+        # H is C_G(prefix), to_G its inclusion; the root is G itself.  For s in H,
+        # C_G(prefix + (s,)) = C_H(s), read off H's rows and mapped into G, which
+        # keeps it sorted, and its table is memoized on G under that element
+        # tuple.  H is trivial only when G is; the identity fills the tuple.
         if len(prefix) == n or H.order == 1:
             entries = prefix + (G.identity,) * (n - len(prefix))
             sigma = CommTuple(entries=entries, orders=tuple(G.order_of(x) for x in entries))
-            orbits.append(TupleOrbit(representative=sigma, orbit_size=G.order // H.order))
+            yield TupleOrbit(representative=sigma, orbit_size=G.order // H.order), H, to_G
             return
-        for cls in conjugacy_classes(H):
-            descend(prefix + (to_G[cls.rep],))
+        for s, _ in conjugacy_classes(H):
+            s_row = H._mul[s]
+            elements = tuple([to_G[a] for a, a_row in enumerate(H._mul) if a_row[s] == s_row[a]])
+            yield from descend(prefix + (to_G[s],), *subgroup_table(Subgroup(G, elements, elements)))
 
-    descend(())
-    return tuple(orbits)
+    yield from descend((), G, tuple(range(G.order)))
 
 
 # -- subgroup tables and homomorphisms -------------------------------------------

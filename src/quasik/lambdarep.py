@@ -15,6 +15,7 @@ Hermite (row-echelon) form.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import prod
 from itertools import combinations_with_replacement, repeat
@@ -79,22 +80,23 @@ def lambda_desc(
     entries = _check_elements(G, sigma.entries if isinstance(sigma, CommTuple) else sigma)
     desc = G._memo.get(("lambda_desc", entries))
     if desc is None:
-        desc = G._memo["lambda_desc", entries] = _lambda_desc(G, make_comm_tuple(G, entries), limits)
+        sigma = make_comm_tuple(G, entries)
+        limits.check_tuples(1, sigma.n)  # before anything is built: the kernel solve is n x n
+        C, to_parent = subgroup_table(centralizer(G, sigma))
+        table = character_table(C, limits)
+        desc = G._memo["lambda_desc", entries] = LambdaDesc(
+            G, sigma, to_parent, table, twist_weights(table, to_parent, entries))
     limits.check_tuples(1, len(entries))
     limits.check_order(desc.cent_group, "character table")
     return desc
 
 
-def _lambda_desc(G: GroupTable, sigma: CommTuple, limits: Limits) -> LambdaDesc:
-    """lambda_desc unmemoized, for a tuple known to commute: quasi_coefficients
-    reads each orbit's descriptor once."""
-    # n itself is capped as in commuting_tuples: the kernel solve is n x n
-    limits.check_tuples(1, sigma.n)
-    C, to_parent = subgroup_table(centralizer(G, sigma))
-    table = character_table(C, limits)
-    # each sigma_i is central in C(sigma): by Schur's lemma a scalar on every irreducible
-    cols = [table.central_weights[table.class_of[to_parent.index(s)]] for s in sigma.entries]
-    return LambdaDesc(G, sigma, to_parent, table, tuple(zip(*cols)))
+def twist_weights(table: CharacterTable, to_parent: Sequence[int], entries: Sequence[int]) -> tuple:
+    """LambdaDesc.weights for the entries, whose centralizer has this table and the
+    sorted inclusion to_parent: central_weights at their classes, never None, as each
+    entry is central there and so by Schur's lemma a scalar on every irreducible."""
+    cols = [table.central_weights[table.class_of[bisect_left(to_parent, s)]] for s in entries]
+    return tuple(zip(*cols))
 
 
 class TwistedIrrep(NamedTuple):

@@ -13,17 +13,18 @@ import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .chartable import character_table
 from .errors import QuasiError
 from .groups import (
     CommTuple,
     GroupTable,
     Limits,
     Subgroup,
-    commuting_tuples,
+    _descent,
     contains_conjugate,
     subgroup_from_generators,
 )
-from .lambdarep import _lambda_desc
+from .lambdarep import twist_weights
 
 
 class QuasiRecord(NamedTuple):
@@ -46,24 +47,15 @@ class QuasiTable(NamedTuple):
 
 def quasi_coefficients(G: GroupTable, n: int, limits: Limits = Limits()) -> QuasiTable:
     """One record per orbit of commuting n-tuples, with the free-module rank
-    and basis twists of the corresponding representation ring."""
+    and basis twists of the corresponding representation ring.  Each orbit
+    comes with its centralizer's table from the descent; no LambdaDesc is built."""
     records = []
-    total = 0
-    for orbit in commuting_tuples(G, n, limits):
-        sigma = orbit.representative
-        desc = _lambda_desc(G, sigma, limits)
-        rank = len(desc.weights)
-        total += rank
-        records.append(
-            QuasiRecord(
-                sigma_labels=tuple(G.label(s) for s in sigma.entries),
-                orbit_size=orbit.orbit_size,
-                centralizer_order=len(desc.to_parent),
-                rank=rank,
-                twists=desc.weights,
-            )
-        )
-    return QuasiTable(group=G.name, n=n, records=tuple(records), total_rank=total)
+    for orbit, C, to_G in _descent(G, n, limits):
+        entries = orbit.representative.entries
+        weights = twist_weights(character_table(C, limits), to_G, entries)
+        labels = tuple(G.label(s) for s in entries)
+        records.append(QuasiRecord(labels, orbit.orbit_size, C.order, len(weights), weights))
+    return QuasiTable(group=G.name, n=n, records=tuple(records), total_rank=sum(r.rank for r in records))
 
 
 # -- fixed-point dichotomy -------------------------------------------------------

@@ -17,7 +17,9 @@ that kernel made before it hoisted one particular solution per class out of
 a shared residue loop (both filtered every Smith residue for the points in
 [0,1)^n before kernel walked only kernel points) with the mat_vec they use,
 the commuting-tuple scan that groups.commuting_tuples ran before it
-descended through centralizers, the restrictions that v_sigma,
+descended through centralizers, and that descent as it asked groups.centralizer
+for every node and every orbit before each node read its children off its
+own rows, with the quasi_coefficients built on it, the restrictions that v_sigma,
 fixed_part_rep, the external sum and restrict_lambda made by pulling a
 class function back and decomposing it before every restriction in
 lambdarep read one memoized branching matrix from
@@ -88,10 +90,12 @@ from quasik.groups import (
     Limits,
     TupleOrbit,
     _check_elements,
+    centralizer,
     class_index_map,
     conjugacy_classes,
     cycle_label,
     make_comm_tuple,
+    subgroup_table,
 )
 from quasik.lambdarep import (
     KERNEL_ENUM_CAP,
@@ -101,7 +105,7 @@ from quasik.lambdarep import (
     TwistedIrrep,
     lambda_desc,
 )
-from quasik.quasicalc import QuasiTable
+from quasik.quasicalc import QuasiRecord, QuasiTable
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -580,6 +584,47 @@ def ref_commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tu
         seen.update(orbit)
         orbits.append(TupleOrbit(representative=make_comm_tuple(G, t), orbit_size=len(orbit)))
     return tuple(orbits)
+
+
+# The centralizer descent that groups.commuting_tuples made before each node
+# read its children's centralizers off its own rows: every node asked
+# centralizer(G, prefix), which scans all of G and memoizes on G.  The
+# coefficient tables that quasi_coefficients built from it asked
+# centralizer(G, sigma) once more per orbit and found each sigma_i in the
+# centralizer by a linear to_parent.index.
+def ref_descent_commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tuple[TupleOrbit, ...]:
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be an int >= 1")
+    limits.check_tuples(G.order, n)
+    orbits: list[TupleOrbit] = []
+
+    def descend(prefix: tuple[int, ...]) -> None:
+        H, to_G = subgroup_table(centralizer(G, prefix))
+        if len(prefix) == n or H.order == 1:
+            entries = prefix + (G.identity,) * (n - len(prefix))
+            sigma = CommTuple(entries=entries, orders=tuple(G.order_of(x) for x in entries))
+            orbits.append(TupleOrbit(representative=sigma, orbit_size=G.order // H.order))
+            return
+        for cls in conjugacy_classes(H):
+            descend(prefix + (to_G[cls.rep],))
+
+    descend(())
+    return tuple(orbits)
+
+
+def ref_quasi_coefficients(G: GroupTable, n: int, limits: Limits = Limits()) -> QuasiTable:
+    records = []
+    for orbit in ref_descent_commuting_tuples(G, n, limits):
+        sigma = orbit.representative
+        C, to_parent = subgroup_table(centralizer(G, sigma))
+        table = character_table(C, limits)
+        cols = [table.central_weights[table.class_of[to_parent.index(s)]] for s in sigma.entries]
+        weights = tuple(zip(*cols))
+        records.append(QuasiRecord(sigma_labels=tuple(G.label(s) for s in sigma.entries),
+                                   orbit_size=orbit.orbit_size, centralizer_order=len(to_parent),
+                                   rank=len(weights), twists=weights))
+    return QuasiTable(group=G.name, n=n, records=tuple(records),
+                      total_rank=sum(r.rank for r in records))
 
 
 def ref_decompose(chi: ClassFunction) -> RepDecomposition:

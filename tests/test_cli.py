@@ -240,11 +240,15 @@ def test_bad_selector_is_domain_error():
 @pytest.mark.parametrize("command, extra", [("faithful", ["--rep", "chi1"]),
                                             ("lambda-basis", [])])
 def test_sigma_longer_than_the_tuple_cap_is_rejected(command, extra):
-    # the kernel solve allocates n x n integers, so n itself is capped
-    sigma = ",".join(["g2"] * 4097)
-    code, out, err = _run([command, "--group", "cyclic:4", "--sigma", sigma, *extra])
-    assert code == 1 and out == ""
-    assert err == "error: n = 4097 exceeds the tuple scan cap 4096\n"
+    # the kernel solve allocates n x n integers, so n itself is capped, by
+    # the bit length of the tuple cap as for the orbits of the trivial group
+    for length in (14, 4097):
+        sigma = ",".join(["g2"] * length)
+        code, out, err = _run([command, "--group", "cyclic:4", "--sigma", sigma, *extra])
+        assert code == 1 and out == ""
+        assert err == f"error: n = {length} exceeds 13, the bit length of the tuple scan cap 4096\n"
+    code, out, err = _run([command, "--group", "cyclic:4", "--sigma", ",".join(["g2"] * 13), *extra])
+    assert code in (0, 1) and out and err == ""
 
 
 def test_cap_exceeded_is_domain_error():
@@ -378,17 +382,34 @@ def test_degree_above_the_closure_cap_is_rejected_before_building(tmp_path, grou
 
 
 def test_gnz_on_the_trivial_group_is_linear_in_n():
-    # the one orbit of the trivial group is found in time linear in n
+    # the one orbit of the trivial group is found in time linear in n, up to
+    # n = 27, the bit length of 10000^2: the largest n that any --max-order
+    # admits.  |G|^n = 1 for every n, so n alone is held to that bit length
     import subprocess
     import sys
 
-    argv = ["gnz", "--group", "cyclic:1", "-n", "200000", "--max-order", "500"]
-    proc = subprocess.run([sys.executable, "-m", "quasik.cli", *argv],
-                          capture_output=True, text=True, timeout=20)
+    code, out, err = _run(["gnz", "--group", "cyclic:1", "-n", "14"])
+    assert (code, out) == (1, "")
+    assert err == "error: n = 14 exceeds 13, the bit length of the tuple scan cap 4096\n"
+    code, out, err = _run(["gnz", "--group", "cyclic:1", "-n", "13"])
+    assert (code, err) == (0, "") and out.startswith("1 orbits of commuting 13-tuples in cyclic:1")
+    code, out, err = _run(["quasi", "--group", "cyclic:1", "-n", "1000000", "--max-order", "1000"])
+    assert (code, out) == (1, "")
+    assert err == "error: n = 1000000 exceeds 20, the bit length of the tuple scan cap 1000000\n"
+
+    def gnz(n):
+        argv = ["gnz", "--group", "cyclic:1", "-n", str(n), "--max-order", "10000"]
+        return subprocess.run([sys.executable, "-m", "quasik.cli", *argv],
+                              capture_output=True, text=True, timeout=20)
+
+    proc = gnz(27)
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
-    assert lines[0] == "1 orbits of commuting 200000-tuples in cyclic:1"
-    assert lines[1:] == ["  (" + ",".join(["e"] * 200000) + ") x 1"]
+    assert lines[0] == "1 orbits of commuting 27-tuples in cyclic:1"
+    assert lines[1:] == ["  (" + ",".join(["e"] * 27) + ") x 1"]
+    proc = gnz(28)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: n = 28 exceeds 27, the bit length of the tuple scan cap 100000000\n"
 
 
 def test_python_dash_m_quasik_runs_the_cli():

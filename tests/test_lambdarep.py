@@ -114,7 +114,7 @@ def test_lambda_desc_is_memoized_and_checks_every_call():
     for _ in range(2):
         with pytest.raises(SizeLimitError, match="^character table capped at order 5, group has 6$"):
             lambda_desc(G, (G.identity,), Limits(order=5))
-        with pytest.raises(SizeLimitError, match="^n = 2 exceeds the tuple scan cap 1$"):
+        with pytest.raises(SizeLimitError, match="^n = 2 exceeds 1, the bit length of the tuple scan cap 1$"):
             lambda_desc(G, (t, t), Limits(tuples=1))
         with pytest.raises(GroupInputError, match="^element index True is not an int$"):
             lambda_desc(G, (True,))
@@ -587,9 +587,10 @@ def test_wide_kernels_match_the_reference(d4, q8):
 def test_wide_kernel_skips_the_full_smith_form():
     # 512 copies of g2 in Z/4: one component, so the torus rank is 511,
     # read from a Hermite form whose row transform is 1 x 1, without the
-    # 512 x 512 column transform a full Smith form would build
+    # 512 x 512 column transform a full Smith form would build; n = 512 needs
+    # a tuple cap of bit length 512
     z4 = cyclic_group(4)
-    rep = v_sigma(character_table(z4).irreducible(1), lambda_desc(z4, (2,) * 512))
+    rep = v_sigma(character_table(z4).irreducible(1), lambda_desc(z4, (2,) * 512, Limits(tuples=1 << 511)))
     tracemalloc.start()
     try:
         ker = kernel(rep)

@@ -5,10 +5,11 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from conftest import brute_contains_conjugate, brute_tuple_orbit_count, class_count_checksum
-from cyc_reference import ref_serialize_quasi
+from conftest import battery_groups, brute_contains_conjugate, brute_tuple_orbit_count, class_count_checksum
+from cyc_reference import ref_descent_commuting_tuples, ref_quasi_coefficients, ref_serialize_quasi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,9 @@ from quasik import (
     tate_rank_report,
     trivial_subgroup,
 )
+from quasik import groups as groups_module
+from quasik.groups import GroupTable, Limits, _descent, centralizer
+from quasik.lambdarep import lambda_desc
 from quasik.quasicalc import render_tate_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,13 +106,18 @@ def test_records_follow_orbit_order(d4):
 
 
 def test_every_centralizer_table_lives_in_the_group_memo():
-    # the orbit descent takes each C_G(prefix) in G, so no subgroup table
-    # memoizes subgroups or centralizers of its own, and lambda_desc finds
-    # the descent's table for C_G(sigma) instead of building a second one
-    from quasik import dihedral_group, lambda_desc, quaternion_group
+    # the orbit descent reads each C_G(prefix + (s,)) = C_H(s) off its node H's
+    # rows, but memoizes its table on G under its element tuple in G, so no
+    # subgroup table memoizes subgroups or centralizers of its own, G holds no
+    # centralizer entry, and lambda_desc finds the descent's table for
+    # C_G(sigma) instead of building a second one
+    from quasik import dihedral_group, quaternion_group
 
-    for G in (dihedral_group(4), quaternion_group(), symmetric_group(4)):
-        table = quasi_coefficients(G, 2)
+    limits = Limits(tuples=30**3)
+    cases = ((dihedral_group(4), 2), (quaternion_group(), 2), (symmetric_group(4), 2), (dihedral_group(15), 3))
+    for G, n in cases:
+        table = quasi_coefficients(G, n, limits)
+        assert not any(isinstance(k, tuple) and k[0] == "centralizer" for k in G._memo), G.name
         tables = [v for k, v in G._memo.items() if isinstance(k, tuple) and k[0] == "subgroup"]
         assert tables, G.name
         for H in tables:
@@ -116,9 +125,53 @@ def test_every_centralizer_table_lives_in_the_group_memo():
             assert not any(k[0] in ("subgroup", "centralizer") for k in nested), (G.name, H.name)
         stored = list(G._memo.values())
         for rec in table.records:
-            desc = lambda_desc(G, tuple(G.index_of(s) for s in rec.sigma_labels))
+            desc = lambda_desc(G, tuple(G.index_of(s) for s in rec.sigma_labels), limits)
             assert desc.cent_group is G or any(desc.cent_group is v for v in stored)
             assert desc.cent_group.order == rec.centralizer_order
+
+
+# every battery group at each n = 1 to 4 that the default caps admit
+_DESCENT_CASES = [(i, n) for i, G in enumerate(battery_groups()) for n in range(1, 5)
+                  if G.order**n <= Limits().tuples]
+
+
+def _relabelled(G, perm):
+    """G with each element a renamed perm[a], keeping its label."""
+    table = [[0] * G.order for _ in range(G.order)]
+    labels = [""] * G.order
+    for a in range(G.order):
+        labels[perm[a]] = G.label(a)
+        for b in range(G.order):
+            table[perm[a]][perm[b]] = perm[G.mul(a, b)]
+    return GroupTable(table, labels=labels, name=G.name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_DESCENT_CASES), st.data())
+def test_the_descent_matches_the_reference(case, data):
+    # the descent against the one that asked centralizer(G, .) for every node
+    # and orbit, on a battery group with its elements renamed at random, so
+    # that neither the identity nor the sorted inclusions sit where the
+    # builder put them
+    i, n = case
+    base = battery_groups()[i]
+    perm = data.draw(st.permutations(range(base.order)))
+    G, twin = _relabelled(base, perm), _relabelled(base, perm)
+    with mock.patch.object(groups_module, "centralizer", wraps=centralizer) as spy:
+        leaves = list(_descent(G, n, Limits()))
+        table = quasi_coefficients(G, n)
+    assert spy.call_count == 0
+    assert not any(isinstance(k, tuple) and k[0] == "centralizer" for k in G._memo)
+    assert tuple(orbit for orbit, _, _ in leaves) == ref_descent_commuting_tuples(twin, n)
+    assert table == ref_quasi_coefficients(twin, n)
+    for orbit, C, to_G in leaves:
+        sigma = orbit.representative.entries
+        assert to_G == centralizer(G, sigma).elements
+        assert C is lambda_desc(G, sigma).cent_group
+    for C, to_G in {id(C): (C, to_G) for _, C, to_G in leaves}.values():
+        # to_G is a sorted homomorphism of C into G
+        assert list(to_G) == sorted(to_G)
+        assert all(to_G[C.mul(a, b)] == G.mul(x, y) for a, x in enumerate(to_G) for b, y in enumerate(to_G))
 
 
 def test_s_fixed_examples(s3):
