@@ -5,15 +5,15 @@ Elements are indices 0..order-1 with a full multiplication table.  Indexing
 is deterministic (permutation groups are sorted by permutation tuple), so
 every downstream report is reproducible byte for byte.  A group's table
 and labels are immutable after construction.  Derived data (conjugacy
-classes, centralizers, the character table, subgroup tables and direct
-products) is memoized in a dict owned by the group it is computed from,
+classes, the character table, subgroup tables and direct products, but not
+centralizers) is memoized in a dict owned by the group it is computed from,
 and is freed with that group.  Every size cap is a field of one Limits
 value, and every table entry and element index is an exact int.
 
 One generating set per group, of at most log2 |G| elements, gives the classes
 (orbits under conjugation by it) and Light's associativity test for a table
-file.  Element orders come from one walk per cyclic subgroup.  A permutation
-group's table is read off its generators' rows, one int lookup per cell.
+from outside; GroupTable._of trusts a builder's rows.  Element orders come from
+one walk per cyclic subgroup, a permutation group's rows from its generators'.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class Limits(NamedTuple):
 
 
 class GroupTable:
-    """A finite group on element indices 0..order-1."""
+    """A finite group on element indices 0..order-1, from a table that its constructor checks."""
 
     def __init__(
         self,
@@ -85,7 +85,6 @@ class GroupTable:
         labels: Optional[Sequence[str]] = None,
         name: str = "",
         perms: Optional[Sequence[tuple[int, ...]]] = None,
-        validate: bool = False,
     ):
         n = len(mul_table)
         if n == 0:
@@ -101,38 +100,47 @@ class GroupTable:
         for j, column in enumerate(zip(*table)):
             if len(set(column)) != n:
                 raise GroupInputError(f"column {j} is not a permutation of the elements")
-        self.order = n
-        self._mul = table = tuple(table)
-        self._memo: dict = {}
-        identity = table[0].index(0)  # row 0 is a permutation: the one e with 0 * e = 0
-        if table[identity] != elements or any(row[identity] != x for x, row in enumerate(table)):
+        self._rows(tuple(table))
+        if table[self.identity] != elements or any(row[self.identity] != x for x, row in enumerate(table)):
             raise GroupInputError("table has no two-sided identity")
-        self.identity = identity
-        self._inv = tuple(row.index(identity) for row in table)
         for a, b in enumerate(self._inv):
-            if table[b][a] != identity:
+            if table[b][a] != self.identity:
                 raise GroupInputError(f"element {a} has no two-sided inverse")
-        if validate:  # Light: the g with (x g) y = x (g y) for all x, y are closed under products
-            if any(table[table[x][g]] != tuple(map(table[x].__getitem__, table[g]))
-                   for g in _generators(self) for x in elements):
-                raise GroupInputError("table is not associative")
+        if any(table[table[x][g]] != tuple(map(table[x].__getitem__, table[g]))  # Light: the g with
+               for g in _generators(self) for x in elements):  # (x g) y = x (g y) are closed under products
+            raise GroupInputError("table is not associative")
+        self._derive(labels, name, perms)
+
+    @classmethod
+    def _of(cls, rows: tuple, labels: Iterable[str], name: str, perms: Optional[Sequence] = None) -> GroupTable:
+        """A builder's rows, tuples of n shared ints that are a group by construction: unchecked."""
+        G = cls.__new__(cls)
+        G._rows(rows)
+        G._derive(labels, name, perms)
+        return G
+
+    def _rows(self, table: tuple[tuple[int, ...], ...]) -> None:
+        self.order, self._mul, self._memo = len(table), table, {}
+        self.identity = identity = table[0].index(0)  # row 0 is a permutation: the one e with 0 * e = 0
+        self._inv = tuple(row.index(identity) for row in table)
+
+    def _derive(self, labels: Optional[Iterable[str]], name: str, perms: Optional[Sequence]) -> None:
+        n = self.order
         orders = [0] * n
-        for a in elements:  # one walk per cyclic subgroup: |a^k| = |a| / gcd(k, |a|)
+        for a in range(n):  # one walk per cyclic subgroup: |a^k| = |a| / gcd(k, |a|)
             if not orders[a]:
                 powers = [a]
-                while powers[-1] != identity:
-                    powers.append(table[powers[-1]][a])
+                while powers[-1] != self.identity and len(powers) < n:  # n steps at most, even on bad rows
+                    powers.append(self._mul[powers[-1]][a])
                 for k, x in enumerate(powers, 1):
                     orders[x] = len(powers) // gcd(k, len(powers))
         self.elem_orders = tuple(orders)
-        if labels is None:
-            labels = [f"x{i}" for i in range(n)]
-        if len(labels) != n or len(set(labels)) != n:
+        self.labels = tuple(map(str, labels)) if labels is not None else tuple(f"x{i}" for i in range(n))
+        self._label_index = {s: i for i, s in enumerate(self.labels)}
+        if len(self.labels) != n or len(self._label_index) != n:  # distinct as the stored strings
             raise GroupInputError("labels must be distinct, one per element")
-        self.labels = tuple(str(s) for s in labels)
         self.name = name or f"group{n}"
         self.perms = tuple(perms) if perms is not None else None
-        self._label_index = {s: i for i, s in enumerate(self.labels)}
 
     # -- element operations ------------------------------------------------
 
@@ -284,13 +292,13 @@ def group_from_generators(
                 queue.append(q)
     perms = sorted(found)
     index = {p: i for i, p in enumerate(perms)}
-    rows = {g: [index[_compose(g, q)] for q in perms] for g in {ident, *padded}}
+    rows = {g: tuple([index[_compose(g, q)] for q in perms]) for g in {ident, *padded}}
     for q in queue:  # p comes before p * g in the queue
         if q not in rows:
             p, g = found[q]
-            rows[q] = list(map(rows[p].__getitem__, rows[g]))  # bound once: rows[p] per cell rehashes p
+            rows[q] = tuple(map(rows[p].__getitem__, rows[g]))  # bound once: rows[p] per cell rehashes p
     labels = [cycle_label(p) for p in perms]
-    return GroupTable([rows[p] for p in perms], labels=labels, name=name or f"perm{degree}", perms=perms)
+    return GroupTable._of(tuple(map(rows.__getitem__, perms)), labels, name or f"perm{degree}", perms)
 
 
 # -- builtin groups ----------------------------------------------------------
@@ -299,10 +307,9 @@ def group_from_generators(
 def cyclic_group(k: int) -> GroupTable:
     if k < 1:
         raise GroupInputError("cyclic order must be positive")
-    elements = list(range(k))
-    table = [elements[i:] + elements[:i] for i in range(k)]
-    labels = ["e"] + [f"g{i}" for i in range(1, k)]
-    return GroupTable(table, labels=labels, name=f"cyclic:{k}")
+    elements = tuple(range(k))
+    table = tuple(elements[i:] + elements[:i] for i in range(k))
+    return GroupTable._of(table, ["e"] + [f"g{i}" for i in range(1, k)], f"cyclic:{k}")
 
 
 def symmetric_group(k: int, limits: Limits = Limits()) -> GroupTable:
@@ -336,7 +343,7 @@ def quaternion_group() -> GroupTable:
     Each element sends point 1 to its own unit, so sorting keeps that order."""
     units = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     gens = [parse_permutation("(1324)(5768)"), parse_permutation("(1526)(3847)")]
-    return GroupTable(group_from_generators(gens)._mul, labels=units, name="quaternion8")
+    return GroupTable._of(group_from_generators(gens)._mul, units, "quaternion8")
 
 
 _BUILTIN_RE = re.compile(r"(cyclic|symmetric|alternating|dihedral):(\d+)$")
@@ -404,7 +411,7 @@ def load_group_file(path: Path | str, limits: Limits = Limits()) -> GroupTable:
         if len(numbered) != n + 1:
             raise GroupInputError(f"{path}: expected {n} table rows")
         table = [integers(i, ln.split()) for i, ln in numbered[1:]]
-        return GroupTable(table, name=path.stem, validate=True)
+        return GroupTable(table, name=path.stem)
     raise GroupInputError(f"{path}: first line must be 'perm <degree>' or 'table <n>'")
 
 
@@ -512,16 +519,10 @@ def trivial_subgroup(G: GroupTable) -> Subgroup:
 
 
 def centralizer(G: GroupTable, entries: Sequence[int] | "CommTuple") -> Subgroup:
-    """The joint centralizer of a tuple, memoized on G; its generators are all its elements."""
-    if isinstance(entries, CommTuple):
-        entries = entries.entries
-    key = ("centralizer", frozenset(_check_elements(G, entries)))
-    if key not in G._memo:
-        mul = G._mul
-        G._memo[key] = tuple(
-            a for a in range(G.order) if all(mul[a][s] == mul[s][a] for s in key[1])
-        )
-    elems = G._memo[key]
+    """The joint centralizer of a tuple; its generators are all its elements."""
+    entries = set(_check_elements(G, entries.entries if isinstance(entries, CommTuple) else entries))
+    mul = G._mul
+    elems = tuple(a for a in range(G.order) if all(mul[a][s] == mul[s][a] for s in entries))
     return Subgroup(parent=G, elements=elems, generators=elems)
 
 
@@ -651,9 +652,8 @@ def subgroup_table(sub: Subgroup) -> tuple[GroupTable, tuple[int, ...]]:
     key = ("subgroup", elements)
     if key not in G._memo:
         index = {x: i for i, x in enumerate(elements)}
-        table = [[index[G.mul(a, b)] for b in elements] for a in elements]
-        labels = [G.label(x) for x in elements]
-        G._memo[key] = GroupTable(table, labels=labels, name=f"{G.name}<{len(elements)}>")
+        table = tuple(tuple([index[G.mul(a, b)] for b in elements]) for a in elements)
+        G._memo[key] = GroupTable._of(table, map(G.label, elements), f"{G.name}<{len(elements)}>")
     return G._memo[key], elements
 
 
@@ -721,8 +721,8 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     n_h = H.order
     cells = tuple(range(G.order * n_h))  # one shared int per element, not per cell
     blocks = [cells[a * n_h:(a + 1) * n_h] for a in range(G.order)]  # a*|H| + b is blocks[a][b]
-    table = [[c for a in ga for c in map(blocks[a].__getitem__, hb)]
-             for ga in G._mul for hb in H._mul]
+    table = tuple(tuple([c for a in ga for c in map(blocks[a].__getitem__, hb)])
+                  for ga in G._mul for hb in H._mul)
     labels = [f"({G.label(a)},{H.label(b)})" for a in range(G.order) for b in range(n_h)]
-    G._memo[key] = GroupTable(table, labels=labels, name=f"{G.name}x{H.name}")
+    G._memo[key] = GroupTable._of(table, labels, f"{G.name}x{H.name}")
     return G._memo[key]

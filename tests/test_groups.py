@@ -113,16 +113,22 @@ _LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4
     (lambda: GroupTable([[0, 2, 1], [2, 1, 0], [1, 0, 2]]), "table has no two-sided identity"),
     (lambda: GroupTable([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
                          [4, 2, 0, 1, 3]]), "element 2 has no two-sided inverse"),
-    (lambda: GroupTable(_LOOP5, validate=True), "table is not associative"),
+    (lambda: GroupTable(_LOOP5), "table is not associative"),
     (lambda: GroupTable([[0, 1], [1, 0]], labels=["a", "a"]), "labels must be distinct, one per element"),
+    # 1 and "1" are both stored as "1"; (x, y,z) and (x,y, z) are both written (x,y,z)
+    (lambda: GroupTable([[0, 1], [1, 0]], labels=[1, "1"]), "labels must be distinct, one per element"),
+    (lambda: direct_product(GroupTable([[0, 1], [1, 0]], labels=["x", "x,y"]),
+                            GroupTable([[0, 1], [1, 0]], labels=["y,z", "z"])),
+     "labels must be distinct, one per element"),
     (lambda: parse_permutation("(1 2"), "bad cycle notation: '(1 2'"),
     (lambda: parse_permutation("(1 5)", 3), "cycle uses point 5 beyond degree 3"),
     (lambda: parse_permutation("(1 2)(2 3)"), "cycles are not disjoint in '(1 2)(2 3)'"),
     (lambda: group_from_generators([(1, 0, 2)], degree=2), "generator degree exceeds requested degree"),
     (lambda: direct_product(cyclic_group(65), cyclic_group(64)), "product order 4160 exceeds cap 4096"),
     (lambda: hom_from_images(cyclic_group(2), [1], [], cyclic_group(2)), "need one image per generator"),
-], ids=["empty", "column", "identity", "inverse", "associative", "labels", "cycle-notation",
-        "beyond-degree", "disjoint", "generator-degree", "product-order", "one-image-per-generator"])
+], ids=["empty", "column", "identity", "inverse", "associative", "labels", "labels-as-strings", "product-labels",
+        "cycle-notation", "beyond-degree", "disjoint", "generator-degree", "product-order",
+        "one-image-per-generator"])
 def test_malformed_group_input_is_rejected_with_its_message(build, message):
     # each message is raised by one branch only, so each case fails without its branch
     with pytest.raises(QuasiError, match=f"^{re.escape(message)}$"):
@@ -132,6 +138,11 @@ def test_malformed_group_input_is_rejected_with_its_message(build, message):
 def test_loop5_is_rejected_by_the_cubic_reference_too():
     with pytest.raises(GroupInputError, match="^table is not associative$"):
         ref_check_associative(_LOOP5)
+
+
+def test_unhashable_labels_are_stored_as_their_strings():
+    # labels are compared as the strings that are stored, so a list is no error
+    assert GroupTable([[0, 1], [1, 0]], labels=[[0], [1]]).labels == ("[0]", "[1]")
 
 
 def _latin_squares(n: int, reduced: bool):
@@ -173,7 +184,7 @@ def test_table_checks_match_the_scans_they_replaced(n, reduced, loops_not_associ
     # one of order 5 and 6 with identity 0, among them the non-associative loops
     verdicts: Counter = Counter()
     for square in _latin_squares(n, reduced):
-        G = outcome(lambda t: GroupTable(t, validate=True), square)
+        G = outcome(GroupTable, square)
         verdict = "group" if isinstance(G, GroupTable) else G[1]
         assert verdict == _reference_verdict(square), square
         if isinstance(G, GroupTable):
@@ -215,7 +226,23 @@ def test_group_scans_match_the_references(reference_battery):
         assert G.elem_orders == ref_element_orders(G), G.name
         assert G.is_abelian() == ref_is_abelian(G), G.name
         ref_check_associative(G._mul)
-        assert GroupTable(G._mul, validate=True).elem_orders == G.elem_orders
+        assert GroupTable(G._mul).elem_orders == G.elem_orders
+
+
+_PERMUTATION_SPECS = [f"symmetric:{k}" for k in range(1, 7)] + [f"alternating:{k}" for k in range(3, 7)]
+_PERMUTATION_SPECS += [f"dihedral:{k}" for k in range(3, 41)]
+
+
+def test_every_builder_passes_the_checked_constructor(reference_battery):
+    # the builders make their tables through GroupTable._of, which checks no
+    # cell: the checked constructor must accept each table and derive the same
+    # group, and every cell must be one of n shared int objects
+    for G in reference_battery + [build_group(spec) for spec in _PERMUTATION_SPECS]:
+        C = GroupTable(G._mul, G.labels, G.name, G.perms)
+        assert (C._mul, C.identity, C._inv, C.elem_orders, C.labels, C.perms) == (
+            G._mul, G.identity, G._inv, G.elem_orders, G.labels, G.perms), G.name
+        assert type(G._mul) is tuple and {*map(type, G._mul)} == {tuple}, G.name
+        assert len({id(c) for row in G._mul for c in row}) == G.order, G.name
 
 
 def test_direct_products_match_the_reference(reference_battery):
@@ -271,8 +298,7 @@ def test_builtin_permutation_groups_match_the_per_cell_reference(monkeypatch, tm
     # a non-abelian group of order 192 on 12 points, with the identity and a repeat
     path = tmp_path / "p12.grp"
     path.write_text("perm 12\n(1 2)(3 4)\n(1 3 5 7 9 11)(2 4 6 8 10 12)\n()\n(1 2)(3 4)\n")
-    specs = [f"symmetric:{k}" for k in range(1, 7)] + [f"alternating:{k}" for k in range(3, 7)]
-    specs += [f"dihedral:{k}" for k in range(3, 41)] + [str(path)]
+    specs = _PERMUTATION_SPECS + [str(path)]
     groups = [build_group(spec) for spec in specs]
     assert groups[-1].order == 192 and not groups[-1].is_abelian()
     monkeypatch.setattr("quasik.groups.group_from_generators", ref_group_from_generators)
