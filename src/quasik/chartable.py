@@ -73,7 +73,7 @@ class CharacterTable:
                   for v in {v for vecs in eig for v in vecs}}
         self.eig = tuple(sorted(map(tuple, eig), key=lambda vecs: (
             sum(c for _, c in vecs[self.id_class]), tuple(values[v].sort_key() for v in vecs))))
-        _verify_table(self)
+        self._conj_rows = _verify_table(self)  # the index of each row's complex conjugate
         self.rows = tuple(tuple(values[v] for v in vecs) for vecs in self.eig)
         self.degrees = tuple(sum(c for _, c in vecs[self.id_class]) for vecs in self.eig)
         # central_exponents[cls][irrep] = x when cls acts on irrep as zeta_e^x, else None;
@@ -84,8 +84,6 @@ class CharacterTable:
         self.central_weights = tuple(None if None in xs else tuple(fracs[x] for x in xs)
                                      for xs in self.central_exponents)
         self.labels = tuple(f"chi{i}" for i in range(len(self.rows)))
-        conj_of = {tuple(_scaled(v, -1, self.exponent) for v in vecs): i for i, vecs in enumerate(self.eig)}
-        self._conj_rows = tuple(conj_of[vecs] for vecs in self.eig)
 
     def value_at_element(self, irrep: int, element: int) -> Cyc:
         return self.rows[irrep][self.class_of[element]]
@@ -148,7 +146,7 @@ class ClassFunction:
 
     def _value(self, c: int) -> Cyc:  # sum_i coords[i] * chi_i(g_c), as one sum
         n = lcm(e := self.table.exponent, *(a.conductor for a in self.coords if isinstance(a, Cyc)))
-        return conj_product_sum(((1, (a if isinstance(a, Cyc) else Cyc(a))._exponents_at(n),
+        return conj_product_sum(((1, a._exponents_at(n) if isinstance(a, Cyc) else ((0, a),),
                                   tuple((-x * (n // e), m) for x, m in vecs[c]))
                                  for a, vecs in zip(self.coords, self.table.eig) if a), n)
 
@@ -399,13 +397,13 @@ def _modular_character_rows(G: GroupTable) -> list[tuple[EigVector, ...]]:
     return [lifted[omega] for omega in omegas]
 
 
-def _verify_table(table: CharacterTable) -> None:
+def _verify_table(table: CharacterTable) -> tuple[int, ...]:
     """Check that the table is square, and its rows orthogonal over Z[zeta_e] and
     closed under complex conjugation (a row times a root of unity stays orthogonal
-    to the rest).  With X[i][c] = chi_i(g_c) and D = diag(|C_c|), row orthogonality
-    is X D X* = |G| I.  As X is square, X* X = |G| D^-1: column orthogonality,
-    whose entry at the identity class is the degree sum (Isaacs, ch. 2).
-    """
+    to the rest), and return the index of each row's conjugate.  With X[i][c] =
+    chi_i(g_c) and D = diag(|C_c|), row orthogonality is X D X* = |G| I.  As X is
+    square, X* X = |G| D^-1: column orthogonality, whose entry at the identity
+    class is the degree sum (Isaacs, ch. 2)."""
     G = table.group
     eig = table.eig
     if len(eig) != table.n_classes:
@@ -414,12 +412,14 @@ def _verify_table(table: CharacterTable) -> None:
         terms = ((cls.size, eig[i][c], eig[j][c]) for c, cls in enumerate(table.classes))
         if conj_product_sum(terms, table.exponent) != (G.order if i == j else 0):
             raise QuasiError("row orthogonality failed")
-    rows = set(eig)
-    if any(tuple(_scaled(v, -1, table.exponent) for v in vecs) not in rows for vecs in eig):
+    row_of = {vecs: i for i, vecs in enumerate(eig)}  # distinct, as they are orthogonal
+    conj = tuple(row_of.get(tuple(_scaled(v, -1, table.exponent) for v in vecs)) for vecs in eig)
+    if None in conj:
         raise QuasiError("rows are not closed under complex conjugation")
     # a real row times -1 passes both checks, and would sort first as the trivial row
     if any(len(v := vecs[table.id_class]) != 1 or v[0][0] or v[0][1] < 1 for vecs in eig):
         raise QuasiError("a row's value at the identity is not a positive degree")
+    return conj
 
 
 # -- character-level services --------------------------------------------------

@@ -31,7 +31,7 @@ from .lambdarep import (
     real_v_sigma,
     v_sigma,
 )
-from .quasicalc import quasi_coefficients, render_quasi_text, s_fixed_predicate, serialize_quasi
+from .quasicalc import _quasi_json, quasi_coefficients, render_quasi_text, s_fixed_predicate
 
 CONSTRUCTIONS = ("plain", "q", "fixed", "real")
 
@@ -139,7 +139,7 @@ def _lookup_rep(G: GroupTable, label: str, limits: Limits):
 def run(cfg: CliConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
     """Dispatch a parsed configuration; returns the process exit code.  Each
     handler returns only the format asked for: a JSON document or text lines
-    (quasi's are render_quasi_text's text, or serialize_quasi's JSON)."""
+    (quasi's are the strings that serialize_quasi encodes)."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
@@ -151,7 +151,7 @@ def run(cfg: CliConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = No
     if isinstance(answer, dict):
         import json  # here only: a text run never loads json
         answer = [json.dumps(answer, indent=2)]
-    out.write("\n".join(answer) + "\n")
+    out.writelines(("\n".join(answer), "\n"))  # the newline written on its own: the answer is not copied
     return 0
 
 
@@ -201,11 +201,10 @@ def _cmd_gnz(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
 
 
 def _cmd_lambda_basis(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
-    sigma = make_comm_tuple(G, _lookup_elements(G, cfg.sigma))
-    desc = lambda_desc(G, sigma, cfg.limits)
+    desc = lambda_desc(G, _lookup_elements(G, cfg.sigma), cfg.limits)
     basis = [(desc.table.labels[b.lam], [str(w) for w in b.weight]) for b in lambda_basis(desc)]
     if cfg.fmt == "json":
-        return {"group": G.name, "sigma": list(map(G.label, sigma.entries)),
+        return {"group": G.name, "sigma": list(map(G.label, desc.sigma.entries)),
                 "basis": [{"irrep": label, "twist": ws} for label, ws in basis]}
     return [f"basis of R(Lambda) over the torus characters; centralizer order "
             f"{desc.cent_group.order}, rank {len(basis)}",
@@ -213,8 +212,7 @@ def _cmd_lambda_basis(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
 
 
 def _cmd_faithful(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
-    sigma = make_comm_tuple(G, _lookup_elements(G, cfg.sigma))
-    desc = lambda_desc(G, sigma, cfg.limits)
+    desc = lambda_desc(G, _lookup_elements(G, cfg.sigma), cfg.limits)
     chi = _lookup_rep(G, cfg.rep or "", cfg.limits)
     if cfg.construction == "real":
         rep = real_v_sigma(chi, desc)
@@ -229,7 +227,7 @@ def _cmd_faithful(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
     if cfg.fmt == "json":
         return {
             "group": G.name,
-            "sigma": list(map(G.label, sigma.entries)),
+            "sigma": list(map(G.label, desc.sigma.entries)),
             "rep": cfg.rep,
             "construction": cfg.construction,
             "components": [
@@ -259,9 +257,9 @@ def _cmd_sfixed(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
 
 
 def _cmd_quasi(cfg: CliConfig, G: GroupTable) -> dict | list[str]:
-    # text as classes prints it, a group name from a non-UTF-8 path included; JSON less run's newline
+    # text as classes prints it, a group name from a non-UTF-8 path included
     table = quasi_coefficients(G, cfg.n, cfg.limits)
-    return [render_quasi_text(table) if cfg.fmt == "text" else serialize_quasi(table, "json").decode()[:-1]]
+    return [(render_quasi_text if cfg.fmt == "text" else _quasi_json)(table)]
 
 
 _HANDLERS = {

@@ -607,12 +607,13 @@ def commuting_tuples(G: GroupTable, n: int, limits: Limits = Limits()) -> tuple[
     order, and the orbit of sigma has |G| / |C(sigma)| members.  Raises
     SizeLimitError when |G|^n exceeds limits.tuples, or n its bit length.
     """
-    return tuple(orbit for orbit, _, _ in _descent(G, n, limits))
+    return tuple(TupleOrbit(CommTuple(entries, tuple(map(G.order_of, entries))), orbit_size)
+                 for entries, orbit_size, _, _ in _descent(G, n, limits))
 
 
-def _descent(G: GroupTable, n: int, limits: Limits) -> Iterator[tuple[TupleOrbit, GroupTable, tuple]]:
-    """(orbit, C, to_G) for each orbit of commuting_tuples, in its order: C is
-    C_G(sigma) as its own table, to_G its sorted inclusion into G."""
+def _descent(G: GroupTable, n: int, limits: Limits) -> Iterator[tuple[tuple, int, GroupTable, tuple]]:
+    """(entries, orbit_size, C, to_G) for each orbit of commuting_tuples, in its
+    order: C is C_G(entries) as its own table, to_G its sorted inclusion into G."""
     if type(n) is not int or n < 1:
         raise ValueError("n must be an int >= 1")
     limits.check_tuples(G.order, n)
@@ -623,9 +624,7 @@ def _descent(G: GroupTable, n: int, limits: Limits) -> Iterator[tuple[TupleOrbit
         # keeps it sorted, and its table is memoized on G under that element
         # tuple.  H is trivial only when G is; the identity fills the tuple.
         if len(prefix) == n or H.order == 1:
-            entries = prefix + (G.identity,) * (n - len(prefix))
-            sigma = CommTuple(entries=entries, orders=tuple(G.order_of(x) for x in entries))
-            yield TupleOrbit(representative=sigma, orbit_size=G.order // H.order), H, to_G
+            yield prefix + (G.identity,) * (n - len(prefix)), G.order // H.order, H, to_G
             return
         for s, _ in conjugacy_classes(H):
             s_row = H._mul[s]
@@ -652,7 +651,7 @@ def subgroup_table(sub: Subgroup) -> tuple[GroupTable, tuple[int, ...]]:
     key = ("subgroup", elements)
     if key not in G._memo:
         index = {x: i for i, x in enumerate(elements)}
-        table = tuple(tuple([index[G.mul(a, b)] for b in elements]) for a in elements)
+        table = tuple(tuple([index[row[b]] for b in elements]) for row in map(G._mul.__getitem__, elements))
         G._memo[key] = GroupTable._of(table, map(G.label, elements), f"{G.name}<{len(elements)}>")
     return G._memo[key], elements
 

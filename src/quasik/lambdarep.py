@@ -368,7 +368,7 @@ def external_sum(rep_g: LambdaRep, rep_h: LambdaRep) -> LambdaRep:
         # g * |H| + h in G x H projects to divmod(., |H|)[factor]; lam inflated
         # along the projection is the irreducible lam boxtimes 1 (or 1 boxtimes lam)
         d = rep.desc
-        images = tuple(d.to_parent.index(divmod(x, H.order)[factor]) for x in dp.to_parent)
+        images = tuple(bisect_left(d.to_parent, divmod(x, H.order)[factor]) for x in dp.to_parent)
         for c, m in rep.components:
             row = restriction_multiplicities(d.table.irreducible(c.lam), dp.table, images)
             comps.append((TwistedIrrep(row.index(1), c.weight), m))
@@ -386,14 +386,11 @@ def restrict_lambda(
     H, G = phi.source, phi.target
     if chi.table.group is not G:
         raise QuasiError("character does not live on the homomorphism target")
-    if not isinstance(tau, CommTuple):
-        tau = make_comm_tuple(H, tau)
-    sigma = make_comm_tuple(G, tuple(phi(t) for t in tau.entries))
-    dg = lambda_desc(G, sigma)
-    dh = lambda_desc(H, tau)
+    dh = lambda_desc(H, tau)  # checks the entries in H, a CommTuple's too
+    dg = lambda_desc(G, tuple(map(phi, dh.sigma.entries)))
 
     # phi maps C_H(tau) into C_G(phi tau)
-    images = tuple(dg.to_parent.index(phi(x)) for x in dh.to_parent)
+    images = tuple(bisect_left(dg.to_parent, phi(x)) for x in dh.to_parent)
     comps: list[tuple[TwistedIrrep, int]] = []
     for c, m in v_sigma(chi, dg).components:
         row = restriction_multiplicities(dg.table.irreducible(c.lam), dh.table, images)

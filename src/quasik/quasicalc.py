@@ -47,14 +47,12 @@ class QuasiTable(NamedTuple):
 
 def quasi_coefficients(G: GroupTable, n: int, limits: Limits = Limits()) -> QuasiTable:
     """One record per orbit of commuting n-tuples, with the free-module rank
-    and basis twists of the corresponding representation ring.  Each orbit
-    comes with its centralizer's table from the descent; no LambdaDesc is built."""
+    and basis twists of the corresponding representation ring.  Each orbit comes
+    with its centralizer's table from the descent; no LambdaDesc or CommTuple is built."""
     records = []
-    for orbit, C, to_G in _descent(G, n, limits):
-        entries = orbit.representative.entries
+    for entries, orbit_size, C, to_G in _descent(G, n, limits):
         weights = twist_weights(character_table(C, limits), to_G, entries)
-        labels = tuple(G.label(s) for s in entries)
-        records.append(QuasiRecord(labels, orbit.orbit_size, C.order, len(weights), weights))
+        records.append(QuasiRecord(tuple(map(G.label, entries)), orbit_size, C.order, len(weights), weights))
     return QuasiTable(group=G.name, n=n, records=tuple(records), total_rank=sum(r.rank for r in records))
 
 
@@ -120,15 +118,18 @@ def _weight_strings(table: QuasiTable, render: Callable[[str], str]) -> dict[int
 
 
 def serialize_quasi(table: QuasiTable, fmt: str = "json") -> bytes:
-    """Deterministic byte serialization in 'json' or 'text' format.  The JSON
-    is written in one pass, as json.dumps(document, indent=2) would write it."""
-    if fmt == "text":
-        try:
-            return (render_quasi_text(table) + "\n").encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate, which the JSON escapes
-            raise QuasiError(f"the text format cannot encode {exc.object[exc.start:exc.end]!r}") from None
-    if fmt != "json":
+    """Deterministic byte serialization in 'json' or 'text' format: the answer
+    text that the CLI writes, and its newline."""
+    if fmt not in ("json", "text"):
         raise QuasiError(f"unknown serialization format {fmt!r}")
+    try:
+        return ((render_quasi_text if fmt == "text" else _quasi_json)(table) + "\n").encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate in the text, which the JSON escapes
+        raise QuasiError(f"the text format cannot encode {exc.object[exc.start:exc.end]!r}") from None
+
+
+def _quasi_json(table: QuasiTable) -> str:
+    """The JSON document in one pass, as json.dumps(document, indent=2) writes it."""
     # json.dumps's C string escape, loaded here and in parse_quasi only: a text run never loads json
     from json.encoder import encode_basestring_ascii as q
 
@@ -149,7 +150,7 @@ def serialize_quasi(table: QuasiTable, fmt: str = "json") -> bytes:
     ]
     return (f'{{\n  "group": {q(table.group)},\n  "n": {_json(table.n, int)},'
             f'\n  "E": {q(table.theory)},\n  "records": {array(records, "    ")},'
-            f'\n  "total_rank": {_json(table.total_rank, int)}\n}}\n').encode("utf-8")
+            f'\n  "total_rank": {_json(table.total_rank, int)}\n}}')
 
 
 def render_quasi_text(table: QuasiTable) -> str:
@@ -220,6 +221,11 @@ def parse_quasi(data: bytes | str) -> QuasiTable:
         )
     except (ValueError, TypeError, LookupError, ArithmeticError, RecursionError) as exc:
         raise QuasiError(f"malformed coefficient table: {exc!r}") from None
+    for rec in table.records:  # as quasi_coefficients makes them: rank twists, each of n entries like sigma
+        if rec.rank != len(rec.twists):
+            raise QuasiError(f"a record has rank {rec.rank} and {len(rec.twists)} twists")
+        if any(len(t) != table.n for t in (rec.sigma_labels, *rec.twists)):
+            raise QuasiError(f"a record's sigma or twist does not have n = {table.n} entries")
     if table.total_rank != sum(r.rank for r in table.records):
         raise QuasiError("total_rank does not match the records")
     return table

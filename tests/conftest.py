@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import os
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -64,6 +66,20 @@ def d4():
 @pytest.fixture(scope="session")
 def q8():
     return quaternion_group()
+
+
+@contextmanager
+def counting_instances(cls):
+    """The argument tuples of each cls(...) made inside the block; a NamedTuple's
+    _make bypasses __new__, and no src/ caller makes a tuple class that way."""
+    made, new = [], cls.__new__
+
+    def counted(klass, *args, **kwargs):
+        made.append((args, kwargs))
+        return new(klass, *args, **kwargs)
+
+    with mock.patch.object(cls, "__new__", counted):
+        yield made
 
 
 # -- class functions that are no characters ----------------------------------------

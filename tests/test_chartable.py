@@ -9,6 +9,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from conftest import battery_groups, non_genuine_class_functions, outcome
@@ -58,6 +59,7 @@ from quasik import (
     symmetric_group,
     v_sigma,
 )
+from quasik import chartable as chartable_module
 from quasik.chartable import _charpoly_mod_p, _roots_mod_p, _scaled, _verify_table
 from quasik.groups import inclusion_hom
 
@@ -518,8 +520,19 @@ def _rejected_by_all(mutant):
 
 def test_verification_accepts_every_oracle_table(oracle_tables):
     for table in oracle_tables:
-        assert _verify_table(table) is None
+        # the verifier hands the constructor each row's conjugate
+        assert _verify_table(table) == tuple(map(table.conjugate_row, range(len(table.eig))))
         assert ref_verify_table(table) is None
+
+
+def test_the_constructor_conjugates_each_entry_once():
+    # the verifier's conjugate rows are the constructor's: one _scaled(., -1, e) per entry
+    for G in (cyclic_group(12), symmetric_group(4), build_group("quaternion8"), dihedral_group(5)):
+        table = character_table(G)
+        with mock.patch.object(chartable_module, "_scaled", wraps=_scaled) as spy:
+            rebuilt = CharacterTable(G, table.eig)
+        assert [c.args[1:] for c in spy.call_args_list] == [(-1, table.exponent)] * table.n_classes**2
+        assert rebuilt._conj_rows == table._conj_rows
 
 
 def test_moving_one_unit_of_multiplicity_fails_verification(oracle_tables):

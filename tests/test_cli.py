@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasik import Limits, build_group, quasi_coefficients, serialize_quasi
+from conftest import counting_instances
+from quasik import CommTuple, Limits, build_group, quasi_coefficients, serialize_quasi
 from quasik.cli import CONSTRUCTIONS, CliConfig, main, parse_args, run
 from quasik.errors import SelectorError
 
@@ -153,6 +154,17 @@ def test_lambda_basis_command():
     assert code == 0
     doc = json.loads(out)
     assert sorted(b["twist"][0] for b in doc["basis"]) == ["1", "1/3", "2/3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda-basis", "--group", "symmetric:3", "--sigma", "(123)", "--format", "json"],
+    ["faithful", "--group", "cyclic:4", "--sigma", "g2", "--rep", "chi3", "--construction", "fixed"],
+], ids=["lambda-basis", "faithful"])
+def test_a_sigma_command_makes_one_comm_tuple(argv):
+    # lambda_desc checks the looked-up entries and makes the tuple; the command reads desc.sigma
+    with counting_instances(CommTuple) as made:
+        code, out, err = _run(argv)
+    assert code == 0 and err == "" and len(made) == 1
 
 
 def test_faithful_command_witness():

@@ -33,6 +33,7 @@ from cyc_reference import (
 )
 
 from quasik import (
+    CommTuple,
     Cyc,
     GroupInputError,
     Homomorphism,
@@ -887,6 +888,18 @@ def test_restrict_lambda_examples(s3):
     incl = hom_from_images(z2, [1], [s3.index_of("(12)")], s3)
     pulled, direct, equal = restrict_lambda(incl, (1,), t3.irreducible(std))
     assert equal and pulled.dimension() == 2
+
+
+def test_restrict_lambda_checks_a_comm_tuple_in_the_source(s3):
+    # a CommTuple is checked in H like a sequence: phi(7) on C3 was a bare IndexError
+    c3 = cyclic_group(3)
+    phi = hom_from_images(c3, [1], [s3.index_of("(123)")], s3)
+    chi = character_table(s3).regular_character()
+    for tau in (CommTuple(entries=(7,), orders=(3,)), (7,)):
+        with pytest.raises(GroupInputError, match="^element index 7 out of range$"):
+            restrict_lambda(phi, tau, chi)
+    pulled, direct, equal = restrict_lambda(phi, CommTuple(entries=(1,), orders=(3,)), chi)
+    assert equal and pulled.desc.sigma == make_comm_tuple(c3, (1,))
 
 
 def test_restrict_lambda_nonabelian_centralizer(q8):

@@ -2,22 +2,32 @@
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import battery_groups, brute_contains_conjugate, brute_tuple_orbit_count, class_count_checksum
+from conftest import (
+    battery_groups,
+    brute_contains_conjugate,
+    brute_tuple_orbit_count,
+    class_count_checksum,
+    counting_instances,
+)
 from cyc_reference import ref_descent_commuting_tuples, ref_quasi_coefficients, ref_serialize_quasi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasik import (
+    CommTuple,
     QuasiError,
     QuasiRecord,
     QuasiTable,
+    TupleOrbit,
     build_group,
+    commuting_tuples,
     cyclic_group,
     make_comm_tuple,
     parse_quasi,
@@ -162,16 +172,28 @@ def test_the_descent_matches_the_reference(case, data):
         table = quasi_coefficients(G, n)
     assert spy.call_count == 0
     assert not any(isinstance(k, tuple) and k[0] == "centralizer" for k in G._memo)
-    assert tuple(orbit for orbit, _, _ in leaves) == ref_descent_commuting_tuples(twin, n)
+    orbits = ref_descent_commuting_tuples(twin, n)
+    assert [(entries, size) for entries, size, _, _ in leaves] == [
+        (orbit.representative.entries, orbit.orbit_size) for orbit in orbits]
+    assert commuting_tuples(G, n) == orbits
     assert table == ref_quasi_coefficients(twin, n)
-    for orbit, C, to_G in leaves:
-        sigma = orbit.representative.entries
+    for sigma, _, C, to_G in leaves:
         assert to_G == centralizer(G, sigma).elements
         assert C is lambda_desc(G, sigma).cent_group
-    for C, to_G in {id(C): (C, to_G) for _, C, to_G in leaves}.values():
+    for C, to_G in {id(C): (C, to_G) for _, _, C, to_G in leaves}.values():
         # to_G is a sorted homomorphism of C into G
         assert list(to_G) == sorted(to_G)
         assert all(to_G[C.mul(a, b)] == G.mul(x, y) for a, x in enumerate(to_G) for b, y in enumerate(to_G))
+
+
+def test_quasi_coefficients_builds_no_tuple_objects():
+    # the descent yields plain leaves: only commuting_tuples wraps them, once per orbit
+    G = build_group("dihedral:6")
+    with counting_instances(CommTuple) as tuples, counting_instances(TupleOrbit) as orbits:
+        table = quasi_coefficients(G, 2)
+    assert len(table.records) == 32 and tuples == [] and orbits == []
+    with counting_instances(CommTuple) as tuples, counting_instances(TupleOrbit) as orbits:
+        assert len(commuting_tuples(G, 2)) == len(tuples) == len(orbits) == 32
 
 
 def test_s_fixed_examples(s3):
@@ -317,6 +339,26 @@ def test_parse_accepts_the_valid_base_document():
     # each malformed document above differs from this one in a single field
     table = parse_quasi(_VALID)
     assert table.records[0].sigma_labels == ("e",) and table.total_rank == 1
+
+
+def _golden_with_first_record(edit) -> str:
+    # symmetric:3 at n = 1 with its first record edited; total_rank stays the sum of the ranks
+    doc = json.loads((GOLDEN / "s3_n1.json").read_bytes())
+    edit(doc["records"][0])
+    doc["total_rank"] = sum(rec["rank"] for rec in doc["records"])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rec: rec.update(rank=5), "^a record has rank 5 and 3 twists$"),
+    (lambda rec: rec["twists"][0].append("1"), "^a record's sigma or twist does not have n = 1 entries$"),
+    (lambda rec: rec["sigma"].append("()"), "^a record's sigma or twist does not have n = 1 entries$"),
+    (lambda rec: (rec["twists"][0].append("1"), rec["sigma"].append("()")),
+     "^a record's sigma or twist does not have n = 1 entries$"),
+], ids=["rank-not-twists", "twist-row-not-n", "sigma-not-n", "twist-row-and-sigma-not-n"])
+def test_parse_rejects_records_that_quasi_coefficients_cannot_make(edit, message):
+    with pytest.raises(QuasiError, match=message):
+        parse_quasi(_golden_with_first_record(edit))
 
 
 # -- the JSON writer against json.dumps -----------------------------------------------
