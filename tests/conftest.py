@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 from unittest import mock
 
@@ -156,6 +159,85 @@ def class_count_checksum(G):
         total += len({tuple(sorted({sub.conjugate(g, a) for g in range(sub.order)}))
                       for a in range(sub.order)})
     return total
+
+
+# -- twist oracle ------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _class_map(G, C):
+    """The conjugacy class of each element of the subgroup with element tuple C,
+    by brute force, and the set of those classes."""
+    class_of = {x: frozenset(G.conjugate(g, x) for g in C) for x in C}
+    return class_of, set(class_of.values())
+
+
+def twist_oracle(G, entries):
+    """The Counter of weight vectors that the record of the commuting tuple
+    entries must hold, from the group table alone: no Cyc, no modular split and
+    no eig vector, and C from centralizer(G, entries), not from the descent.
+    Each weight is the pair (numerator, denominator) of its Fraction in lowest
+    terms, as weight_counter writes a record's rows: a Fraction hashes and
+    compares several times slower than a pair of ints.
+
+    A = <sigma_1, ..., sigma_n> is central in C = C_G(sigma), so for a in A and
+    chi in Irr(C), chi(ax) = lambda_chi(a) chi(x), with lambda_chi chi's central
+    character (Schur's lemma).  The operator f -> f(a .) on the class functions
+    of C thus has trace sum_chi lambda_chi(a) in the basis Irr(C), and
+    #{K : aK = K} in the basis of class indicators, which it permutes.  So the
+    lambda_chi restricted to A are the permutation character of A on the classes
+    of C: each theta in Irr(A) occurs once per A-orbit of classes whose
+    stabilizer lies in ker theta.  Its vector is (x_i / e) for theta(sigma_i) =
+    zeta_e^x_i, e = exp(A), written in (0, 1].
+
+    Complex conjugation of every weight (w -> 1 - w in (0, 1]) cannot show here:
+    theta and its conjugate have one kernel, so each occurs as often as the
+    other, and the multiset is its own conjugate.  The golden file and the
+    pinned digests, which fix each row's place, see that instead.
+    """
+    from quasik import centralizer
+
+    sigma = tuple(entries)
+    C = centralizer(G, sigma).elements
+    e = lcm(*(G.order_of(s) for s in sigma))
+    # A with each element's exponents over the sigma_i, and Irr(A) as exponent
+    # vectors x, theta(prod sigma_i^c_i) = zeta_e^(sum c_i x_i): sigma_i^m is the
+    # first power in <sigma_1, ..., sigma_i-1>, and theta(sigma_i) is an m-th
+    # root of its value there.  Never all prod |sigma_i| exponent vectors.
+    coords, irr = {G.identity: ()}, [()]
+    for s in sigma:
+        m, t = 1, s
+        while t not in coords:
+            m, t = m + 1, G.mul(t, s)
+        base = [sum(map(mul, x, coords[t])) % e for x in irr]
+        assert all(b % m == 0 for b in base)
+        irr = [x + ((b // m + k * e // m) % e,) for x, b in zip(irr, base) for k in range(m)]
+        grown, p = {}, G.identity
+        for k in range(m):
+            grown.update((G.mul(p, a), c + (k,)) for a, c in coords.items())
+            p = G.mul(p, s)
+        coords = grown
+    assert len(irr) == len(coords)
+    # a in A is central, so aK is a class, and aK = K once a*k lies in K for one k in K;
+    # the orbits are counted by their stabilizers, as only those tell the thetas apart
+    (class_of, classes), seen, stabs = _class_map(G, C), set(), Counter()
+    for K in classes:
+        if K in seen:
+            continue
+        k = next(iter(K))
+        seen.update(class_of[G.mul(a, k)] for a in coords)
+        stabs[tuple(c for a, c in coords.items() if a != G.identity and G.mul(a, k) in K)] += 1
+    counts = Counter()
+    for stab, orbits in stabs.items():
+        counts.update(dict.fromkeys([theta for theta in irr if not stab
+                                     or all(sum(map(mul, theta, c)) % e == 0 for c in stab)], orbits))
+    weight = [((x or e) // gcd(x or e, e), e // gcd(x or e, e)) for x in range(e)]
+    return Counter({tuple(weight[x] for x in theta): m for theta, m in counts.items()})
+
+
+def weight_counter(rows):
+    """The Counter of weight vectors in rows, each weight as twist_oracle writes it."""
+    return Counter(tuple((w.numerator, w.denominator) for w in row) for row in rows)
 
 
 def brute_contains_conjugate(G, gamma_elems, h_elems):

@@ -17,6 +17,8 @@ from conftest import (
     oracle_kernel_grid,
     outcome,
     random_lambda_reps,
+    twist_oracle,
+    weight_counter,
 )
 from cyc_reference import (
     identity_matrix,
@@ -185,6 +187,20 @@ def test_lambda_weights_are_the_tables_own_columns(battery):
             for lam, (w1, w2) in enumerate(zip(d1.weights, d2.weights)):
                 assert all(a is b for a, b in zip(w1, w2))
                 assert all(a is d1.table.central_weights[c][lam] for a, c in zip(w1, cols))
+
+
+# every --sigma that the CLI tests and the cli-small benchmark ops answer
+_CLI_SIGMAS = [("cyclic:4", "g2"), ("cyclic:4", "e,g1"), ("cyclic:4", "g1,g2"),
+               ("cyclic:4", ",".join(["g2"] * 13)), ("cyclic:12", "g2"), ("symmetric:3", "(123)"),
+               ("symmetric:3", "(12)"), ("symmetric:4", "(12)"), ("quaternion8", "-1"),
+               ("dihedral:4", "(13)(24),(24)")]
+
+
+@pytest.mark.parametrize("spec, sigma", _CLI_SIGMAS)
+def test_lambda_weights_are_the_permutation_character_of_the_tuple(spec, sigma):
+    G = build_group(spec)
+    entries = tuple(map(G.index_of, sigma.split(",")))
+    assert weight_counter(lambda_desc(G, entries).weights) == twist_oracle(G, entries)
 
 
 def test_v_sigma_examples(s3):
