@@ -85,18 +85,17 @@ def lambda_desc(
         C, to_parent = subgroup_table(centralizer(G, sigma))
         table = character_table(C, limits)
         desc = G._memo["lambda_desc", entries] = LambdaDesc(
-            G, sigma, to_parent, table, twist_weights(table, to_parent, entries))
+            G, sigma, to_parent, table, tuple(zip(*twist_weights(table, to_parent, entries))))
     limits.check_tuples(1, len(entries))
     limits.check_order(desc.cent_group, "character table")
     return desc
 
 
 def twist_weights(table: CharacterTable, to_parent: Sequence[int], entries: Sequence[int]) -> tuple:
-    """LambdaDesc.weights for the entries, whose centralizer has this table and the
-    sorted inclusion to_parent: central_weights at their classes, never None, as each
+    """The weight column of each entry, whose centralizer has this table and the
+    sorted inclusion to_parent: central_weights at its class, never None, as each
     entry is central there and so by Schur's lemma a scalar on every irreducible."""
-    cols = [table.central_weights[table.class_of[bisect_left(to_parent, s)]] for s in entries]
-    return tuple(zip(*cols))
+    return tuple(table.central_weights[table.class_of[bisect_left(to_parent, s)]] for s in entries)
 
 
 class TwistedIrrep(NamedTuple):

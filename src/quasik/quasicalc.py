@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .chartable import character_table
@@ -28,13 +29,19 @@ from .lambdarep import twist_weights
 
 
 class QuasiRecord(NamedTuple):
-    """One coefficient-ring factor: rank and twist data for a tuple orbit."""
+    """One coefficient-ring factor: rank and twist data for a tuple orbit.  columns[i]
+    is sigma_i's weight on each basis irreducible, its centralizer table's own column."""
 
     sigma_labels: tuple[str, ...]
     orbit_size: int
     centralizer_order: int
     rank: int
-    twists: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def twists(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The weight vector of each basis irreducible, as the JSON holds them."""
+        return tuple(zip(*self.columns))
 
 
 class QuasiTable(NamedTuple):
@@ -51,8 +58,8 @@ def quasi_coefficients(G: GroupTable, n: int, limits: Limits = Limits()) -> Quas
     with its centralizer's table from the descent; no LambdaDesc or CommTuple is built."""
     records = []
     for entries, orbit_size, C, to_G in _descent(G, n, limits):
-        weights = twist_weights(character_table(C, limits), to_G, entries)
-        records.append(QuasiRecord(tuple(map(G.label, entries)), orbit_size, C.order, len(weights), weights))
+        columns = twist_weights(character_table(C, limits), to_G, entries)
+        records.append(QuasiRecord(tuple(map(G.label, entries)), orbit_size, C.order, len(columns[0]), columns))
     return QuasiTable(group=G.name, n=n, records=tuple(records), total_rank=sum(r.rank for r in records))
 
 
@@ -103,18 +110,13 @@ def render_tate_report(report: dict) -> str:
 # -- serialization ------------------------------------------------------------------
 
 
-def _weight_strings(table: QuasiTable, render: Callable[[str], str]) -> dict[int, str]:
-    """render(str(w)) for each distinct weight object w of the table, by id(w).
-    Every record reads its centralizer's weight columns, so few are distinct.
-    Keyed by identity, as equal weights such as 1/2 and 0.5 may print
-    differently; the table holds each w for as long as the result is used."""
-    out = {}
-    for rec in table.records:
-        for twist in rec.twists:
-            for w in twist:
-                if id(w) not in out:
-                    out[id(w)] = render(str(w))
-    return out
+def _weight_strings(table: QuasiTable, render: Callable[[str], str]) -> dict[int, list[str]]:
+    """[render(str(w)) for w in column] for each distinct column object of the table,
+    by id(column).  Every record reads its centralizer's weight columns, so few are
+    distinct.  Keyed by identity, as equal columns such as (1/2,) and (0.5,) may print
+    differently; the table holds each column for as long as the result is used."""
+    columns = {id(col): col for rec in table.records for col in rec.columns}
+    return {key: [render(str(w)) for w in col] for key, col in columns.items()}
 
 
 def serialize_quasi(table: QuasiTable, fmt: str = "json") -> bytes:
@@ -143,8 +145,8 @@ def _quasi_json(table: QuasiTable) -> str:
         + f',\n      "centralizer_order": {_json(rec.centralizer_order, int)}'
         + f',\n      "rank": {_json(rec.rank, int)}'
         + ',\n      "twists": '
-        + array([("[\n          " + ",\n          ".join([ws[id(w)] for w in t]) + "\n        ]")
-                 if t else "[]" for t in rec.twists], " " * 8)
+        + array(["[\n          " + ",\n          ".join(t) + "\n        ]"
+                 for t in zip(*[ws[id(c)] for c in rec.columns])], " " * 8)
         + "\n    }"
         for rec in table.records
     ]
@@ -155,27 +157,16 @@ def _quasi_json(table: QuasiTable) -> str:
 
 def render_quasi_text(table: QuasiTable) -> str:
     header = f"coefficients of Q{table.theory}^0_{{{table.n},G}}(pt) for G = {table.group}"
-    cols = ["sigma", "orbit", "|C|", "rank", "twists"]
-    rows = []
     ws = _weight_strings(table, str)
-    for rec in table.records:
-        twists = " ".join(["(" + ",".join([ws[id(w)] for w in t]) + ")" for t in rec.twists])
-        rows.append(
-            [
-                "(" + ",".join(rec.sigma_labels) + ")",
-                str(rec.orbit_size),
-                str(rec.centralizer_order),
-                str(rec.rank),
-                twists,
-            ]
-        )
-    widths = [max(len(r[i]) for r in rows + [cols]) for i in range(len(cols))]
-    lines = [header]
-    lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip())
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    lines.append(f"total rank: {table.total_rank}")
-    return "\n".join(lines)
+    cells = [["sigma", "orbit", "|C|", "rank"]] + [
+        ["(" + ",".join(rec.sigma_labels) + ")", str(rec.orbit_size), str(rec.centralizer_order), str(rec.rank)]
+        for rec in table.records]
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    # only these four columns are padded: each line ends in its twists, joined as the line is
+    twists = chain(["twists"], (
+        " ".join(["(" + ",".join(t) + ")" for t in zip(*[ws[id(c)] for c in rec.columns])]) for rec in table.records))
+    lines = [("  ".join(map(str.ljust, r, widths)) + "  " + t).rstrip() for r, t in zip(cells, twists)]
+    return "\n".join([header, *lines, f"total rank: {table.total_rank}"])
 
 
 def _json(value: object, kind: type):
@@ -206,7 +197,7 @@ def parse_quasi(data: bytes | str) -> QuasiTable:
                 orbit_size=_json(rec["orbit_size"], int),
                 centralizer_order=_json(rec["centralizer_order"], int),
                 rank=_json(rec["rank"], int),
-                twists=tuple(
+                columns=tuple(  # the rows as read, transposed below once checked
                     tuple(_twist_entry(w) for w in _json(t, list)) for t in rec["twists"]
                 ),
             )
@@ -221,11 +212,15 @@ def parse_quasi(data: bytes | str) -> QuasiTable:
         )
     except (ValueError, TypeError, LookupError, ArithmeticError, RecursionError) as exc:
         raise QuasiError(f"malformed coefficient table: {exc!r}") from None
+    if table.n < 1:
+        raise QuasiError(f"a table has n = {table.n}, and n must be >= 1")
     for rec in table.records:  # as quasi_coefficients makes them: rank twists, each of n entries like sigma
-        if rec.rank != len(rec.twists):
-            raise QuasiError(f"a record has rank {rec.rank} and {len(rec.twists)} twists")
-        if any(len(t) != table.n for t in (rec.sigma_labels, *rec.twists)):
+        if rec.rank != len(rec.columns):
+            raise QuasiError(f"a record has rank {rec.rank} and {len(rec.columns)} twists")
+        if any(len(t) != table.n for t in (rec.sigma_labels, *rec.columns)):
             raise QuasiError(f"a record's sigma or twist does not have n = {table.n} entries")
     if table.total_rank != sum(r.rank for r in table.records):
         raise QuasiError("total_rank does not match the records")
-    return table
+    # zip(*rows) would drop a long row's tail, and gives no column at rank 0
+    return table._replace(records=tuple(
+        rec._replace(columns=tuple(zip(*rec.columns)) or ((),) * table.n) for rec in table.records))

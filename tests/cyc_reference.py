@@ -622,7 +622,7 @@ def ref_quasi_coefficients(G: GroupTable, n: int, limits: Limits = Limits()) -> 
         weights = tuple(zip(*cols))
         records.append(QuasiRecord(sigma_labels=tuple(G.label(s) for s in sigma.entries),
                                    orbit_size=orbit.orbit_size, centralizer_order=len(to_parent),
-                                   rank=len(weights), twists=weights))
+                                   rank=len(weights), columns=tuple(zip(*weights))))
     return QuasiTable(group=G.name, n=n, records=tuple(records),
                       total_rank=sum(r.rank for r in records))
 

@@ -29,6 +29,7 @@ from quasik import (
     QuasiTable,
     TupleOrbit,
     build_group,
+    character_table,
     commuting_tuples,
     cyclic_group,
     make_comm_tuple,
@@ -202,6 +203,20 @@ def test_every_records_twists_are_the_permutation_character_of_its_tuple():
                 assert weight_counter(rec.twists) == twist_oracle(G, entries), (G.name, rec.sigma_labels)
                 checked += 1
     assert checked == 7258
+
+
+def test_records_share_their_centralizer_columns():
+    # each record holds the weight columns of its centralizer's own table, at
+    # each sigma_i's class: the very tuples, neither copied nor transposed
+    G, limits = build_group("dihedral:30"), Limits(order=60, tuples=60**3)
+    records = quasi_coefficients(G, 3, limits).records
+    leaves = list(_descent(G, 3, limits))
+    assert len(records) == len(leaves) == 13560
+    for rec, (entries, _, C, to_G) in zip(records, leaves):
+        table = character_table(C, limits)
+        assert len(rec.columns) == 3 and rec.rank == len(table.rows)
+        for col, s in zip(rec.columns, entries):
+            assert col is table.central_weights[table.class_of[to_G.index(s)]]
 
 
 def test_quasi_coefficients_builds_no_tuple_objects():
@@ -379,6 +394,25 @@ def test_parse_rejects_records_that_quasi_coefficients_cannot_make(edit, message
         parse_quasi(_golden_with_first_record(edit))
 
 
+@pytest.mark.parametrize("data, n", [
+    (b'{"group": "g", "n": -1, "records": [], "total_rank": 0}', -1),
+    # zero columns cannot hold a record of rank 2
+    (b'{"group": "g", "n": 0, "records": [{"sigma": [], "orbit_size": 1, "centralizer_order": 2,'
+     b' "rank": 2, "twists": [[], []]}], "total_rank": 2}', 0),
+], ids=["negative-n", "zero-n-rank-2"])
+def test_parse_rejects_a_table_of_n_below_one(data, n):
+    # quasi_coefficients takes n >= 1 only
+    with pytest.raises(QuasiError, match=f"^a table has n = {n}, and n must be >= 1$"):
+        parse_quasi(data)
+
+
+def test_parse_keeps_n_empty_columns_for_a_record_of_rank_zero():
+    table = parse_quasi(_VALID.replace(b'"rank": 1', b'"rank": 0').replace(b'[["1"]]', b"[]")
+                        .replace(b'"total_rank": 1', b'"total_rank": 0'))
+    assert table.records[0].columns == ((),) and table.records[0].twists == ()
+    assert parse_quasi(serialize_quasi(table, "json")) == table
+
+
 # -- the JSON writer against json.dumps -----------------------------------------------
 
 # the quasi ops of the lib-session benchmark: n = 1..3 with |G|^n at most 1024
@@ -396,7 +430,7 @@ def _with_string_weights(table: QuasiTable) -> QuasiTable:
     # each weight replaced by its string, which prints as itself: a writer that
     # prints one weight for another, equal one gives the table other text
     return table._replace(records=tuple(
-        rec._replace(twists=tuple(tuple(str(w) for w in t) for t in rec.twists))
+        rec._replace(columns=tuple(tuple(str(w) for w in c) for c in rec.columns))
         for rec in table.records))
 
 
@@ -415,7 +449,8 @@ def test_the_writer_matches_json_dumps_on_the_lib_session_tables(lib_session_tab
 _LABELS = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800e\xe9')),
                   max_size=4)
 # equal weights that print differently (1, 1.0, True) and fresh equal objects
-# on every draw, so a memo keyed by value shows
+# on every draw, so a memo keyed by value shows; the columns of a record may
+# differ in length, and its twists, like the writers, stop at the shortest
 _WEIGHTS = st.one_of(st.fractions(max_denominator=4), st.integers(-3, 3),
                      st.sampled_from([0.5, -0.25, 1.0, 0.0, True, False, Decimal("0.50")]))
 _RECORDS = st.builds(
@@ -424,7 +459,7 @@ _RECORDS = st.builds(
     orbit_size=st.integers(),
     centralizer_order=st.integers(),
     rank=st.integers(-1, 3),
-    twists=st.lists(st.lists(_WEIGHTS, max_size=3).map(tuple), max_size=4).map(tuple),
+    columns=st.lists(st.lists(_WEIGHTS, max_size=4).map(tuple), max_size=3).map(tuple),
 )
 _TABLES = st.builds(QuasiTable, group=_LABELS, n=st.integers(),
                     records=st.lists(_RECORDS, max_size=4).map(tuple),
@@ -448,7 +483,7 @@ _REC = _S3.records[0]
     _S3._replace(records=(_REC._replace(centralizer_order=None),)),
     _S3._replace(records=(_REC._replace(sigma_labels=(3,)),)),
     _S3._replace(records=(_REC._replace(sigma_labels="ab"),)),
-    _S3._replace(records=(_REC._replace(twists=[[Fraction(1, 2), 2]]),)),
+    _S3._replace(records=(_REC._replace(columns=[[Fraction(1, 2), 2]]),)),
     _S3._replace(n=False), _S3._replace(total_rank=2.5), _S3._replace(group=5),
     _S3._replace(theory=None), _S3._replace(records=list(_S3.records)),
 ], ids=["bool-orbit-size", "float-rank", "none-centralizer-order", "int-label", "string-sigma",
@@ -465,7 +500,7 @@ def test_the_writer_gives_the_reference_bytes_or_refuses(table):
 def test_the_text_format_refuses_a_string_utf8_cannot_encode():
     # parse_quasi reads the JSON escape \ud800, a lone surrogate; the JSON writer
     # escapes it again, and the text writer, which encodes UTF-8, refuses it
-    table = parse_quasi(b'{"group": "g", "n": 0, "records": [], "total_rank": 0, "E": "\\ud800"}')
+    table = parse_quasi(b'{"group": "g", "n": 1, "records": [], "total_rank": 0, "E": "\\ud800"}')
     assert table.theory == "\ud800"
     assert b'"E": "\\ud800"' in serialize_quasi(table, "json")
     with pytest.raises(QuasiError, match=r"^the text format cannot encode '\\ud800'$"):

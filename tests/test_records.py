@@ -107,9 +107,10 @@ def test_records_are_immutable_values():
             setattr(a, field, getattr(b, field))
         assert a == b, name
 
-    # a coefficient record holds exactly what its JSON holds
+    # a coefficient record holds exactly what its JSON holds, with the twist
+    # rows as the columns they transpose
     assert QuasiRecord._fields == (
-        "sigma_labels", "orbit_size", "centralizer_order", "rank", "twists"
+        "sigma_labels", "orbit_size", "centralizer_order", "rank", "columns"
     )
     assert LambdaDesc._fields == ("group", "sigma", "to_parent", "table", "weights")
 
