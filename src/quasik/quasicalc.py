@@ -214,7 +214,7 @@ def parse_quasi(data: bytes | str) -> QuasiTable:
         raise QuasiError(f"malformed coefficient table: {exc!r}") from None
     if table.n < 1:
         raise QuasiError(f"a table has n = {table.n}, and n must be >= 1")
-    for rec in table.records:  # as quasi_coefficients makes them: rank twists, each of n entries like sigma
+    for rec in table.records:  # as quasi_coefficients makes them: rank rows, each of n entries like sigma
         if rec.rank != len(rec.columns):
             raise QuasiError(f"a record has rank {rec.rank} and {len(rec.columns)} twists")
         if any(len(t) != table.n for t in (rec.sigma_labels, *rec.columns)):

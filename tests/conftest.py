@@ -164,7 +164,7 @@ def class_count_checksum(G):
 # -- twist oracle ------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _class_map(G, C):
     """The conjugacy class of each element of the subgroup with element tuple C,
     by brute force, and the set of those classes."""
